@@ -7,9 +7,10 @@ sigma minus the origin) the closed generating function is
 
 a rational function whose denominator factors are 1 - T^{l1(r)} P^{l2(r)}
 over the rays r.  It is computed by triangulating sigma, making the cells
-half-open so they partition the cone, and summing one fundamental
-parallelepiped per cell.  The open variant (relative interior only) follows
-by inclusion-exclusion over the face lattice.
+half-open against a reference point so they partition sigma (or, with one
+point shared by the maximal cones of a fan, their union), and summing one
+fundamental parallelepiped per cell.  The open variant (relative interior
+only) follows by inclusion-exclusion over the face lattice.
 """
 
 from __future__ import annotations
@@ -134,19 +135,18 @@ def _wall_covectors(cell_rays, n):
     return out
 
 
-def _half_open_cells(cone: Cone) -> list[HalfOpenSimplicialCone]:
-    """Triangulate and mark walls open so the cells partition the cone.
+def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
+    """Triangulate; a cell wall is open iff q lies strictly on its far side.
 
-    A reference point interior to the first cell decides each wall: the wall
-    is open exactly when the point lies strictly on the far side.  Ties are
-    broken by lexicographic perturbation along the span's lattice basis,
-    which keeps decisions complementary on shared walls.
+    Ties are broken by perturbing q lexicographically along the lattice basis
+    of the cone's span, e_1, ..., e_n for a full-dimensional cone.  Cones
+    dissecting a region and sharing a q that stays in the region under a
+    small push (q in relint for one cone; (1, ..., 1) for the orthant) thus
+    get cells partitioning it (Koeppe & Verdoolaege 2008, Thm 3).
     """
-    cells = triangulate(cone)
-    q = tuple(sum(col) for col in zip(*cells[0].rays))
     span = saturation_basis(cone.rays, cone.n)
     out = []
-    for cell in cells:
+    for cell in triangulate(cone):
         open_idx = set()
         for j, h in enumerate(_wall_covectors(cell.rays, cone.n)):
             signs = [dot(h, q)] + [dot(h, b) for b in span]
@@ -157,13 +157,10 @@ def _half_open_cells(cone: Cone) -> list[HalfOpenSimplicialCone]:
     return out
 
 
-def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
-    """Generating function of all lattice points of the (closed) cone."""
-    grading.validate_on(cone)
-    if cone.dim == 0:
-        return BiRationalFunction.one()
+def half_open_gf(cone: Cone, q: Vec, grading: Grading) -> BiRationalFunction:
+    """Generating function of the cone's half-open cells for the point q."""
     total = BiRationalFunction.zero()
-    for cell in _half_open_cells(cone):
+    for cell in _half_open_cells(cone, q):
         num = BiPoly.zero()
         for pt in parallelepiped_points(cell):
             t, p = grading.weight(pt)
@@ -171,6 +168,14 @@ def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
         den = [BinomialFactor(*grading.weight(r)) for r in cell.rays]
         total = total + BiRationalFunction(num, den)
     return total
+
+
+def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
+    """Generating function of all lattice points of the (closed) cone."""
+    grading.validate_on(cone)
+    if cone.dim == 0:
+        return BiRationalFunction.one()
+    return half_open_gf(cone, tuple(sum(col) for col in zip(*cone.rays)), grading)
 
 
 def interior_lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:

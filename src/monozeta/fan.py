@@ -4,7 +4,7 @@ Cones are pointed rational cones inside the nonnegative orthant.  Each one
 stores its extreme rays together with an exact inequality description
 (facet covectors lifted from the span, plus a +/- pair for every covector
 vanishing on the span), so membership and relative-interior tests are pure
-integer arithmetic.
+integer arithmetic.  A fan is built from its maximal cones only.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class Cone:
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.dim
-
-    def with_vertex(self, vertex):
-        return Cone(self.n, self.rays, self.ineqs, self.dim, vertex)
 
     def to_json(self):
         data = {"rays": [list(r) for r in self.rays], "dim": self.dim}
@@ -94,12 +91,32 @@ def cone_from_rays(generators, n, vertex=None) -> Cone:
 
 @dataclass(frozen=True)
 class Fan:
-    """All cones of a normal fan, with the face relation by index pairs."""
+    """Maximal cones with their vertices, and rays; the rest on first use."""
 
     n: int
-    cones: tuple[Cone, ...]
+    maximal: tuple[Cone, ...]
     rays: tuple[Vec, ...]
-    relation: frozenset[tuple[int, int]]  # (face index, cone index)
+
+    @cached_property
+    def cones(self) -> tuple[Cone, ...]:
+        """All cones by (dim, rays), each carrying the lexicographically
+        smallest vertex among the maximal cones containing it."""
+        vertex = {}
+        for sigma in self.maximal:
+            for rayset in _face_raysets(sigma):
+                vertex[rayset] = min(sigma.vertex, vertex.get(rayset, sigma.vertex))
+        cones = [cone_from_rays(rayset, self.n, v) for rayset, v in vertex.items()]
+        return tuple(sorted(cones, key=lambda c: (c.dim, c.rays)))
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[int, int]]:
+        """The face relation as (face index, cone index) pairs."""
+        return frozenset(
+            (i, j)
+            for i, ci in enumerate(self.cones)
+            for j, cj in enumerate(self.cones)
+            if set(ci.rays) <= set(cj.rays)
+        )
 
     @cached_property
     def _by_rayset(self):
@@ -109,7 +126,7 @@ class Fan:
         return self._by_rayset[frozenset(cone.rays)]
 
     def maximal_cones(self):
-        return tuple(c for c in self.cones if c.dim == self.n)
+        return self.maximal
 
     def faces_of(self, cone: Cone):
         """Fan cones that are faces of the given fan cone (itself included)."""
@@ -155,40 +172,19 @@ def _face_raysets(cone: Cone):
 
 
 def normal_fan(poly: NewtonPolyhedron) -> Fan:
-    """The normal fan of the Newton polyhedron, supported on the orthant.
-
-    Maximal cones are the vertex normal cones; every cone carries the
-    lexicographically smallest vertex attaining the minimum on it.
-    """
+    """The normal fan of the Newton polyhedron, supported on the orthant,
+    built from the vertex normal cones; each carries its vertex."""
     n = poly.n
-
-    def nu(a):
-        return poly.min_pairing(a)
-
-    raysets = set()
+    maximal = []
     for w in poly.vertices:
         tight = [f.normal for f in poly.facets if dot(w, f.normal) == f.offset]
-        sigma = cone_from_rays(tight, n)
+        sigma = cone_from_rays(tight, n, w)
         if sigma.dim != n:
             raise AssertionError(f"normal cone of vertex {w} is not full-dimensional")
-        raysets |= _face_raysets(sigma)
-
-    cones = []
-    for rayset in raysets:
-        cone = cone_from_rays(rayset, n)
-        eligible = [w for w in poly.vertices
-                    if all(dot(w, r) == nu(r) for r in cone.rays)]
-        cones.append(cone.with_vertex(min(eligible)))
-    cones.sort(key=lambda c: (c.dim, c.rays))
-
-    relation = frozenset(
-        (i, j)
-        for i, ci in enumerate(cones)
-        for j, cj in enumerate(cones)
-        if set(ci.rays) <= set(cj.rays)
-    )
-    rays = tuple(sorted(c.rays[0] for c in cones if c.dim == 1))
-    return Fan(n, tuple(cones), rays, relation)
+        maximal.append(sigma)
+    maximal.sort(key=lambda c: c.rays)
+    rays = tuple(sorted({r for sigma in maximal for r in sigma.rays}))
+    return Fan(n, tuple(maximal), rays)
 
 
 def _facets_of_cone(cone: Cone):

@@ -367,12 +367,12 @@ class BiRationalFunction:
     def reduced(self):
         """Cancel denominator factors against the numerator.
 
-        Repeatedly removes any factor that divides the numerator exactly.
-        A factor 1 - x^g (x a monomial, g = gcd of its exponents) is also
-        replaced by 1 - x^m for a proper divisor m of g whenever the
-        complementary quotient (1 - x^g)/(1 - x^m) divides the numerator;
-        this keeps equal functions in one canonical shape.  The value of
-        the function never changes.
+        Greedy: repeatedly removes the first factor that divides the
+        numerator exactly.  A factor 1 - x^g (x a monomial, g = gcd of its
+        exponents) is also replaced by 1 - x^m for a proper divisor m of g
+        whenever the complementary quotient (1 - x^g)/(1 - x^m) divides the
+        numerator.  The value of the function never changes, but the result
+        is not canonical: equal functions can reduce to different shapes.
         """
         num = self.numerator
         den = list(self.denominator)
@@ -462,14 +462,33 @@ def _divisors(n):
     return sorted(d for d in range(1, n + 1) if n % d == 0)
 
 
+# Miller-Rabin on these bases is exact below the bound (Sorenson & Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; ValueError at or above the proven bound."""
     if not isinstance(p, int) or p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_BOUND:
+        raise ValueError(f"cannot certify {p} as prime: the limit is {_MR_BOUND - 1}")
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

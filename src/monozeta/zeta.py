@@ -1,14 +1,13 @@
-"""The Igusa zeta function of a monomial ideal, assembled over the normal fan.
+"""The Igusa zeta function of a monomial ideal, summed over the normal fan.
 
 With T = p^-s and P = 1/p the local zeta function of a monomial ideal is
-
-    (1 - P)^n * sum over fan cones of the interior generating function
-                of the cone, graded by (minimizing vertex, all-ones),
-
-a rational function whose denominator factors 1 - T^a P^b record, per fan
-ray v, the numerical data a = vanishing order along v and b = coordinate sum
-of v.  Candidate pole real parts are the ratios -b/a; the report groups the
-reduced denominator by that ratio.
+(1 - P)^n times the sum of T^{ord(a)} P^{|a|} over the lattice points a of
+the orthant.  The half-open cells of the maximal fan cones, all decided
+against one reference point (1, ..., 1), partition the orthant, and on each
+cell ord pairs with its cone's vertex.  Each denominator factor 1 - T^a P^b
+records, per fan ray v, the numerical data a = vanishing order along v and
+b = coordinate sum of v.  Candidate pole real parts are the ratios -b/a; the
+report groups the reduced denominator by that ratio.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conegf import Grading, lattice_gf
+from .conegf import Grading, half_open_gf
+from .conegf import lattice_gf  # noqa: F401  re-exported: perfbench/tracer.py wraps it
 from .fan import Fan, normal_fan
 from .linalg import Vec, dot
 from .polyhedra import MonomialIdeal, NewtonPolyhedron, newton_polyhedron
@@ -111,32 +111,12 @@ def pole_report(zeta: BiRationalFunction, n: int):
 
 def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
     """Exact Igusa zeta function of the ideal, reduced, with pole data."""
-    poly = newton_polyhedron(ideal)
-    fan = normal_fan(poly)
-    return _zeta_over_fan(ideal, fan)
-
-
-def _zeta_over_fan(ideal: MonomialIdeal, fan: Fan) -> ZetaResult:
+    fan = normal_fan(newton_polyhedron(ideal))
     n = ideal.n
     ones = (1,) * n
-
-    closed = {}
-    for cone in fan.cones:
-        closed[frozenset(cone.rays)] = lattice_gf(cone, Grading(cone.vertex, ones))
-
-    # Moebius coefficient of each face across all cones of the fan: the sum
-    # of the per-cone interior generating functions expands into closed ones.
-    index = {frozenset(c.rays): 0 for c in fan.cones}
-    for i, j in fan.relation:
-        face, cone = fan.cones[i], fan.cones[j]
-        index[frozenset(face.rays)] += (-1) ** (cone.dim - face.dim)
-
     total = BiRationalFunction.zero()
-    for cone in fan.cones:
-        c = index[frozenset(cone.rays)]
-        if c:
-            total = total + closed[frozenset(cone.rays)] * c
-
+    for sigma in fan.maximal_cones():
+        total = total + half_open_gf(sigma, ones, Grading(sigma.vertex, ones))
     zeta = (total * BiPoly.binomial(0, 1) ** n).reduced()
     divisors = _divisors_of_fan(fan, ideal)
     return ZetaResult(

@@ -55,6 +55,10 @@ def test_zeta_rejects_composite_prime(capsys):
     assert out == ""  # no partial output before the error
     assert "error: 4 is not a prime" in err
 
+    code, out, err = run(capsys, "zeta", "--ideal", "x", "--prime", str(10**25 + 13))
+    assert code == 2 and out == ""
+    assert "error: cannot certify 10000000000000000000000013 as prime" in err
+
 
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "zeta", "--ideal", "x^")

@@ -1,5 +1,6 @@
 """Parallelepiped enumeration and bigraded cone generating functions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from monozeta.conegf import (
     lattice_gf,
     parallelepiped_points,
 )
-from monozeta.fan import cone_faces, cone_from_rays
+from monozeta.fan import cone_faces, cone_from_rays, normal_fan
 from monozeta.linalg import det_int, solve
+from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
 from monozeta.ring import BinomialFactor, BiRationalFunction
 
 
@@ -96,6 +98,8 @@ def in_half_open(cell, point):
 def test_half_open_cells_partition_cone():
     from monozeta.conegf import _half_open_cells
 
+    # (cells, is the point in the region they must partition, test points)
+    cases = []
     rng = random.Random(602)
     for _ in range(12):
         n = rng.randint(2, 3)
@@ -105,10 +109,25 @@ def test_half_open_cells_partition_cone():
             if any(v):
                 rays.append(v)
         cone = cone_from_rays(rays, n)
-        cells = _half_open_cells(cone)
-        for a in orthant_points(n, 4):
+        interior = tuple(sum(col) for col in zip(*cone.rays))
+        cases.append((_half_open_cells(cone, interior), cone.contains,
+                      list(orthant_points(n, 4))))
+    # the pipeline's decomposition of the orthant: the maximal cones of the
+    # fan, some non-simplicial here, all against the reference point (1, ..., 1)
+    for n, gens, bound in [
+        (3, [(2, 2, 0), (3, 1, 0), (1, 0, 2), (3, 1, 3)], 5),
+        (4, [(2, 2, 3, 0), (2, 2, 0, 3), (0, 1, 2, 2)], 3),
+    ]:
+        fan = normal_fan(newton_polyhedron(MonomialIdeal(n, gens)))
+        assert not all(c.is_simplicial() for c in fan.maximal_cones())
+        cells = [cell for sigma in fan.maximal_cones()
+                 for cell in _half_open_cells(sigma, (1,) * n)]
+        box = itertools.product(range(bound + 1), repeat=n)
+        cases.append((cells, lambda a: True, box))
+    for cells, inside, points in cases:
+        for a in points:
             owners = sum(1 for cell in cells if in_half_open(cell, a))
-            assert owners == (1 if cone.contains(a) else 0), (a, cone.rays)
+            assert owners == (1 if inside(a) else 0), (a, cells)
 
 
 GRADING_2D = Grading((0, 1), (1, 1))

@@ -1,6 +1,7 @@
 """Bivariate polynomials, factored rational functions, specialization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,9 +199,22 @@ def test_specialize_known_values():
 
 def test_specialize_rejects_composites():
     rf = BiRationalFunction.one()
-    for bad in (0, 1, 4, 6, 9):
+    for bad in (0, 1, 4, 6, 9, 561, 41041):  # the last two are Carmichael numbers
         with pytest.raises(ValueError):
             rf.specialize(bad)
+
+
+def test_specialize_at_large_primes():
+    rf = BiRationalFunction(ONE - P, [(1, 1)])
+    p = 10000000000000000051  # 20 digits: trial division would take minutes
+    start = time.perf_counter()
+    spec = rf.specialize(p)
+    assert time.perf_counter() - start < 1.0
+    assert spec.den == (Fraction(1), Fraction(-1, p))
+    # the prime 10^25 + 13 lies above the bound where Miller-Rabin on the
+    # first 13 prime bases is proven exact
+    with pytest.raises(ValueError, match="cannot certify"):
+        rf.specialize(10**25 + 13)
 
 
 def test_specialize_commutes_with_series():

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from monozeta.polyhedra import MonomialIdeal
+from test_acceptance import corpus
+from monozeta.conegf import Grading, interior_lattice_gf
+from monozeta.fan import normal_fan
+from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
 from monozeta.ring import BiPoly, BiRationalFunction
 from monozeta.zeta import (
     divisor_data,
@@ -63,6 +66,36 @@ def test_monomial_closed_form_matches_pipeline():
             continue
         via_fan = igusa_zeta(MonomialIdeal(n, [u])).zeta
         assert via_fan == principal_zeta(u).reduced(), u
+
+
+def zeta_by_definition(ideal):
+    """Reference oracle: (1 - P)^n times the sum over every fan cone of its
+    interior generating function, graded by (the cone's vertex, all-ones)."""
+    ones = (1,) * ideal.n
+    total = BiRationalFunction.zero()
+    for cone in normal_fan(newton_polyhedron(ideal)).cones:
+        total = total + interior_lattice_gf(cone, Grading(cone.vertex, ones))
+    return (total * BiPoly.binomial(0, 1) ** ideal.n).reduced()
+
+
+def same_function(f, g):
+    """Equality as rational functions: cross-multiplied numerators agree."""
+
+    def cross(a, b):
+        out = a.numerator
+        for factor in b.denominator:
+            out = out * factor.poly()
+        return out
+
+    return cross(f, g) == cross(g, f)
+
+
+def test_pipeline_matches_definition_over_all_fan_cones():
+    small = [ideal for ideal in corpus() if ideal.n <= 3][:20]
+    for ideal in small:
+        got = igusa_zeta(ideal).zeta
+        assert same_function(got, zeta_by_definition(ideal)), ideal.generators
+    assert not same_function(got, got * BiPoly.binomial(1, 1))
 
 
 def test_monomial_closed_form_validation():
