@@ -85,7 +85,7 @@ def random_ideal(
 def _cmd_zeta(args) -> int:
     ideal, names = _load_ideal(args)
     res = igusa_zeta(ideal)
-    spec = res.zeta.specialize(args.prime) if args.prime else None
+    spec = res.zeta.specialize(args.prime) if args.prime is not None else None
     if args.json:
         record = res.to_json()
         record["ideal"] = _ideal_json(ideal, names)
@@ -221,7 +221,7 @@ def _cmd_verify(args) -> int:
             "witness facet per pole",
         )
     )
-    if args.prime:
+    if args.prime is not None:
         spec = res.zeta.specialize(args.prime)
         max_b = max((f.b for f in res.zeta.denominator), default=0)
         if max_b == 0:

@@ -7,7 +7,7 @@ inequalities) yields the facet normals of that cone, by duality.
 
 from __future__ import annotations
 
-from .linalg import Vec, dot, invert, primitive, rank, scale_to_int
+from .linalg import Vec, dot, eliminate, primitive
 
 
 def extreme_rays(ineqs: list[Vec], dim: int) -> list[Vec]:
@@ -18,19 +18,19 @@ def extreme_rays(ineqs: list[Vec], dim: int) -> list[Vec]:
     sorted primitive integer vectors.
     """
     ineqs = [tuple(h) for h in ineqs]
-    # greedy choice of dim independent rows for the initial simplicial cone
-    chosen: list[int] = []
-    for i, h in enumerate(ineqs):
-        if rank([ineqs[j] for j in chosen] + [h]) > len(chosen):
-            chosen.append(i)
-        if len(chosen) == dim:
-            break
+    m = len(ineqs)
+    # Gauss-Jordan on [ineqs^T | I]: its pivots among the first m columns
+    # are the greedy choice of dim independent inequalities A, and the right
+    # block becomes d (A^-1)^T; row k, signed by d, is the ray on which every
+    # chosen inequality but the k-th vanishes
+    red, pivots, d, _ = eliminate(
+        [[h[i] for h in ineqs] + [int(i == j) for j in range(dim)] for i in range(dim)])
+    chosen = [c for c in pivots if c < m]
     if len(chosen) < dim:
         raise ValueError("inequality system does not cut out a pointed cone")
-
-    inv = invert([ineqs[i] for i in chosen])
-    rays = [scale_to_int([inv[r][j] for r in range(dim)]) for j in range(dim)]
-    order = chosen + [i for i in range(len(ineqs)) if i not in chosen]
+    s = 1 if d > 0 else -1
+    rays = [primitive([s * a for a in row[m:]]) for row in red]
+    order = chosen + [i for i in range(m) if i not in chosen]
     processed = order[:dim]
     zerosets = {
         ray: frozenset(i for i in processed if dot(ineqs[i], ray) == 0)

@@ -187,39 +187,30 @@ def normal_fan(poly: NewtonPolyhedron) -> Fan:
     return Fan(n, tuple(maximal), rays)
 
 
-def _facets_of_cone(cone: Cone):
-    """Codimension-one faces, as canonical cones (sorted for determinism)."""
-    seen = set()
-    out = []
-    for h in cone.ineqs:
-        cut = tuple(r for r in cone.rays if dot(h, r) == 0)
-        key = frozenset(cut)
-        if key in seen or len(cut) == len(cone.rays):
-            continue
-        if rank(cut) == cone.dim - 1:
-            seen.add(key)
-            out.append(cone_from_rays(cut, cone.n))
-    out.sort(key=lambda c: c.rays)
-    return out
-
-
 def triangulate(cone: Cone) -> list[Cone]:
     """Pulling triangulation of the cone using only its own rays.
 
-    The apex at each level is the lexicographically smallest ray, which
-    makes the decomposition deterministic and consistent across shared
-    faces.
+    Recurses over ray tuples, never building a Cone for a face: the facets
+    of a face F are the cuts F ∩ {h = 0} of rank dim F - 1 by the cone's
+    own inequalities h, since every face of F is a face of the cone.  The
+    apex at each level is the lexicographically smallest ray, which makes
+    the decomposition deterministic and consistent across shared faces.
     """
     if cone.dim == 0 or cone.is_simplicial():
         return [cone]
-    apex = cone.rays[0]
-    cells = []
-    for facet in _facets_of_cone(cone):
-        if apex in facet.rays:
-            continue
-        for sub in triangulate(facet):
-            cells.append(cone_from_rays(sub.rays + (apex,), cone.n))
-    return cells
+
+    def pull(rays, dim):
+        if len(rays) == dim:
+            return [rays]
+        apex = rays[0]
+        cuts = {tuple(r for r in rays if dot(h, r) == 0) for h in cone.ineqs}
+        cells = []
+        for facet in sorted(cuts):
+            if apex not in facet and rank(facet) == dim - 1:
+                cells.extend(sub + (apex,) for sub in pull(facet, dim - 1))
+        return cells
+
+    return [cone_from_rays(cell, cone.n) for cell in pull(cone.rays, cone.dim)]
 
 
 def cone_faces(cone: Cone) -> list[tuple[Cone, int]]:

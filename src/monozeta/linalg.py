@@ -1,13 +1,16 @@
-"""Exact linear algebra over the rationals and over integer lattices.
+"""Exact linear algebra over integer matrices and lattices.
 
-Everything here works on tuples/lists of Python ints or Fractions; no floats
-are ever introduced.  Matrices are sequences of rows.
+Matrices are sequences of rows of Python ints; no floats are ever
+introduced.  One fraction-free elimination serves rank, det, invert and
+solve.  Fractions appear only in what invert and solve return and in
+scale_to_int, which clears them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 Vec = tuple[int, ...]
 
@@ -41,73 +44,63 @@ def scale_to_int(v) -> Vec:
     return primitive(w)
 
 
-def _echelon(rows):
-    """Row echelon form over Fraction.  Returns (rows, pivot_columns)."""
-    m = [[Fraction(a) for a in row] for row in rows]
+def eliminate(rows):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, pivots, d, sign).  Every pivot row i has the common pivot
+    value d at column pivots[i] and zero in the other pivot columns, so the
+    reduced rows are d times the rational reduced echelon form; d is a minor
+    of the input (1 when there is no pivot) and sign is the parity of the
+    row swaps.  All entries stay Python ints: each update divides exactly by
+    the previous pivot (Bareiss, Math. Comp. 22 (1968)).
+    """
+    m = [[index(a) for a in row] for row in rows]
     pivots = []
+    d, sign = 1, 1
     r = 0
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+        d = p
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return m, pivots, d, sign
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(_echelon(rows)[1])
-
-
-def det(rows) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(a) for a in row] for row in rows]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return d * sign
+    return len(eliminate(rows)[1])
 
 
 def det_int(rows) -> int:
-    d = det(rows)
-    if d.denominator != 1:
-        raise ValueError("matrix is not integral")
-    return d.numerator
+    _, pivots, d, sign = eliminate(rows)
+    return sign * d if len(pivots) == len(rows) else 0
+
+
+def det(rows) -> Fraction:
+    return Fraction(det_int(rows))
 
 
 def invert(rows):
     """Inverse of a nonsingular square matrix, as rows of Fractions."""
     n = len(rows)
-    m = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    red, pivots = _echelon(m)
+    red, pivots, d, _ = eliminate(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[Fraction(a, d) for a in row[n:]] for row in red]
 
 
 def solve(rows, rhs):
@@ -120,18 +113,18 @@ def solve(rows, rhs):
         return ()
     ncols = len(rows[0])
     aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
-    red, pivots = _echelon(aug)
+    red, pivots, d, _ = eliminate(aug)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    # pivot row i reads d x_c + (free terms) = red[i][ncols], and the free
+    # variables are pinned to zero; y = d x
+    y = [0] * ncols
     for i, c in enumerate(pivots):
-        # reduced echelon form: pivot row i reads x_c + (free terms) = rhs,
-        # and the free variables are pinned to zero
-        x[c] = red[i][ncols]
+        y[c] = red[i][ncols]
     for row, b in zip(rows, rhs):
-        if dot(row, x) != b:
+        if dot(row, y) != b * d:
             return None
-    return tuple(x)
+    return tuple(Fraction(a, d) for a in y)
 
 
 def row_hnf(mat, transform=False):

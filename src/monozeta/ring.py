@@ -390,9 +390,10 @@ class BiRationalFunction:
                 if g > 1:
                     base_a, base_b = f.a // g, f.b // g
                     for m in _divisors(g)[:-1]:
-                        co = BiPoly({(base_a * m * i2, base_b * m * i2): 1
-                                     for i2 in range(g // m)})
-                        q = num.div_exact(co)
+                        # num / ((1 - x^g)/(1 - x^m)), x = T^base_a P^base_b,
+                        # by the binomial kernel alone
+                        shifted = num * BiPoly.binomial(base_a * m, base_b * m)
+                        q = shifted.div_exact(f.poly())
                         if q is not None:
                             num = q
                             den[i] = BinomialFactor(base_a * m, base_b * m)

@@ -59,6 +59,11 @@ def test_zeta_rejects_composite_prime(capsys):
     assert code == 2 and out == ""
     assert "error: cannot certify 10000000000000000000000013 as prime" in err
 
+    for cmd in ("zeta", "verify"):
+        code, out, err = run(capsys, cmd, "--ideal", "x^2, y^3", "--prime", "0")
+        assert code == 2 and out == ""
+        assert "error: 0 is not a prime" in err
+
 
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "zeta", "--ideal", "x^")

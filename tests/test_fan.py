@@ -159,17 +159,36 @@ def test_triangulate_square_cone():
     assert len(shared) == 2
 
 
-def test_triangulation_covers_cone():
-    rng = random.Random(503)
-    for _ in range(15):
-        n = rng.randint(2, 3)
+def _random_ray_sets(seed, n_lo, n_hi, extra, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(n_lo, n_hi)
         rays = []
-        while len(rays) < rng.randint(n, n + 2):
+        while len(rays) < rng.randint(n, n + extra):
             v = tuple(rng.randint(0, 3) for _ in range(n))
             if any(v):
                 rays.append(v)
+        out.append((n, rays))
+    return out
+
+
+def test_triangulation_covers_cone():
+    ray_sets = (
+        _random_ray_sets(503, 2, 3, 2, 15)
+        # up to n + 3 rays in R^4
+        + _random_ray_sets(504, 4, 4, 3, 12)
+        # cones over a triangular prism and a cube: facets away from the
+        # apex are squares, so the recursion triangulates faces of faces
+        + [(4, [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
+                (1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1)]),
+           (4, [(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])]
+    )
+    for n, rays in ray_sets:
         cone = cone_from_rays(rays, n)
         cells = triangulate(cone)
+        for cell in cells:
+            assert cell.is_simplicial() and cell.dim == cone.dim
         for a in orthant_points(n, 5):
             in_cells = any(in_cone(cell.rays, a) for cell in cells)
             assert in_cells == cone.contains(a)

@@ -10,6 +10,7 @@ from monozeta.linalg import (
     det,
     det_int,
     dot,
+    eliminate,
     invert,
     left_kernel_basis,
     primitive,
@@ -42,6 +43,19 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+# a zero leading pivot forces row swaps (and flips the sign of det);
+# entries near 10^12 keep the fraction-free updates honest on big ints
+SPECIAL = [
+    [[0, 1], [1, 0]],
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    [[0, 2, 1], [0, 1, 3], [4, 0, 5]],
+    [[0, 0, 3, 1], [2, 0, 0, 1], [0, 5, 1, 0], [1, 1, 1, 1]],
+    [[0, 0], [0, 5]],
+    [[10**12 + 1, 3, -7], [5, -10**12, 2], [10**12 - 3, 11, 10**12 + 7]],
+    [[0, 10**12, 1], [10**12 + 9, 1, 0], [7, -(10**12), 10**12 - 1]],
+]
+
+
 def test_primitive_and_gcd():
     assert vec_gcd((4, -6, 8)) == 2
     assert vec_gcd((0, 0)) == 0
@@ -62,6 +76,12 @@ def test_det_matches_permutation_expansion():
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
         assert det(m) == permutation_det(m)
+    for m in SPECIAL:
+        assert det(m) == permutation_det(m)
+        assert det_int(m) == permutation_det(m)
+        red, pivots, d, sign = eliminate(m)
+        assert all(type(a) is int for row in red for a in row)
+        assert type(d) is int and sign in (1, -1)
 
 
 def test_det_int_requires_integrality():
@@ -83,6 +103,14 @@ def test_invert_roundtrip():
                 s = sum(Fraction(m[i][k]) * inv[k][j] for k in range(n))
                 assert s == (1 if i == j else 0)
         done += 1
+    for m in SPECIAL:
+        n = len(m)
+        if det(m) == 0:
+            continue
+        inv = invert(m)
+        for i in range(n):
+            for j in range(n):
+                assert sum(m[i][k] * inv[k][j] for k in range(n)) == (i == j)
     with pytest.raises(ValueError):
         invert([[1, 2], [2, 4]])
 
@@ -99,6 +127,12 @@ def test_solve_produces_solutions():
         assert sol is not None
         for row, bi in zip(a, b):
             assert sum(Fraction(c) * s for c, s in zip(row, sol)) == bi
+    for a in SPECIAL:
+        x = [3, -(10**6), 7, 1][:len(a[0])]
+        b = [dot(row, x) for row in a]
+        sol = solve(a, b)
+        assert sol is not None
+        assert [sum(c * s for c, s in zip(row, sol)) for row in a] == b
 
 
 def test_solve_detects_inconsistency():

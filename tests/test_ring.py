@@ -156,6 +156,11 @@ def test_rf_reduce_exchanges_scaled_factors():
     rf = BiRationalFunction(ONE + TP, [(2, 2)])
     red = rf.reduced()
     assert red.numerator == ONE and red.denominator == (BinomialFactor(1, 1),)
+    # g = 6 has the proper divisors 1, 2, 3: with x = TP,
+    # (1 + x^2 + x^4)/(1 - x^6) is 1/(1 - x^2)
+    rf = BiRationalFunction(ONE + TP**2 + TP**4, [(6, 6)])
+    red = rf.reduced()
+    assert red.numerator == ONE and red.denominator == (BinomialFactor(2, 2),)
 
 
 def test_rf_reduce_preserves_series():

@@ -217,3 +217,45 @@ def test_result_json_shape():
     assert all(
         set(c) == {"real_part", "rays"} for c in data["candidate_poles"]
     )
+
+
+def _relabelled_json(ideal, perm):
+    """to_json() of the ideal with variable i renamed perm[i], its rays
+    mapped back to the original labels and re-sorted."""
+    gens = [tuple(g[p] for p in perm) for g in ideal.generators]
+    data = igusa_zeta(MonomialIdeal(ideal.n, gens)).to_json()
+
+    def back(ray):
+        out = [0] * len(ray)
+        for i, x in enumerate(ray):
+            out[perm[i]] = x
+        return out
+
+    for d in data["divisors"]:
+        d["ray"] = back(d["ray"])
+    data["divisors"].sort(key=lambda d: d["ray"])
+    for c in data["candidate_poles"]:
+        c["rays"] = sorted(back(r) for r in c["rays"])
+    return data
+
+
+def test_zeta_invariant_under_variable_permutation():
+    # a relabelling changes which ray is lexicographically smallest, so the
+    # triangulation pulls from other apexes and gets other cells
+    rng = random.Random(612)
+    for _ in range(40):
+        ideal = random_ideal(rng, rng.randint(2, 4), 4, 4)
+        want = _relabelled_json(ideal, list(range(ideal.n)))
+        perm = list(range(ideal.n))
+        rng.shuffle(perm)
+        assert _relabelled_json(ideal, perm) == want
+
+
+def test_zeta_invariant_under_redundant_generators():
+    rng = random.Random(613)
+    for _ in range(40):
+        ideal = random_ideal(rng, rng.randint(2, 4), 4, 4)
+        extra = list(rng.choice(ideal.generators))
+        extra[rng.randrange(ideal.n)] += rng.randint(1, 2)
+        bigger = MonomialIdeal(ideal.n, ideal.generators + (tuple(extra),))
+        assert igusa_zeta(bigger).to_json() == igusa_zeta(ideal).to_json()
