@@ -248,6 +248,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    if args.count < 0 or min(args.max_vars, args.max_gens, args.max_exp) < 1:
+        raise ValueError("--count must be >= 0 and --max-vars, --max-gens, "
+                         "--max-exp must be >= 1")
     rng = random.Random(args.seed)
     close_out = False
     if args.out in (None, "-"):

@@ -15,10 +15,11 @@ only) follows by inclusion-exclusion over the face lattice.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .fan import Cone, cone_faces, triangulate
-from .linalg import Vec, det_int, dot, invert, rank, row_hnf, saturation_basis, solve
+from .linalg import Vec, dot, eliminate, rank, row_hnf, saturation_basis, solve
 from .ring import BinomialFactor, BiPoly, BiRationalFunction
 
 
@@ -75,15 +76,11 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
     basis = saturation_basis(rays, n)
     r = len(basis)
     transpose = [tuple(b[i] for b in basis) for i in range(n)]
-    coord_rows = []
-    for v in rays:
-        c = solve(transpose, v)
-        coord_rows.append([int(x) for x in c])
-    d = det_int(coord_rows)
-    inv = invert(coord_rows)
-    # rows of adj generate d * {lam : lam . C in Z^r}
-    adj = [[int(inv[i][j] * d) for j in range(r)] for i in range(r)]
-    tri = [row for row in row_hnf(adj) if any(row)]
+    coord_rows = [[int(x) for x in solve(transpose, v)] for v in rays]
+    red, _, d, _ = eliminate([row + [int(i == j) for j in range(r)]
+                              for i, row in enumerate(coord_rows)])
+    # rows of d * C^-1 generate d * {lam : lam . C in Z^r}
+    tri = [row for row in row_hnf([row[r:] for row in red]) if any(row)]
     d = abs(d)
 
     points = []
@@ -124,17 +121,6 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
     return sorted(points)
 
 
-def _wall_covectors(cell_rays, n):
-    """For each ray index j, an ambient covector positive on ray j and zero
-    on the others (any representative on the cell's span works)."""
-    out = []
-    for j in range(len(cell_rays)):
-        rhs = tuple(int(i == j) for i in range(len(cell_rays)))
-        h = solve(list(cell_rays), rhs)
-        out.append(h)
-    return out
-
-
 def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
     """Triangulate; a cell wall is open iff q lies strictly on its far side.
 
@@ -147,13 +133,11 @@ def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
     span = saturation_basis(cone.rays, cone.n)
     out = []
     for cell in triangulate(cone):
-        open_idx = set()
-        for j, h in enumerate(_wall_covectors(cell.rays, cone.n)):
-            signs = [dot(h, q)] + [dot(h, b) for b in span]
-            lead = next(s for s in signs if s != 0)
-            if lead < 0:
-                open_idx.add(j)
-        out.append(HalfOpenSimplicialCone(cell.rays, frozenset(open_idx)))
+        # the wall opposite ray j is the inequality positive on ray j alone
+        walls = [next(h for h in cell.ineqs if dot(h, r) > 0) for r in cell.rays]
+        open_idx = {j for j, h in enumerate(walls)
+                    if next(s for s in (dot(h, v) for v in (q, *span)) if s) < 0}
+        out.append(HalfOpenSimplicialCone(cell.rays, open_idx))
     return out
 
 
@@ -161,10 +145,7 @@ def half_open_gf(cone: Cone, q: Vec, grading: Grading) -> BiRationalFunction:
     """Generating function of the cone's half-open cells for the point q."""
     total = BiRationalFunction.zero()
     for cell in _half_open_cells(cone, q):
-        num = BiPoly.zero()
-        for pt in parallelepiped_points(cell):
-            t, p = grading.weight(pt)
-            num = num + BiPoly.term(t, p)
+        num = BiPoly(Counter(grading.weight(pt) for pt in parallelepiped_points(cell)))
         den = [BinomialFactor(*grading.weight(r)) for r in cell.rays]
         total = total + BiRationalFunction(num, den)
     return total

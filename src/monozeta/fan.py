@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .dd import extreme_rays
-from .linalg import (Vec, dot, left_kernel_basis, primitive, rank,
+from .linalg import (Vec, dot, eliminate, left_kernel_basis, primitive, rank,
                      saturation_basis, scale_to_int, solve)
 from .polyhedra import MonomialIdeal, NewtonPolyhedron
 
@@ -195,6 +195,12 @@ def triangulate(cone: Cone) -> list[Cone]:
     own inequalities h, since every face of F is a face of the cone.  The
     apex at each level is the lexicographically smallest ray, which makes
     the decomposition deterministic and consistent across shared faces.
+
+    Each cell comes from one elimination of [rays; K | I], K a basis of the
+    covectors vanishing on the cone's span: the right block is d times the
+    inverse, so its column j, signed by d and made primitive, is the wall
+    positive on ray j alone and zero on the others and on K.  The cell's
+    inequalities are its sorted walls plus the cone's span-kernel pairs.
     """
     if cone.dim == 0 or cone.is_simplicial():
         return [cone]
@@ -210,7 +216,17 @@ def triangulate(cone: Cone) -> list[Cone]:
                 cells.extend(sub + (apex,) for sub in pull(facet, dim - 1))
         return cells
 
-    return [cone_from_rays(cell, cone.n) for cell in pull(cone.rays, cone.dim)]
+    pairs = [h for h in cone.ineqs if not any(dot(h, r) for r in cone.rays)]
+    kernel = [h for h in pairs if h > tuple(-x for x in h)]  # one of each pair
+    out = []
+    for cell in pull(cone.rays, cone.dim):
+        rays = sorted(cell)
+        red, _, d, _ = eliminate([list(v) + [int(i == j) for j in range(cone.n)]
+                                  for i, v in enumerate(rays + kernel)])
+        walls = sorted(primitive([d * row[cone.n + j] for row in red])
+                       for j in range(cone.dim))
+        out.append(Cone(cone.n, tuple(rays), tuple(walls + pairs), cone.dim))
+    return out
 
 
 def cone_faces(cone: Cone) -> list[tuple[Cone, int]]:

@@ -74,9 +74,6 @@ class BiPoly:
     def is_zero(self):
         return not self._terms
 
-    def is_one(self):
-        return self._terms == {(0, 0): 1}
-
     def p_degree(self):
         return max((p for _, p in self._terms), default=-1)
 
@@ -326,10 +323,6 @@ class BiRationalFunction:
     @classmethod
     def one(cls):
         return cls(BiPoly.one())
-
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly)
 
     def __eq__(self, other):
         return (isinstance(other, BiRationalFunction)

@@ -1,8 +1,11 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +165,31 @@ def test_corpus_empty_and_deterministic(capsys, tmp_path):
     for path in (a, b):
         run(capsys, "corpus", "--count", "5", "--seed", "7", "--out", str(path))
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--count", "-3"), ("--max-vars", "0"), ("--max-gens", "0"), ("--max-exp", "0"),
+])
+def test_corpus_rejects_bad_sizes(capsys, flag, value):
+    code, out, err = run(capsys, "corpus", flag, value)
+    assert code == 2 and out == ""
+    assert "--count must be >= 0" in err and "--max-exp must be >= 1" in err
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "monozeta", *argv],
+                              capture_output=True, text=True, timeout=30, env=env)
+
+    proc = module("zeta", "--ideal", "x*y", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["poles"] == [
+        {"real_part": "-1", "order_bound": 2}
+    ]
+    proc = module("corpus", "--max-exp", "0")
+    assert proc.returncode == 2 and "--max-exp" in proc.stderr
 
 
 def test_installed_entry_point():

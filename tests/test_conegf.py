@@ -15,7 +15,7 @@ from monozeta.conegf import (
     parallelepiped_points,
 )
 from monozeta.fan import cone_faces, cone_from_rays, normal_fan
-from monozeta.linalg import det_int, solve
+from monozeta.linalg import det_int, dot, solve
 from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
 from monozeta.ring import BinomialFactor, BiRationalFunction
 
@@ -101,6 +101,7 @@ def test_half_open_cells_partition_cone():
     # (cells, is the point in the region they must partition, test points)
     cases = []
     rng = random.Random(602)
+    ray_sets = []
     for _ in range(12):
         n = rng.randint(2, 3)
         rays = []
@@ -108,10 +109,19 @@ def test_half_open_cells_partition_cone():
             v = tuple(rng.randint(0, 3) for _ in range(n))
             if any(v):
                 rays.append(v)
+        ray_sets.append((n, rays))
+    # a cone over a square, of codimension 2 in R^5
+    ray_sets.append(
+        (5, [(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)]))
+    for n, rays in ray_sets:
         cone = cone_from_rays(rays, n)
         interior = tuple(sum(col) for col in zip(*cone.rays))
-        cases.append((_half_open_cells(cone, interior), cone.contains,
-                      list(orthant_points(n, 4))))
+        points = list(orthant_points(n, 4))
+        if cone.dim < n:
+            # orthant points rarely lie in a lower-dimensional span
+            points += [tuple(dot(c, col) for col in zip(*cone.rays))
+                       for c in itertools.product(range(3), repeat=len(cone.rays))]
+        cases.append((_half_open_cells(cone, interior), cone.contains, points))
     # the pipeline's decomposition of the orthant: the maximal cones of the
     # fan, some non-simplicial here, all against the reference point (1, ..., 1)
     for n, gens, bound in [

@@ -1,5 +1,6 @@
 """Normal fans: completeness, face lattice, triangulation, vertex labels."""
 
+import itertools
 import random
 
 import pytest
@@ -182,16 +183,26 @@ def test_triangulation_covers_cone():
         # apex are squares, so the recursion triangulates faces of faces
         + [(4, [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
                 (1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1)]),
-           (4, [(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])]
+           (4, [(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]),
+           # a cone over a square, of codimension 2 in R^5
+           (5, [(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)])]
     )
     for n, rays in ray_sets:
         cone = cone_from_rays(rays, n)
         cells = triangulate(cone)
         for cell in cells:
             assert cell.is_simplicial() and cell.dim == cone.dim
-        for a in orthant_points(n, 5):
-            in_cells = any(in_cone(cell.rays, a) for cell in cells)
-            assert in_cells == cone.contains(a)
+            if cone.dim == n:
+                assert cell == cone_from_rays(cell.rays, n)
+        points = list(orthant_points(n, 5))
+        if cone.dim < n:
+            # orthant points rarely lie in a lower-dimensional span
+            points += [tuple(dot(c, col) for col in zip(*cone.rays))
+                       for c in itertools.product(range(3), repeat=len(cone.rays))]
+        for a in points:
+            in_cells = [in_cone(cell.rays, a) for cell in cells]
+            assert in_cells == [cell.contains(a) for cell in cells], (a, cells)
+            assert any(in_cells) == cone.contains(a)
 
 
 def test_face_lattice_counts_and_euler_relation():
