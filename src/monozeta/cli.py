@@ -8,6 +8,9 @@ Subcommands:
   bsroots   facet-induced Bernstein-Sato roots and the pole check
   verify    cross-check one ideal against the direct series expansion
   corpus    batch of random ideals run through the verification battery
+
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error (a failed internal consistency check or a runaway recursion).
 """
 
 from __future__ import annotations
@@ -187,40 +190,36 @@ def _cmd_bsroots(args) -> int:
     return 0 if check.all_verified else 1
 
 
+def _battery(ideal, res, bound):
+    """The checks verify and corpus share, with the series and the Newton
+    polyhedron they were read from: the fan route's series against the
+    direct expansion, every pole among the divisor candidates, and a facet
+    root for every pole."""
+    via = res.zeta.series(bound)
+    poly = newton_polyhedron(ideal)
+    cand = {rp for rp, _ in res.candidate_poles}
+    checks = {
+        "series": zeta_series(ideal, bound) == via,
+        "candidates": all(rp in cand for rp, _ in res.poles),
+        "facet_roots": verify_pole_roots(res, poly).all_verified,
+    }
+    return via, poly, checks
+
+
 def _cmd_verify(args) -> int:
     ideal, names = _load_ideal(args)
     res = igusa_zeta(ideal)
     bound = args.bound
-    direct = zeta_series(ideal, bound)
-    via = res.zeta.series(bound)
-
-    checks: list[tuple[str, bool, str]] = []
-    checks.append(
-        ("series match", direct == via, f"direct sum vs fan route, P-degree <= {bound}")
-    )
-    checks.append(
-        (
-            "normalization at T = 1",
-            via.subs_t_one() == BiPoly.one(),
-            "series collapses to 1",
-        )
-    )
-    cand = {rp for rp, _ in res.candidate_poles}
-    checks.append(
-        (
-            "poles among divisor candidates",
-            all(rp in cand for rp, _ in res.poles),
-            f"{len(res.poles)} pole(s)",
-        )
-    )
-    root_check = verify_pole_roots(res, newton_polyhedron(ideal))
-    checks.append(
-        (
-            "poles are facet roots",
-            root_check.all_verified,
-            "witness facet per pole",
-        )
-    )
+    via, _, ok = _battery(ideal, res, bound)
+    checks: list[tuple[str, bool, str]] = [
+        ("series match", ok["series"],
+         f"direct sum vs fan route, P-degree <= {bound}"),
+        ("normalization at T = 1", via.subs_t_one() == BiPoly.one(),
+         "series collapses to 1"),
+        ("poles among divisor candidates", ok["candidates"],
+         f"{len(res.poles)} pole(s)"),
+        ("poles are facet roots", ok["facet_roots"], "witness facet per pole"),
+    ]
     if args.prime is not None:
         spec = res.zeta.specialize(args.prime)
         max_b = max((f.b for f in res.zeta.denominator), default=0)
@@ -266,16 +265,11 @@ def _cmd_corpus(args) -> int:
             n = rng.randint(1, args.max_vars)
             ideal = random_ideal(rng, n, args.max_gens, args.max_exp)
             res = igusa_zeta(ideal)
-            poly = newton_polyhedron(ideal)
-            ok_series = zeta_series(ideal, args.bound) == res.zeta.series(args.bound)
-            check = verify_pole_roots(res, poly)
-            cand = {rp for rp, _ in res.candidate_poles}
-            ok_cand = all(rp in cand for rp, _ in res.poles)
+            _, poly, checks = _battery(ideal, res, args.bound)
             lct = log_canonical_threshold(poly)
             largest = max((rp for rp, _ in res.poles), default=None)
             is_attained = largest == -lct
-            ok = ok_series and check.all_verified and ok_cand
-            if not ok:
+            if not all(checks.values()):
                 failures += 1
             if is_attained:
                 attained += 1
@@ -289,11 +283,7 @@ def _cmd_corpus(args) -> int:
                 ],
                 "lct": str(lct),
                 "lct_attained": is_attained,
-                "checks": {
-                    "series": ok_series,
-                    "facet_roots": check.all_verified,
-                    "candidates": ok_cand,
-                },
+                "checks": checks,
             }
             out.write(json.dumps(record, sort_keys=True) + "\n")
     finally:
@@ -367,6 +357,11 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RecursionError) as exc:
+        # a broken internal invariant or a runaway recursion: a message, not
+        # a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

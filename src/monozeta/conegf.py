@@ -6,20 +6,21 @@ sigma minus the origin) the closed generating function is
     sum over lattice points v of sigma of  T^{l1(v)} P^{l2(v)},
 
 a rational function whose denominator factors are 1 - T^{l1(r)} P^{l2(r)}
-over the rays r.  It is computed by triangulating sigma, making the cells
-half-open against a reference point so they partition sigma (or, with one
-point shared by the maximal cones of a fan, their union), and summing one
-fundamental parallelepiped per cell.  The open variant (relative interior
-only) follows by inclusion-exclusion over the face lattice.
-"""
+over the rays r.  Every generating function here takes one route: triangulate
+sigma, make the cells half-open against a reference point q, and sum one
+fundamental parallelepiped per cell.  With q = sum of the rays the cells
+partition sigma (with one q shared by the maximal cones of a fan, their
+union); with q = -(sum of the rays), beyond every facet, they partition the
+relative interior (Koeppe & Verdoolaege 2008, Thm 3)."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .fan import Cone, cone_faces, triangulate
-from .linalg import Vec, dot, eliminate, rank, row_hnf, saturation_basis, solve
+from .fan import Cone, triangulate
+from .linalg import Vec, dot, eliminate, rank, row_hnf, saturation_basis
+from .linalg import solve  # noqa: F401  kept: perfbench/test_harness.py reads conegf.solve
 from .ring import BinomialFactor, BiPoly, BiRationalFunction
 
 
@@ -66,43 +67,38 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
     """Lattice points of the half-open fundamental parallelepiped.
 
     These are the points sum(lam_i * ray_i) with lam_i in [0,1) on closed
-    facets and (0,1] on open ones.  The coefficients lam live in the lattice
-    dual to the ray matrix; a triangular (Hermite) basis of that lattice lets
-    the admissible lam be enumerated coordinate by coordinate, visiting
-    exactly |det| points.
+    facets and (0,1] on open ones.  The admissible lam form the lattice dual
+    to the one the ray matrix's columns span in Z^r; a triangular (Hermite)
+    basis of it lets them be enumerated coordinate by coordinate, visiting
+    exactly d points, d the index of that column lattice (|det| for r = n).
     """
     rays = cell.rays
-    n = len(rays[0])
-    basis = saturation_basis(rays, n)
-    r = len(basis)
-    transpose = [tuple(b[i] for b in basis) for i in range(n)]
-    coord_rows = [[int(x) for x in solve(transpose, v)] for v in rays]
-    red, _, d, _ = eliminate([row + [int(i == j) for j in range(r)]
-                              for i, row in enumerate(coord_rows)])
-    # rows of d * C^-1 generate d * {lam : lam . C in Z^r}
+    r = len(rays)
+    # rows of B: a basis of the lattice spanned by the ray matrix's columns;
+    # lam . ray matrix is integral iff lam . B^T is, so the rows of d * B^-T
+    # generate d * {lam}
+    basis = [row for row in row_hnf([list(col) for col in zip(*rays)]) if any(row)]
+    red, _, d, _ = eliminate([[b[i] for b in basis] + [int(i == j) for j in range(r)]
+                              for i in range(r)])
     tri = [row for row in row_hnf([row[r:] for row in red]) if any(row)]
     d = abs(d)
-
+    # a node is d * lam followed by its point, one add of a step per move; a
+    # step's lam is in the lattice, so its point is integral
+    steps = []
+    for row in tri:
+        image = [dot(row, col) for col in zip(*rays)]
+        if any(a % d for a in image):
+            raise AssertionError("parallelepiped coefficient escaped the lattice")
+        steps.append(row + [a // d for a in image])
     points = []
 
-    def descend(j, partial):
+    def descend(j, node):
         if j == r:
-            # partial/d are the lam; mu = lam . C must be integral
-            mu = []
-            for k in range(r):
-                m = sum(partial[i] * coord_rows[i][k] for i in range(r))
-                if m % d:
-                    raise AssertionError(
-                        "parallelepiped coefficient escaped the lattice"
-                    )
-                mu.append(m // d)
-            ambient = tuple(
-                sum(mu[i] * basis[i][k] for i in range(r)) for k in range(n)
-            )
-            points.append(ambient)
+            points.append(tuple(node[r:]))
             return
-        h = tri[j][j]
-        base = partial[j]
+        step = steps[j]
+        h = step[j]
+        base = node[j]
         if j in cell.open_facets:
             # 0 < (base + y*h)/d <= 1
             y_lo = (-base) // h + 1
@@ -111,13 +107,12 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
             # 0 <= (base + y*h)/d < 1
             y_lo = -(base // h)
             y_hi = (d - base - 1) // h
-        for y in range(y_lo, y_hi + 1):
-            nxt = list(partial)
-            for k in range(j, r):
-                nxt[k] += y * tri[j][k]
-            descend(j + 1, nxt)
+        node = [a + y_lo * s for a, s in zip(node, step)]
+        for _ in range(y_lo, y_hi + 1):
+            descend(j + 1, node)
+            node = [a + s for a, s in zip(node, step)]
 
-    descend(0, [0] * r)
+    descend(0, [0] * (r + len(rays[0])))
     return sorted(points)
 
 
@@ -128,7 +123,9 @@ def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
     of the cone's span, e_1, ..., e_n for a full-dimensional cone.  Cones
     dissecting a region and sharing a q that stays in the region under a
     small push (q in relint for one cone; (1, ..., 1) for the orthant) thus
-    get cells partitioning it (Koeppe & Verdoolaege 2008, Thm 3).
+    get cells partitioning it; for a q in the span strictly beyond every
+    facet of the cone, every facet is open and the cells partition its
+    relative interior (Koeppe & Verdoolaege 2008, Thm 3).
     """
     span = saturation_basis(cone.rays, cone.n)
     out = []
@@ -153,20 +150,22 @@ def half_open_gf(cone: Cone, q: Vec, grading: Grading) -> BiRationalFunction:
 
 def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
     """Generating function of all lattice points of the (closed) cone."""
-    grading.validate_on(cone)
-    if cone.dim == 0:
-        return BiRationalFunction.one()
-    return half_open_gf(cone, tuple(sum(col) for col in zip(*cone.rays)), grading)
+    return _cone_gf(cone, grading, 1)
 
 
 def interior_lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
     """Generating function of the lattice points interior to the cone.
 
-    Inclusion-exclusion over the face lattice applied to closed cones.
+    The same half-open cells, against the reference point reflected to
+    -(sum of the rays): every facet of the cone is then open.  The
+    0-dimensional cone is its own relative interior, the origin.
     """
+    return _cone_gf(cone, grading, -1)
+
+
+def _cone_gf(cone: Cone, grading: Grading, side: int) -> BiRationalFunction:
+    """The half-open cells against side * (sum of the rays), side = +-1."""
     grading.validate_on(cone)
-    total = BiRationalFunction.zero()
-    for face, sign in cone_faces(cone):
-        part = lattice_gf(face, grading)
-        total = total + (part if sign > 0 else -part)
-    return total
+    if cone.dim == 0:
+        return BiRationalFunction.one()
+    return half_open_gf(cone, tuple(side * sum(col) for col in zip(*cone.rays)), grading)

@@ -176,6 +176,21 @@ def test_corpus_rejects_bad_sizes(capsys, flag, value):
     assert "--count must be >= 0" in err and "--max-exp must be >= 1" in err
 
 
+@pytest.mark.parametrize("exc", [
+    AssertionError("parallelepiped coefficient escaped the lattice"),
+    RecursionError("maximum recursion depth exceeded"),
+])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def broken(ideal):
+        raise exc
+
+    monkeypatch.setattr("monozeta.cli.igusa_zeta", broken)
+    for argv in (("zeta", "--ideal", "x*y"), ("corpus", "--count", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_module_entry_point():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 

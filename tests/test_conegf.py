@@ -60,10 +60,24 @@ def random_cell(rng, allow_negative=False):
         return cell
 
 
+# a cone over a square: of codimension 2 in R^5, and full-dimensional in R^3
+SQUARE_R5 = [(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)]
+SQUARE_R3 = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
 def test_parallelepiped_matches_naive_oracle():
     rng = random.Random(600)
-    for i in range(100):
-        cell = random_cell(rng, allow_negative=i % 2 == 1)
+    cells = [random_cell(rng, allow_negative=i % 2 == 1) for i in range(100)]
+    # rank below n in R^4 and R^5, with every choice of open walls; the first
+    # pair after the square's has index 6 in its span lattice, and in the
+    # second the first two coordinate columns span only 2Z^2 of Z^2
+    low_rank = [list(c) for k in (2, 3) for c in itertools.combinations(SQUARE_R5, k)]
+    low_rank += [[(2, 0, 2, 0), (0, 3, 3, 3)], [(2, 0, 1, 0), (0, 2, 0, 1)]]
+    for rays in low_rank:
+        for k in range(len(rays) + 1):
+            cells += [HalfOpenSimplicialCone(rays, opened)
+                      for opened in itertools.combinations(range(len(rays)), k)]
+    for cell in cells:
         got = parallelepiped_points(cell)
         assert got == naive_parallelepiped(cell.rays, cell.open_facets), cell
         assert len(set(got)) == len(got)
@@ -110,9 +124,7 @@ def test_half_open_cells_partition_cone():
             if any(v):
                 rays.append(v)
         ray_sets.append((n, rays))
-    # a cone over a square, of codimension 2 in R^5
-    ray_sets.append(
-        (5, [(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)]))
+    ray_sets += [(5, SQUARE_R5), (3, SQUARE_R3)]
     for n, rays in ray_sets:
         cone = cone_from_rays(rays, n)
         interior = tuple(sum(col) for col in zip(*cone.rays))
@@ -122,6 +134,10 @@ def test_half_open_cells_partition_cone():
             points += [tuple(dot(c, col) for col in zip(*cone.rays))
                        for c in itertools.product(range(3), repeat=len(cone.rays))]
         cases.append((_half_open_cells(cone, interior), cone.contains, points))
+        # the reference point reflected beyond every facet: the cells
+        # partition the relative interior (the interior generating function)
+        outside = tuple(-x for x in interior)
+        cases.append((_half_open_cells(cone, outside), cone.contains_relint, points))
     # the pipeline's decomposition of the orthant: the maximal cones of the
     # fan, some non-simplicial here, all against the reference point (1, ..., 1)
     for n, gens, bound in [
@@ -197,6 +213,18 @@ def test_gf_series_match_brute_force():
         assert closed == gf_series_brute(cone, grading, bound)
         opened = interior_lattice_gf(cone, grading).series(bound)
         assert opened == gf_series_brute(cone, grading, bound, interior=True)
+    # lower-dimensional and non-simplicial cones, and a 2-dimensional cell
+    # of the square over R^5, whose interior needs both rays
+    for n, rays, bound in [
+        (5, SQUARE_R5, 16), (3, SQUARE_R3, 8), (5, SQUARE_R5[:2], 14),
+    ]:
+        cone = cone_from_rays(rays, n)
+        grading = Grading(tuple(range(n)), (1,) * n)
+        closed = lattice_gf(cone, grading).series(bound)
+        assert closed == gf_series_brute(cone, grading, bound)
+        opened = interior_lattice_gf(cone, grading).series(bound)
+        assert opened == gf_series_brute(cone, grading, bound, interior=True)
+        assert opened != closed
 
 
 def test_denominator_factors_come_from_rays():

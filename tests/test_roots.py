@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import in_hull_plus_orthant
 from monozeta.polyhedra import Facet, MonomialIdeal, newton_polyhedron
 from monozeta.roots import (
     PoleWitness,
@@ -60,6 +61,19 @@ def test_log_canonical_threshold_frozen():
     assert log_canonical_threshold(
         poly_of([(2, 0, 0), (0, 3, 0), (0, 0, 4)], 3)
     ) == Fraction(13, 12)
+
+
+def test_lct_matches_howald_formula():
+    # Howald (Trans. AMS 353 (2001)): lct = 1/t* for the least t* with
+    # (t*, ..., t*) in the Newton polyhedron, here decided by the LP oracle
+    rng = random.Random(802)
+    eps = Fraction(1, 10**6)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        ideal = random_ideal(rng, n, 5, 4)
+        t = 1 / log_canonical_threshold(newton_polyhedron(ideal))
+        assert in_hull_plus_orthant(ideal.generators, (t,) * n), ideal.generators
+        assert not in_hull_plus_orthant(ideal.generators, (t - eps,) * n), ideal.generators
 
 
 def test_candidate_real_parts_match_facet_roots():
