@@ -43,10 +43,6 @@ def _fmt_ideal(ideal: MonomialIdeal, names) -> str:
     return ", ".join(_fmt_monomial(g, names) for g in ideal.generators)
 
 
-def _default_names(n: int):
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
 def _load_ideal(args):
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -207,6 +203,8 @@ def _battery(ideal, res, bound):
 
 
 def _cmd_verify(args) -> int:
+    if args.bound < 0:
+        raise ValueError("--bound must be >= 0")
     ideal, names = _load_ideal(args)
     res = igusa_zeta(ideal)
     bound = args.bound
@@ -247,9 +245,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.count < 0 or min(args.max_vars, args.max_gens, args.max_exp) < 1:
-        raise ValueError("--count must be >= 0 and --max-vars, --max-gens, "
-                         "--max-exp must be >= 1")
+    if (min(args.count, args.bound) < 0
+            or min(args.max_vars, args.max_gens, args.max_exp) < 1):
+        raise ValueError("--count must be >= 0, --bound must be >= 0 and --max-vars, "
+                         "--max-gens, --max-exp must be >= 1")
     rng = random.Random(args.seed)
     close_out = False
     if args.out in (None, "-"):

@@ -15,7 +15,7 @@ from functools import cached_property
 from .dd import extreme_rays
 from .linalg import (Vec, dot, eliminate, left_kernel_basis, primitive, rank,
                      saturation_basis, scale_to_int, solve)
-from .polyhedra import MonomialIdeal, NewtonPolyhedron
+from .polyhedra import NewtonPolyhedron
 
 
 def _unit(i, n):
@@ -173,15 +173,17 @@ def _face_raysets(cone: Cone):
 
 def normal_fan(poly: NewtonPolyhedron) -> Fan:
     """The normal fan of the Newton polyhedron, supported on the orthant,
-    built from the vertex normal cones; each carries its vertex."""
+    built from the vertex normal cones; each carries its vertex.  The
+    normals of a vertex's tight facets are primitive, distinct, sorted and
+    extreme in its normal cone, so they are its rays as they stand; one
+    double-description run on them gives its facet inequalities."""
     n = poly.n
     maximal = []
     for w in poly.vertices:
-        tight = [f.normal for f in poly.facets if dot(w, f.normal) == f.offset]
-        sigma = cone_from_rays(tight, n, w)
-        if sigma.dim != n:
+        tight = tuple(f.normal for f in poly.facets if dot(w, f.normal) == f.offset)
+        if rank(tight) != n:
             raise AssertionError(f"normal cone of vertex {w} is not full-dimensional")
-        maximal.append(sigma)
+        maximal.append(Cone(n, tight, tuple(extreme_rays(tight, n)), n, w))
     maximal.sort(key=lambda c: c.rays)
     rays = tuple(sorted({r for sigma in maximal for r in sigma.rays}))
     return Fan(n, tuple(maximal), rays)

@@ -95,6 +95,8 @@ class BiPoly:
         return BiPoly._raw({k: -c for k, c in self._terms.items()})
 
     def __add__(self, other):
+        if not isinstance(other, BiPoly):
+            return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
             s = out.get(k, 0) + c
@@ -105,13 +107,15 @@ class BiPoly:
         return BiPoly._raw(out)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, BiPoly) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return BiPoly._raw({})
             return BiPoly._raw({k: c * other for k, c in self._terms.items()})
+        if not isinstance(other, BiPoly):
+            return NotImplemented
         out = {}
         for (t1, p1), c1 in self._terms.items():
             for (t2, p2), c2 in other._terms.items():
@@ -340,9 +344,12 @@ class BiRationalFunction:
         mine = Counter(self.denominator)
         theirs = Counter(other.denominator)
         common = mine | theirs
-        num = self.numerator * _product((common - mine).elements())
-        num = num + other.numerator * _product((common - theirs).elements())
-        return BiRationalFunction(num, common.elements())
+        num, rest = self.numerator, other.numerator
+        for f in (common - mine).elements():
+            num = num * f.poly()
+        for f in (common - theirs).elements():
+            rest = rest * f.poly()
+        return BiRationalFunction(num + rest, common.elements())
 
     def __sub__(self, other):
         return self + (-other)
@@ -358,42 +365,37 @@ class BiRationalFunction:
     __rmul__ = __mul__
 
     def reduced(self):
-        """Cancel denominator factors against the numerator.
+        """Cancel denominator factors against the numerator, in one pass.
 
-        Greedy: repeatedly removes the first factor that divides the
-        numerator exactly.  A factor 1 - x^g (x a monomial, g = gcd of its
-        exponents) is also replaced by 1 - x^m for a proper divisor m of g
-        whenever the complementary quotient (1 - x^g)/(1 - x^m) divides the
-        numerator.  The value of the function never changes, but the result
-        is not canonical: equal functions can reduce to different shapes.
+        The factor at hand is divided out while it divides the numerator
+        exactly; a factor 1 - x^g (x a monomial, g = gcd of its exponents)
+        becomes 1 - x^m for the first proper divisor m of g whose cofactor
+        S = (1 - x^g)/(1 - x^m) divides it; the pass moves on when both
+        fail.  One pass is exact: each step replaces the numerator N by a
+        divisor of N (N/f or N/S), so a step that failed once cannot succeed
+        later.  The value never changes, but the result is not canonical:
+        equal functions can reduce to different shapes.
         """
         num = self.numerator
         den = list(self.denominator)
-        changed = True
-        while changed and den:
-            changed = False
-            for i, f in enumerate(den):
-                q = num.div_exact(f.poly())
+        i = 0
+        while i < len(den):
+            f = den[i]
+            q = num.div_exact(f.poly())
+            if q is not None:
+                num = q
+                del den[i]
+                continue
+            g = gcd(f.a, f.b)
+            base_a, base_b = f.a // g, f.b // g
+            for m in _divisors(g)[:-1]:  # num / S, by the binomial kernel alone
+                q = (num * BiPoly.binomial(base_a * m, base_b * m)).div_exact(f.poly())
                 if q is not None:
                     num = q
-                    del den[i]
-                    changed = True
+                    den[i] = BinomialFactor(base_a * m, base_b * m)
                     break
-                g = gcd(f.a, f.b)
-                if g > 1:
-                    base_a, base_b = f.a // g, f.b // g
-                    for m in _divisors(g)[:-1]:
-                        # num / ((1 - x^g)/(1 - x^m)), x = T^base_a P^base_b,
-                        # by the binomial kernel alone
-                        shifted = num * BiPoly.binomial(base_a * m, base_b * m)
-                        q = shifted.div_exact(f.poly())
-                        if q is not None:
-                            num = q
-                            den[i] = BinomialFactor(base_a * m, base_b * m)
-                            changed = True
-                            break
-                    if changed:
-                        break
+            else:
+                i += 1
         return BiRationalFunction(num, den)
 
     def series(self, bound):
@@ -443,13 +445,6 @@ class BiRationalFunction:
     def from_json(cls, data):
         return cls(BiPoly.from_json(data["numerator"]),
                    [tuple(f) for f in data["denominator"]])
-
-
-def _product(factors):
-    out = BiPoly.one()
-    for f in factors:
-        out = out * f.poly()
-    return out
 
 
 def _divisors(n):

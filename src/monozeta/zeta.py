@@ -18,8 +18,8 @@ from fractions import Fraction
 from .conegf import Grading, half_open_gf
 from .conegf import lattice_gf  # noqa: F401  re-exported: perfbench/tracer.py wraps it
 from .fan import Fan, normal_fan
-from .linalg import Vec, dot
-from .polyhedra import MonomialIdeal, NewtonPolyhedron, newton_polyhedron
+from .linalg import Vec
+from .polyhedra import MonomialIdeal, newton_polyhedron
 from .ring import BinomialFactor, BiPoly, BiRationalFunction
 
 

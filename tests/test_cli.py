@@ -169,11 +169,21 @@ def test_corpus_empty_and_deterministic(capsys, tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--count", "-3"), ("--max-vars", "0"), ("--max-gens", "0"), ("--max-exp", "0"),
+    ("--bound", "-1"),
 ])
-def test_corpus_rejects_bad_sizes(capsys, flag, value):
+def test_corpus_rejects_bad_sizes(capsys, tmp_path, flag, value):
     code, out, err = run(capsys, "corpus", flag, value)
     assert code == 2 and out == ""
     assert "--count must be >= 0" in err and "--max-exp must be >= 1" in err
+    assert flag in err
+    # rejected before --out is opened, so an existing file keeps its contents
+    keep = tmp_path / "keep.jsonl"
+    keep.write_text("old\n")
+    assert run(capsys, "corpus", flag, value, "--out", str(keep))[0] == 2
+    assert keep.read_text() == "old\n"
+    if flag == "--bound":
+        code, out, err = run(capsys, "verify", "--ideal", "x*y", "--bound", value)
+        assert code == 2 and out == "" and "--bound must be >= 0" in err
 
 
 @pytest.mark.parametrize("exc", [

@@ -8,7 +8,7 @@ import pytest
 from oracles import in_cone, orthant_points
 from monozeta.fan import Cone, cone_faces, cone_from_rays, normal_fan, triangulate
 from monozeta.linalg import dot
-from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
+from monozeta.polyhedra import Facet, MonomialIdeal, NewtonPolyhedron, newton_polyhedron
 
 
 def fan_of(gens, n):
@@ -76,14 +76,26 @@ def test_fan_of_three_generators():
 
 def test_maximal_cones_match_vertices():
     rng = random.Random(500)
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        ideal = random_ideal(rng, n, 5, 4)
+    ideals = [random_ideal(rng, rng.randint(1, 3), 5, 4) for _ in range(30)]
+    rng = random.Random(503)
+    ideals += [random_ideal(rng, n, 4, 3) for n in (4, 4, 4, 5, 5, 5)]
+    for ideal in ideals:
+        n = ideal.n
         poly = newton_polyhedron(ideal)
         fan = normal_fan(poly)
         assert fan.rays == tuple(sorted(f.normal for f in poly.facets))
         maxc = fan.maximal_cones()
         assert sorted(c.vertex for c in maxc) == sorted(poly.vertices)
+        for c in maxc:
+            tight = [f.normal for f in poly.facets if dot(c.vertex, f.normal) == f.offset]
+            assert c == cone_from_rays(tight, n, c.vertex)
+
+
+def test_normal_fan_rejects_a_lower_dimensional_normal_cone():
+    # (1, 1) is tight on one facet only: not a vertex, so an internal error
+    poly = NewtonPolyhedron(2, ((1, 1),), (Facet((1, 0), 1),))
+    with pytest.raises(AssertionError, match="not full-dimensional"):
+        normal_fan(poly)
 
 
 def test_locate_known_points():

@@ -42,6 +42,17 @@ def test_poly_basic_arithmetic():
     assert (ONE - P) - (ONE - P) == BiPoly.zero()
 
 
+def test_poly_defers_foreign_operands():
+    rf = BiRationalFunction(ONE, [(1, 1)])
+    assert ONE * rf == rf and (ONE - P) * rf == rf * (ONE - P)
+    for op in ("__add__", "__sub__", "__mul__"):
+        assert getattr(ONE, op)(rf) is NotImplemented
+        assert getattr(ONE, op)("x") is NotImplemented
+    for bad in (lambda: ONE + 1, lambda: ONE - 1, lambda: 1 + ONE, lambda: ONE * "x"):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_poly_constructor_canonicalizes():
     a = BiPoly({(1, 1): 2, (0, 0): 1})
     b = BiPoly([((0, 0), 1), ((1, 1), 1), ((1, 1), 1)])
@@ -168,6 +179,21 @@ def test_rf_reduce_preserves_series():
     for _ in range(40):
         rf = random_rf(rng)
         assert rf.reduced().series(6) == rf.series(6)
+        assert rf.reduced().reduced() == rf.reduced()
+
+
+def test_rf_reduce_is_one_pass(monkeypatch):
+    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the failed try of 1 - T P comes
+    # first and is not repeated after 1 - T P^2 divides out
+    calls = []
+    div_exact = BiPoly.div_exact
+    def counting(self, divisor):
+        calls.append(divisor)
+        return div_exact(self, divisor)
+    monkeypatch.setattr(BiPoly, "div_exact", counting)
+    rf = BiRationalFunction(ONE - T * P * P, [(1, 1), (1, 2)])
+    assert rf.reduced() == BiRationalFunction(ONE, [(1, 1)])
+    assert calls == [ONE - TP, ONE - T * P * P]
 
 
 def test_series_known_expansions():
