@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fan import Cone, triangulate
-from .linalg import Vec, dot, eliminate, rank, row_hnf, saturation_basis
+from .linalg import Vec, dot, eliminate, rank, row_hnf
 from .linalg import solve  # noqa: F401  kept: perfbench/test_harness.py reads conegf.solve
 from .ring import BinomialFactor, BiPoly, BiRationalFunction
 
@@ -68,24 +68,25 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
 
     These are the points sum(lam_i * ray_i) with lam_i in [0,1) on closed
     facets and (0,1] on open ones.  The admissible lam form the lattice dual
-    to the one the ray matrix's columns span in Z^r; a triangular (Hermite)
-    basis of it lets them be enumerated coordinate by coordinate, visiting
-    exactly d points, d the index of that column lattice (|det| for r = n).
+    to the one the ray matrix's columns span in Z^r; a triangular basis of
+    it lets them be enumerated coordinate by coordinate, visiting exactly d
+    points, d the index of that column lattice (|det| for r = n).
     """
     rays = cell.rays
     r = len(rays)
-    # rows of B: a basis of the lattice spanned by the ray matrix's columns;
-    # lam . ray matrix is integral iff lam . B^T is, so the rows of d * B^-T
-    # generate d * {lam}
+    # rows of B: the upper triangular Hermite basis (pivots > 0) of the
+    # lattice the ray matrix's columns span; lam . ray matrix is integral iff
+    # lam . B^T is.  Bareiss on the lower triangular B^T swaps no row, so
+    # d = prod B_ii > 0 and the right block d * B^-T, a basis of d * {lam},
+    # is lower triangular with a positive diagonal: row j moves coordinate j
+    # and none above it
     basis = [row for row in row_hnf([list(col) for col in zip(*rays)]) if any(row)]
     red, _, d, _ = eliminate([[b[i] for b in basis] + [int(i == j) for j in range(r)]
                               for i in range(r)])
-    tri = [row for row in row_hnf([row[r:] for row in red]) if any(row)]
-    d = abs(d)
     # a node is d * lam followed by its point, one add of a step per move; a
     # step's lam is in the lattice, so its point is integral
     steps = []
-    for row in tri:
+    for row in (row[r:] for row in red):
         image = [dot(row, col) for col in zip(*rays)]
         if any(a % d for a in image):
             raise AssertionError("parallelepiped coefficient escaped the lattice")
@@ -93,7 +94,7 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
     points = []
 
     def descend(j, node):
-        if j == r:
+        if j < 0:
             points.append(tuple(node[r:]))
             return
         step = steps[j]
@@ -109,31 +110,34 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
             y_hi = (d - base - 1) // h
         node = [a + y_lo * s for a, s in zip(node, step)]
         for _ in range(y_lo, y_hi + 1):
-            descend(j + 1, node)
+            descend(j - 1, node)
             node = [a + s for a, s in zip(node, step)]
 
-    descend(0, [0] * (r + len(rays[0])))
+    descend(r - 1, [0] * (r + len(rays[0])))
     return sorted(points)
 
 
 def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
     """Triangulate; a cell wall is open iff q lies strictly on its far side.
 
-    Ties are broken by perturbing q lexicographically along the lattice basis
-    of the cone's span, e_1, ..., e_n for a full-dimensional cone.  Cones
-    dissecting a region and sharing a q that stays in the region under a
-    small push (q in relint for one cone; (1, ..., 1) for the orthant) thus
-    get cells partitioning it; for a q in the span strictly beyond every
-    facet of the cone, every facet is open and the cells partition its
+    Ties are broken by perturbing q lexicographically along e_1, ..., e_n.
+    Cones dissecting a region and sharing a q that stays in the region under
+    a small push (q in relint for one cone; (1, ..., 1) for the orthant)
+    thus get cells partitioning it; for a q in the span strictly beyond
+    every facet of the cone, every facet is open and the cells partition its
     relative interior (Koeppe & Verdoolaege 2008, Thm 3).
+
+    The unit vectors serve every cone: a non-simplicial cone's cell walls
+    are orthogonal to the span-kernel rows of their elimination, so they lie
+    in the span, where a push along e_i acts as one along its projection; a
+    simplicial cone is its own cell and ties no wall at q = +-(sum of rays).
     """
-    span = saturation_basis(cone.rays, cone.n)
     out = []
     for cell in triangulate(cone):
         # the wall opposite ray j is the inequality positive on ray j alone
         walls = [next(h for h in cell.ineqs if dot(h, r) > 0) for r in cell.rays]
         open_idx = {j for j, h in enumerate(walls)
-                    if next(s for s in (dot(h, v) for v in (q, *span)) if s) < 0}
+                    if next(s for s in (dot(h, q), *h) if s) < 0}
         out.append(HalfOpenSimplicialCone(cell.rays, open_idx))
     return out
 

@@ -29,45 +29,30 @@ def extreme_rays(ineqs: list[Vec], dim: int) -> list[Vec]:
     if len(chosen) < dim:
         raise ValueError("inequality system does not cut out a pointed cone")
     s = 1 if d > 0 else -1
-    rays = [primitive([s * a for a in row[m:]]) for row in red]
-    order = chosen + [i for i in range(m) if i not in chosen]
-    processed = order[:dim]
-    zerosets = {
-        ray: frozenset(i for i in processed if dot(ineqs[i], ray) == 0)
-        for ray in rays
-    }
-
-    for k in order[dim:]:
+    # each ray maps to its zero set among the inequalities cut so far, kept
+    # without a dot product: off meet both parents of a new ray are >= 0 and
+    # one is > 0, so the new ray vanishes on exactly meet | {k}
+    zerosets = {primitive([s * a for a in row[m:]]): frozenset(chosen) - {c}
+                for row, c in zip(red, chosen)}
+    for k in (i for i in range(m) if i not in chosen):
         h = ineqs[k]
-        vals = {ray: dot(h, ray) for ray in rays}
-        keep = [r for r in rays if vals[r] >= 0]
-        neg = [r for r in rays if vals[r] < 0]
-        processed.append(k)
-        if neg:
-            fresh = []
-            for rp in rays:
-                if vals[rp] <= 0:
-                    continue
-                for rn in neg:
-                    meet = zerosets[rp] & zerosets[rn]
-                    adjacent = not any(
-                        r3 is not rp and r3 is not rn and meet <= zerosets[r3]
-                        for r3 in rays
-                    )
-                    if adjacent:
-                        combo = tuple(vals[rp] * x - vals[rn] * y
-                                      for x, y in zip(rn, rp))
-                        fresh.append(primitive(combo))
-            rays = keep + [r for r in dict.fromkeys(fresh) if r not in keep]
-            zerosets = {
-                ray: frozenset(i for i in processed if dot(ineqs[i], ray) == 0)
-                for ray in rays
-            }
-        else:
-            for ray in rays:
-                if vals[ray] == 0:
-                    zerosets[ray] = zerosets[ray] | {k}
-    return sorted(rays)
+        vals = {ray: dot(h, ray) for ray in zerosets}
+        neg = [r for r, v in vals.items() if v < 0]
+        fresh = {}
+        for rp, vp in vals.items():
+            if vp <= 0:
+                continue
+            for rn in neg:
+                meet = zerosets[rp] & zerosets[rn]
+                if not any(r3 is not rp and r3 is not rn and meet <= z3
+                           for r3, z3 in zerosets.items()):
+                    combo = tuple(vp * x - vals[rn] * y for x, y in zip(rn, rp))
+                    fresh.setdefault(primitive(combo), meet | {k})
+        zerosets = {ray: zs | {k} if vals[ray] == 0 else zs
+                    for ray, zs in zerosets.items() if vals[ray] >= 0}
+        for ray, zs in fresh.items():
+            zerosets.setdefault(ray, zs)
+    return sorted(zerosets)
 
 
 def facet_normals(rays: list[Vec], dim: int) -> list[Vec]:

@@ -27,9 +27,8 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[\^*,])|(?P<ws>[ \t]+)"
-)
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"(?P<name>{_NAME})|(?P<int>\d+)|(?P<op>[\^*,])|(?P<ws>[ \t]+)")
 
 
 def _tokens(text: str):
@@ -60,7 +59,13 @@ def parse_ideal(
     """Parse a comma or newline separated list of monomials.
 
     Returns the ideal and the variable order used for exponent vectors.
+    An explicit variable list must hold distinct identifiers.
     """
+    for i, name in enumerate(variables or ()):
+        if not re.fullmatch(_NAME, name):
+            raise ValueError(f"variable name {name!r} is not an identifier")
+        if name in variables[:i]:
+            raise ValueError(f"variable {name!r} is listed twice")
     monomials: list[dict[str, int]] = []
     current: dict[str, int] | None = None
     known = None if variables is None else set(variables)

@@ -9,6 +9,7 @@ for the orthant directions) and running the double description method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .dd import facet_normals
 from .linalg import Vec, dot, rank, vec_gcd
@@ -26,9 +27,10 @@ class MonomialIdeal:
     generators: tuple[Vec, ...]
 
     def __init__(self, n, generators):
+        n = index(n)
         if n < 1:
             raise ValueError("need at least one variable")
-        gens = sorted({tuple(int(a) for a in g) for g in generators})
+        gens = sorted({tuple(index(a) for a in g) for g in generators})
         if not gens:
             raise ValueError("need at least one generator")
         for g in gens:

@@ -14,6 +14,7 @@ import heapq
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import NamedTuple
 
 
@@ -26,11 +27,11 @@ class BiPoly:
         clean = {}
         if terms:
             for (t, p), c in (terms.items() if isinstance(terms, dict) else terms):
+                t, p, c = index(t), index(p), index(c)
                 if t < 0 or p < 0:
                     raise ValueError("negative exponent in BiPoly term")
-                c = int(c)
                 if c:
-                    key = (int(t), int(p))
+                    key = (t, p)
                     c0 = clean.get(key, 0) + c
                     if c0:
                         clean[key] = c0
@@ -67,9 +68,6 @@ class BiPoly:
 
     def terms(self):
         return tuple(sorted(self._terms.items()))
-
-    def coeff(self, t, p):
-        return self._terms.get((t, p), 0)
 
     def is_zero(self):
         return not self._terms
@@ -283,7 +281,9 @@ class BiPoly:
 
     @classmethod
     def from_json(cls, data):
-        return cls({(item["t"], item["p"]): int(item["coeff"]) for item in data})
+        # coefficients are written as strings; a number must be an int
+        return cls({(item["t"], item["p"]): int(c) if isinstance(c, str) else c
+                    for item in data for c in (item["coeff"],)})
 
 
 class BinomialFactor(NamedTuple):
@@ -303,7 +303,7 @@ class BinomialFactor(NamedTuple):
 
 
 def _as_factor(f):
-    f = BinomialFactor(*f)
+    f = BinomialFactor(*map(index, f))
     if f.a < 0 or f.b < 0 or f == (0, 0):
         raise ValueError(f"invalid denominator factor {f}")
     return f

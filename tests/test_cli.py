@@ -97,6 +97,11 @@ def test_vars_flag(capsys):
     code, _, err = run(capsys, "zeta", "--ideal", "z", "--vars", "x,y")
     assert code == 2 and "unknown variable 'z'" in err
 
+    for names, message in [("x,x", "'x' is listed twice"), ("x, x", "'x' is listed twice"),
+                           ("x,1y", "'1y' is not an identifier")]:
+        code, out, err = run(capsys, "zeta", "--ideal", "x^2", "--vars", names)
+        assert code == 2 and out == "" and message in err, names
+
 
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "ideal.txt"

@@ -54,6 +54,17 @@ def test_explicit_variable_order():
     assert padded.n == 2 and padded.generators == ((1, 0),)
 
 
+def test_explicit_variables_must_be_distinct_identifiers():
+    # ("x", "x") used to read "x^2" as the generator x^2 * x^2
+    for variables, pattern in [(("x", "x"), "'x' is listed twice"),
+                               (("x", "y", "x"), "'x' is listed twice"),
+                               (("x", "1y"), "'1y' is not an identifier"),
+                               (("x", "y z"), "'y z' is not an identifier"),
+                               (("x^2",), "'x\\^2' is not an identifier")]:
+        with pytest.raises(ValueError, match=pattern):
+            parse_ideal("x^2", variables=variables)
+
+
 def test_unknown_variable_with_explicit_order():
     with pytest.raises(ParseError, match="unknown variable 'z'") as info:
         parse_ideal("x*z", variables=("x", "y"))

@@ -38,6 +38,17 @@ def test_ideal_validation():
         MonomialIdeal(2, [(1,)])  # wrong length
 
 
+def test_ideal_rejects_non_int_entries():
+    # each of these used to be truncated silently, e.g. (2.5,) to x^2
+    bad = [lambda: MonomialIdeal(1, [(2.5,)]), lambda: MonomialIdeal(1.0, [(2,)]),
+           lambda: MonomialIdeal.from_json({"n": 1, "generators": [[1.9]]}),
+           lambda: MonomialIdeal.from_json({"n": 1, "generators": [["2"]]}),
+           lambda: MonomialIdeal.from_json({"n": "1", "generators": [[2]]})]
+    for make in bad:
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_ideal_canonicalizes_generators():
     a = MonomialIdeal(2, [(2, 0), (0, 1), (2, 0)])
     assert a.generators == ((0, 1), (2, 0))

@@ -112,6 +112,22 @@ def test_poly_json_roundtrip():
     for _ in range(20):
         f = random_poly(rng)
         assert BiPoly.from_json(f.to_json()) == f
+    assert BiPoly.from_json([{"t": 1, "p": 0, "coeff": "-3"}]) == -T * 3
+
+
+def test_non_int_exponents_and_coefficients_are_rejected():
+    # each of these used to be truncated silently, e.g. to 2*T
+    bad = [lambda: BiPoly({(1.7, 0): 2}), lambda: BiPoly({(1, 0): 2.9}),
+           lambda: BiPoly({(1, "0"): 2}), lambda: BiPoly({(1, 0): "2"}),
+           lambda: BiPoly.from_json([{"t": 1, "p": 0, "coeff": 2.9}]),
+           lambda: BiPoly.from_json([{"t": 1.0, "p": 0, "coeff": "2"}]),
+           lambda: BiRationalFunction(ONE, [(1.5, 1)]),
+           lambda: BiRationalFunction.from_json({"numerator": [], "denominator": [["1", 1]]})]
+    for make in bad:
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(ValueError):
+        BiPoly.from_json([{"t": 1, "p": 0, "coeff": "2.9"}])
 
 
 def test_binomial_factor_validation():
