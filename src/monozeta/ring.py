@@ -341,6 +341,8 @@ class BiRationalFunction:
 
     def __add__(self, other):
         """Sum over the least common multiset of denominator factors."""
+        if not isinstance(other, BiRationalFunction):
+            return NotImplemented
         mine = Counter(self.denominator)
         theirs = Counter(other.denominator)
         common = mine | theirs
@@ -352,50 +354,57 @@ class BiRationalFunction:
         return BiRationalFunction(num + rest, common.elements())
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, BiRationalFunction) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, BiPoly):
+        if isinstance(other, (BiPoly, int)):
             return BiRationalFunction(self.numerator * other, self.denominator)
-        if isinstance(other, int):
-            return BiRationalFunction(self.numerator * other, self.denominator)
+        if not isinstance(other, BiRationalFunction):
+            return NotImplemented
         return BiRationalFunction(self.numerator * other.numerator,
                                   self.denominator + other.denominator)
 
     __rmul__ = __mul__
 
     def reduced(self):
-        """Cancel denominator factors against the numerator, in one pass.
+        """Cancel denominator factors against the numerator, one decision
+        per factor.
 
-        The factor at hand is divided out while it divides the numerator
-        exactly; a factor 1 - x^g (x a monomial, g = gcd of its exponents)
-        becomes 1 - x^m for the first proper divisor m of g whose cofactor
-        S = (1 - x^g)/(1 - x^m) divides it; the pass moves on when both
-        fail.  One pass is exact: each step replaces the numerator N by a
-        divisor of N (N/f or N/S), so a step that failed once cannot succeed
-        later.  The value never changes, but the result is not canonical:
-        equal functions can reduce to different shapes.
+        Write the factor as 1 - x^g, x = T^a0 P^b0 primitive.  One pass sums
+        the numerator N per chain (monomials differing by a power of x^g),
+        keyed by the line b0*t - a0*p and t mod a (p mod b when a = 0).  All
+        sums 0: the factor divides N (as in `_div_binomial`) and is divided
+        out.  Else it becomes 1 - x^m for the least proper divisor m of g
+        whose shift x^m keeps every sum: the sums of N*(1 - x^m) are the
+        differences, so that is when S = (1 - x^g)/(1 - x^m) divides N.
+        Else it stays.  One visit per factor is exact: each step replaces N
+        by a divisor of N; factors along different x share no cyclotomic
+        factor; and after the least exchange neither 1 - x^m nor a smaller
+        exchange divides N/S, or 1 - x^g or a smaller S would divide N.
+        Not canonical: equal functions can reduce to different shapes.
         """
-        num = self.numerator
-        den = list(self.denominator)
-        i = 0
-        while i < len(den):
-            f = den[i]
-            q = num.div_exact(f.poly())
-            if q is not None:
-                num = q
-                del den[i]
-                continue
+        num, den = self.numerator, []
+        for f in self.denominator:
             g = gcd(f.a, f.b)
-            base_a, base_b = f.a // g, f.b // g
-            for m in _divisors(g)[:-1]:  # num / S, by the binomial kernel alone
-                q = (num * BiPoly.binomial(base_a * m, base_b * m)).div_exact(f.poly())
-                if q is not None:
-                    num = q
-                    den[i] = BinomialFactor(base_a * m, base_b * m)
-                    break
-            else:
-                i += 1
+            x = (f.a // g, f.b // g)
+            i = 0 if f.a else 1  # chains are told apart by exponent i mod f[i]
+            sums: dict[tuple[int, int], int] = {}
+            for mono, c in num._terms.items():
+                key = (x[1] * mono[0] - x[0] * mono[1], mono[i] % f[i])
+                sums[key] = sums.get(key, 0) + c
+            live = {k: s for k, s in sums.items() if s}
+            if live:  # x^m adds m * x[i] to exponent i
+                m = next((m for m in range(1, g) if g % m == 0 and all(
+                    live.get((line, (r + m * x[i]) % f[i])) == s
+                    for (line, r), s in live.items())), None)
+                if m is None:
+                    den.append(f)
+                    continue
+                den.append(BinomialFactor(x[0] * m, x[1] * m))
+                num = num * den[-1].poly()
+            num = num.div_exact(f.poly())
+            if num is None:
+                raise AssertionError(f"chain sums promised an exact division by {f}")
         return BiRationalFunction(num, den)
 
     def series(self, bound):
@@ -445,10 +454,6 @@ class BiRationalFunction:
     def from_json(cls, data):
         return cls(BiPoly.from_json(data["numerator"]),
                    [tuple(f) for f in data["denominator"]])
-
-
-def _divisors(n):
-    return sorted(d for d in range(1, n + 1) if n % d == 0)
 
 
 # Miller-Rabin on these bases is exact below the bound (Sorenson & Webster 2017)
@@ -503,16 +508,10 @@ def _uni_divmod(f, g):
         raise ZeroDivisionError
     q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
     r = list(f)
-    while len(r) >= len(g) and _uni_trim(r):
-        r = _uni_trim(r)
-        if len(r) < len(g):
-            break
-        c = r[-1] / g[-1]
-        d = len(r) - len(g)
-        q[d] = c
+    for d in range(len(q) - 1, -1, -1):
+        q[d] = c = r[d + len(g) - 1] / g[-1]
         for i, b in enumerate(g):
             r[i + d] -= c * b
-        r = r[:-1]
     return _uni_trim(q), _uni_trim(r)
 
 

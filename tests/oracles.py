@@ -6,9 +6,10 @@ direct summation.  Slow but transparently correct.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from monozeta.linalg import dot, solve
-from monozeta.ring import BiPoly
+from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
 
 
 def lp_feasible(A, b) -> bool:
@@ -144,3 +145,29 @@ def gf_series_brute(cone, grading, bound, interior=False) -> BiPoly:
             k = (dot(grading.l1, a), dot(grading.l2, a))
             terms[k] = terms.get(k, 0) + 1
     return BiPoly(terms)
+
+
+def reduced_by_trial(rf):
+    """`BiRationalFunction.reduced()` by trial and error: at each factor
+    1 - x^g, divide while the division is exact, else try the cofactor
+    exchanges m = 1, 2, ... (proper divisors of g) by multiplying with
+    1 - x^m and dividing, and retry the factor after an exchange."""
+    num, den = rf.numerator, list(rf.denominator)
+    i = 0
+    while i < len(den):
+        f = den[i]
+        q = num.div_exact(f.poly())
+        if q is not None:
+            num = q
+            del den[i]
+            continue
+        g = gcd(f.a, f.b)
+        for m in (m for m in range(1, g) if g % m == 0):
+            x_m = BinomialFactor(f.a // g * m, f.b // g * m)
+            q = (num * x_m.poly()).div_exact(f.poly())
+            if q is not None:
+                num, den[i] = q, x_m
+                break
+        else:
+            i += 1
+    return BiRationalFunction(num, den)

@@ -146,6 +146,19 @@ def test_verify_passes(capsys):
     assert "PASS  specialization at p = 3" in out
 
 
+def test_verify_reports_a_skipped_prime_check(capsys):
+    # the numerator has P-degree 4, so a series to P^2 fixes no T-coefficient
+    code, out, _ = run(capsys, "verify", "--ideal", "x^3, x*y, y^3", "--bound", "2",
+                       "--prime", "3")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l]
+    assert len(lines) == 5 and all(l.startswith("PASS") for l in lines[:4])
+    assert lines[4] == "SKIP  specialization at p = 3: needs --bound >= 4"
+    code, out, _ = run(capsys, "verify", "--ideal", "x^3, x*y, y^3", "--bound", "4",
+                       "--prime", "3")
+    assert code == 0 and "PASS  specialization at p = 3" in out
+
+
 def test_corpus_writes_jsonl(capsys, tmp_path):
     path = tmp_path / "corpus.jsonl"
     code, _, err = run(

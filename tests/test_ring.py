@@ -3,10 +3,14 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from oracles import reduced_by_trial
+from test_acceptance import corpus
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, UniRational
+from monozeta.zeta import igusa_zeta
 
 P = BiPoly.term(0, 1)
 T = BiPoly.term(1, 0)
@@ -178,16 +182,25 @@ def test_rf_reduce_cancels_exact_factors():
     assert red.numerator == ONE + TP and red.denominator == ()
 
 
-def test_rf_reduce_exchanges_scaled_factors():
+def test_rf_reduce_exchanges_scaled_factors(monkeypatch):
+    calls = []
+    div_exact = BiPoly.div_exact
+    def counting(self, divisor):
+        calls.append(divisor)
+        return div_exact(self, divisor)
+    monkeypatch.setattr(BiPoly, "div_exact", counting)
     # (1 + TP)/(1 - T^2 P^2) is the same function as 1/(1 - TP)
     rf = BiRationalFunction(ONE + TP, [(2, 2)])
     red = rf.reduced()
     assert red.numerator == ONE and red.denominator == (BinomialFactor(1, 1),)
+    assert len(calls) == 1  # the exchange taken, nothing tried before it
+    calls.clear()
     # g = 6 has the proper divisors 1, 2, 3: with x = TP,
     # (1 + x^2 + x^4)/(1 - x^6) is 1/(1 - x^2)
     rf = BiRationalFunction(ONE + TP**2 + TP**4, [(6, 6)])
     red = rf.reduced()
     assert red.numerator == ONE and red.denominator == (BinomialFactor(2, 2),)
+    assert len(calls) == 1
 
 
 def test_rf_reduce_preserves_series():
@@ -199,8 +212,8 @@ def test_rf_reduce_preserves_series():
 
 
 def test_rf_reduce_is_one_pass(monkeypatch):
-    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the failed try of 1 - T P comes
-    # first and is not repeated after 1 - T P^2 divides out
+    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the chain sums rule out 1 - T P
+    # without a division, so the one division made is the one that succeeds
     calls = []
     div_exact = BiPoly.div_exact
     def counting(self, divisor):
@@ -209,7 +222,70 @@ def test_rf_reduce_is_one_pass(monkeypatch):
     monkeypatch.setattr(BiPoly, "div_exact", counting)
     rf = BiRationalFunction(ONE - T * P * P, [(1, 1), (1, 2)])
     assert rf.reduced() == BiRationalFunction(ONE, [(1, 1)])
-    assert calls == [ONE - TP, ONE - T * P * P]
+    assert calls == [ONE - T * P * P]
+
+
+def test_rf_reduce_rejects_foreign_operands():
+    rf = BiRationalFunction(ONE, [(1, 1)])
+    for op in ("__add__", "__sub__", "__mul__"):
+        for bad in (2.5, Fraction(3, 2), "x"):
+            assert getattr(rf, op)(bad) is NotImplemented
+    assert rf.__add__(ONE) is NotImplemented and rf.__sub__(ONE) is NotImplemented
+    for bad in (lambda: rf + ONE, lambda: ONE + rf, lambda: rf - ONE, lambda: rf * 2.5,
+                lambda: 2.5 * rf, lambda: rf * Fraction(3, 2), lambda: rf + 1):
+        with pytest.raises(TypeError):
+            bad()
+    assert rf * 2 == 2 * rf == BiRationalFunction(2 * ONE, [(1, 1)])
+
+
+DIRECTIONS = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 3), (3, 1)]
+GCDS = (1, 2, 3, 4, 6, 12)
+
+
+def planted_rf(rng):
+    """A rational function whose numerator carries planted factors 1 - x^g,
+    cofactors (1 - x^g)/(1 - x^m) and smaller binomials 1 - x^k along the
+    primitive directions x of its denominator, which share directions,
+    repeat factors and include T-free and P-free ones."""
+    dirs = rng.sample(DIRECTIONS, rng.randint(1, 2))
+    den = []
+    for _ in range(rng.randint(1, 4)):
+        x, g = rng.choice(dirs), rng.choice(GCDS)
+        den += [(g * x[0], g * x[1])] * rng.choice((1, 1, 1, 2))
+    num = random_poly(rng, max_deg=2, max_terms=4)
+    for _ in range(rng.randint(1, 2)):
+        a, b = rng.choice(den)
+        g = gcd(a, b)
+        k = rng.choice([d for d in range(1, g + 1) if g % d == 0])
+        full, small = BiPoly.binomial(a, b), BiPoly.binomial(a // g * k, b // g * k)
+        num = num * rng.choice((full, small, full.div_exact(small)))
+    return BiRationalFunction(num, den)
+
+
+def test_rf_reduce_matches_trial_division():
+    rng = random.Random(207)
+    exchanged = 0
+    for _ in range(2000):
+        rf = planted_rf(rng)
+        want = reduced_by_trial(rf)
+        assert rf.reduced() == want, rf
+        exchanged += not set(want.denominator) <= set(rf.denominator)
+    assert exchanged > 200
+
+
+def test_rf_reduce_matches_trial_division_on_corpus_sums(monkeypatch):
+    sums = []
+    reduced = BiRationalFunction.reduced
+    def recording(self):
+        sums.append(self)
+        return reduced(self)
+    monkeypatch.setattr(BiRationalFunction, "reduced", recording)
+    for ideal in corpus()[:10]:
+        igusa_zeta(ideal)
+    monkeypatch.undo()
+    assert len(sums) == 10
+    for rf in sums:
+        assert rf.reduced() == reduced_by_trial(rf)
 
 
 def test_series_known_expansions():
