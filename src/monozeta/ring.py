@@ -13,8 +13,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from fractions import Fraction
-from math import gcd
-from operator import index
+from functools import lru_cache
+from itertools import chain, count
+from math import gcd, isqrt
+from operator import index, mul
 from typing import NamedTuple
 
 
@@ -165,6 +167,18 @@ class BiPoly:
                     out[k] = s
                 else:
                     del out[k]
+        return BiPoly._raw(out)
+
+    def _mul_binomial(self, a, b):
+        """Product with 1 - T^a P^b in one pass over the terms."""
+        out = dict(self._terms)
+        for (t, p), c in self._terms.items():
+            k = (t + a, p + b)
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
         return BiPoly._raw(out)
 
     def _div_binomial(self, a, b):
@@ -348,9 +362,9 @@ class BiRationalFunction:
         common = mine | theirs
         num, rest = self.numerator, other.numerator
         for f in (common - mine).elements():
-            num = num * f.poly()
+            num = num._mul_binomial(*f)
         for f in (common - theirs).elements():
-            rest = rest * f.poly()
+            rest = rest._mul_binomial(*f)
         return BiRationalFunction(num + rest, common.elements())
 
     def __sub__(self, other):
@@ -370,23 +384,41 @@ class BiRationalFunction:
         """Cancel denominator factors against the numerator, one decision
         per factor.
 
-        Write the factor as 1 - x^g, x = T^a0 P^b0 primitive.  One pass sums
-        the numerator N per chain (monomials differing by a power of x^g),
-        keyed by the line b0*t - a0*p and t mod a (p mod b when a = 0).  All
-        sums 0: the factor divides N (as in `_div_binomial`) and is divided
-        out.  Else it becomes 1 - x^m for the least proper divisor m of g
-        whose shift x^m keeps every sum: the sums of N*(1 - x^m) are the
-        differences, so that is when S = (1 - x^g)/(1 - x^m) divides N.
-        Else it stays.  One visit per factor is exact: each step replaces N
-        by a divisor of N; factors along different x share no cyclotomic
-        factor; and after the least exchange neither 1 - x^m nor a smaller
-        exchange divides N/S, or 1 - x^g or a smaller S would divide N.
+        Write the factor as 1 - x^g, x = T^a0 P^b0 primitive.  Every step
+        below (dividing by 1 - x^g, or exchanging it for 1 - x^m, m a proper
+        divisor of g) needs the cyclotomic factor Phi_g(x) to divide the
+        numerator N.  So a screen comes first: N is evaluated modulo a prime
+        q = 1 (mod g) at a point where x is a primitive g-th root of unity,
+        a zero of Phi_g(x).  A nonzero value proves Phi_g(x) does not divide
+        N, and the factor stays with nothing more built.  A zero value
+        decides nothing; the chain sums decide, so the screen cannot change
+        an outcome, even on an unlucky zero (or for g so large that no prime
+        q can be certified, where it abstains).  The screen evaluates the
+        numerator as it came in: each step replaces N by a divisor of N, so
+        a nonzero value there still proves Phi_g(x) does not divide N.
+
+        The chain sums: one pass sums N per chain (monomials differing by a
+        power of x^g), keyed by the line b0*t - a0*p and t mod a (p mod b
+        when a = 0).  All sums 0: the factor divides N (as in
+        `_div_binomial`) and is divided out.  Else it becomes 1 - x^m for
+        the least proper divisor m of g whose shift x^m keeps every sum: the
+        sums of N*(1 - x^m) are the differences, so that is when
+        S = (1 - x^g)/(1 - x^m) divides N.  Else it stays.  One visit per
+        factor is exact: each step replaces N by a divisor of N; factors
+        along different x share no cyclotomic factor; and after the least
+        exchange neither 1 - x^m nor a smaller exchange divides N/S, or
+        1 - x^g or a smaller S would divide N.
         Not canonical: equal functions can reduce to different shapes.
         """
         num, den = self.numerator, []
+        layout = _rows_by_p_degree(num)
         for f in self.denominator:
             g = gcd(f.a, f.b)
             x = (f.a // g, f.b // g)
+            point = _screen_point(x, g)
+            if point and not _vanishes_at(layout, point):
+                den.append(f)
+                continue
             i = 0 if f.a else 1  # chains are told apart by exponent i mod f[i]
             sums: dict[tuple[int, int], int] = {}
             for mono, c in num._terms.items():
@@ -394,14 +426,14 @@ class BiRationalFunction:
                 sums[key] = sums.get(key, 0) + c
             live = {k: s for k, s in sums.items() if s}
             if live:  # x^m adds m * x[i] to exponent i
-                m = next((m for m in range(1, g) if g % m == 0 and all(
+                m = next((m for m in _divisors(g)[:-1] if all(
                     live.get((line, (r + m * x[i]) % f[i])) == s
                     for (line, r), s in live.items())), None)
                 if m is None:
                     den.append(f)
                     continue
                 den.append(BinomialFactor(x[0] * m, x[1] * m))
-                num = num * den[-1].poly()
+                num = num._mul_binomial(*den[-1])
             num = num.div_exact(f.poly())
             if num is None:
                 raise AssertionError(f"chain sums promised an exact division by {f}")
@@ -484,6 +516,95 @@ def _is_prime(p):
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=1024)
+def _divisors(g):
+    """The divisors of g in increasing order, by trial division up to sqrt(g)."""
+    small = [d for d in range(1, isqrt(g) + 1) if g % d == 0]
+    return tuple(small + [g // d for d in reversed(small) if d * d != g])
+
+
+_SCREEN_PRIME_BOUND = 1 << 31  # screen primes stay below it when some q = 1 (mod g) does
+# The free parameter s of the screen point.  It generates the units modulo
+# 2^31 - 1, the prime for g = 1 and 2; a base of small order there, such as
+# 2 (order 31), would make the screen read 0 on many numerators it should clear.
+_SCREEN_BASE = 7
+
+
+@lru_cache(maxsize=1024)
+def _root_of_unity(g):
+    """A prime q = 1 (mod g), the largest below 2^31 if there is one, and an
+    element of order exactly g modulo q; None if no such prime can be
+    certified."""
+    top = (_SCREEN_PRIME_BOUND - 2) // g
+    for k in chain(range(top, 0, -1), count(top + 1)):
+        q = k * g + 1
+        if q >= _MR_BOUND:
+            return None
+        if _is_prime(q):
+            break
+    proper = _divisors(g)[:-1]
+    for h in count(2):
+        z = pow(h, (q - 1) // g, q)
+        if all(pow(z, m, q) != 1 for m in proper):
+            return q, z
+
+
+def _screen_point(x, g):
+    """(q, T0, P0) with x = T0^a0 P0^b0 a primitive g-th root of unity mod q:
+    T0 = z^u s^b0 and P0 = z^v s^-a0 with u*a0 + v*b0 = 1.  None when there
+    is no certified q."""
+    root = _root_of_unity(g)
+    if root is None:
+        return None
+    q, z = root
+    a0, b0 = x
+    u = pow(a0, -1, b0) if b0 else 1
+    v = (1 - u * a0) // b0 if b0 else 0
+    return (q, pow(z, u, q) * pow(_SCREEN_BASE, b0, q) % q,
+            pow(z, v, q) * pow(_SCREEN_BASE, -a0, q) % q)
+
+
+def _rows_by_p_degree(poly):
+    """The terms of poly as rows (p, T-degree indices, coefficients), one
+    per P-degree in increasing order, and the sorted T-degrees present that
+    the indices point into."""
+    rows: dict[int, tuple[list[int], list[int]]] = {}
+    for (t, p), c in poly._terms.items():
+        row = rows.get(p)
+        if row is None:
+            rows[p] = ([t], [c])
+        else:
+            row[0].append(t)
+            row[1].append(c)
+    t_degrees = sorted(set(chain.from_iterable(ts for ts, _ in rows.values())))
+    at = {t: i for i, t in enumerate(t_degrees)}.__getitem__
+    return ([(p, list(map(at, ts)), cs) for p, (ts, cs) in sorted(rows.items())],
+            t_degrees)
+
+
+def _powers(base, exponents, q):
+    """base^e mod q for the increasing exponents e, each one step from the
+    last, so a gap costs its logarithm."""
+    out, w, prev = [], 1, 0
+    for e in exponents:
+        w = w * pow(base, e - prev, q) % q
+        out.append(w)
+        prev = e
+    return out
+
+
+def _vanishes_at(layout, point):
+    """Is the polynomial laid out by `_rows_by_p_degree` zero at the point
+    (q, T0, P0) modulo q?  Linear in the terms: T0 and P0 are raised only
+    to the degrees present."""
+    rows, t_degrees = layout
+    q, t0, p0 = point
+    at_t = _powers(t0, t_degrees, q).__getitem__
+    p_powers = _powers(p0, [p for p, _, _ in rows], q)
+    return sum(w * sum(map(mul, cs, map(at_t, ix)))
+               for w, (_, ix, cs) in zip(p_powers, rows)) % q == 0
 
 
 def _uni_mul(f, g):

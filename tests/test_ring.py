@@ -9,6 +9,7 @@ import pytest
 
 from oracles import reduced_by_trial
 from test_acceptance import corpus
+from monozeta import ring
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, UniRational
 from monozeta.zeta import igusa_zeta
 
@@ -81,6 +82,18 @@ def test_poly_division_roundtrip():
         if g.is_zero():
             continue
         assert (f * g).div_exact(g) == f
+    # the one-pass product with 1 - T^a P^b, T-free and P-free ones too, on
+    # sums that telescope: (1 + x + ... + x^(k-1))(1 - x) cancels all but 1 - x^k
+    for _ in range(60):
+        a, b = rng.choice(((0, rng.randint(1, 3)), (rng.randint(1, 3), 0),
+                           (rng.randint(1, 3), rng.randint(1, 3))))
+        k = rng.randint(1, 4)
+        geo = BiPoly({(a * j, b * j): 1 for j in range(k)})
+        assert geo._mul_binomial(a, b) == BiPoly.binomial(a * k, b * k)
+        f = random_poly(rng)
+        for h in (f, f * geo, f * geo * 3 - geo):
+            assert h._mul_binomial(a, b) == h * BiPoly.binomial(a, b)
+            assert h._mul_binomial(a, b).div_exact(BiPoly.binomial(a, b)) == h
     assert T.div_exact(ONE + T) is None
     assert (ONE - P).div_exact(ONE - TP) is None
 
@@ -286,6 +299,68 @@ def test_rf_reduce_matches_trial_division_on_corpus_sums(monkeypatch):
     assert len(sums) == 10
     for rf in sums:
         assert rf.reduced() == reduced_by_trial(rf)
+
+
+def cyclotomic(x, g):
+    """Phi_g(x) up to sign, x = T^a P^b: 1 - x^g over Phi_d(x), d | g, d < g."""
+    out = BiPoly.binomial(g * x[0], g * x[1])
+    for d in range(1, g):
+        if g % d == 0:
+            out = out.div_exact(cyclotomic(x, d))
+    return out
+
+
+def screen_vanishes(num, x, g):
+    return ring._vanishes_at(ring._rows_by_p_degree(num), ring._screen_point(x, g))
+
+
+def test_screen_point_and_multiples_of_the_cyclotomic_factor():
+    rng = random.Random(208)
+    nonzero = 0
+    for x in DIRECTIONS:
+        for g in GCDS:
+            q, t0, p0 = ring._screen_point(x, g)
+            root = pow(t0, x[0], q) * pow(p0, x[1], q) % q
+            assert [m for m in range(1, g + 1) if pow(root, m, q) == 1] == [g]
+            phi = cyclotomic(x, g)
+            for _ in range(5):
+                m = random_poly(rng, max_deg=4, max_terms=8, max_coeff=50)
+                assert screen_vanishes(m * phi, x, g)
+                assert screen_vanishes(m * phi * BiPoly.binomial(x[0], x[1]), x, g)
+                nonzero += not screen_vanishes(m, x, g)
+    assert nonzero > 150  # of 210: the screen does reject
+    # 1 - T P does not divide T^31 - 1; a screen base of order 31 would miss it
+    assert not screen_vanishes(T**31 - ONE, (1, 1), 1)
+
+
+def test_screen_zero_falls_through_to_chain_sums():
+    # T - t0 vanishes at the screen point of 1 - T P, but 1 - T P does not
+    # divide it: the chain sums must still keep the factor
+    q, t0, p0 = ring._screen_point((1, 1), 1)
+    num = T - t0 * ONE
+    assert screen_vanishes(num, (1, 1), 1)
+    rf = BiRationalFunction(num, [(1, 1), (2, 2)])
+    assert rf.reduced() == rf == reduced_by_trial(rf)
+
+
+def test_rf_reduce_is_fast_at_huge_degrees():
+    g = 2 * 10**9
+    cases = [
+        (BiRationalFunction(ONE + 2 * BiPoly.term(3 * 10**6, 1), [(1, 1), (2, 3)]), None),
+        # the screen prime for g = 2e9 lies above 2^31
+        (BiRationalFunction(ONE, [(g, g)]), None),
+        # an exchange looks only among the divisors of g
+        (BiRationalFunction(ONE + TP**(g // 2), [(g, g)]),
+         BiRationalFunction(ONE, [(g // 2, g // 2)])),
+        # no prime q = 1 (mod 10^25) can be certified: the screen abstains
+        (BiRationalFunction(BiPoly.binomial(10**25, 10**25), [(10**25, 10**25)]),
+         BiRationalFunction.one()),
+    ]
+    for rf, want in cases:
+        start = time.perf_counter()
+        red = rf.reduced()
+        assert time.perf_counter() - start < 1.0
+        assert red == (want or rf)
 
 
 def test_series_known_expansions():
