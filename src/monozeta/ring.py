@@ -13,9 +13,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, count
-from math import gcd, isqrt
+from itertools import chain
+from math import gcd
 from operator import index, mul
 from typing import NamedTuple
 
@@ -387,13 +386,13 @@ class BiRationalFunction:
         Write the factor as 1 - x^g, x = T^a0 P^b0 primitive.  Every step
         below (dividing by 1 - x^g, or exchanging it for 1 - x^m, m a proper
         divisor of g) needs the cyclotomic factor Phi_g(x) to divide the
-        numerator N.  So a screen comes first: N is evaluated modulo a prime
-        q = 1 (mod g) at a point where x is a primitive g-th root of unity,
-        a zero of Phi_g(x).  A nonzero value proves Phi_g(x) does not divide
-        N, and the factor stays with nothing more built.  A zero value
-        decides nothing; the chain sums decide, so the screen cannot change
-        an outcome, even on an unlucky zero (or for g so large that no prime
-        q can be certified, where it abstains).  The screen evaluates the
+        numerator N.  So a screen comes first: N is evaluated modulo one
+        fixed prime q with g | q - 1 for every g <= 22, at a point where x is
+        a primitive g-th root of unity, a zero of Phi_g(x).  A nonzero value
+        proves Phi_g(x) does not divide N, and the factor stays with nothing
+        more built.  A zero value decides nothing, and no other g is
+        screened; the chain sums decide, so the screen cannot change an
+        outcome, even on an unlucky zero.  The screen evaluates the
         numerator as it came in: each step replaces N by a divisor of N, so
         a nonzero value there still proves Phi_g(x) does not divide N.
 
@@ -403,11 +402,13 @@ class BiRationalFunction:
         `_div_binomial`) and is divided out.  Else it becomes 1 - x^m for
         the least proper divisor m of g whose shift x^m keeps every sum: the
         sums of N*(1 - x^m) are the differences, so that is when
-        S = (1 - x^g)/(1 - x^m) divides N.  Else it stays.  One visit per
-        factor is exact: each step replaces N by a divisor of N; factors
-        along different x share no cyclotomic factor; and after the least
-        exchange neither 1 - x^m nor a smaller exchange divides N/S, or
-        1 - x^g or a smaller S would divide N.
+        S = (1 - x^g)/(1 - x^m) divides N.  Such a shift maps one live sum
+        onto an equal live sum on the same line, so the candidates for m
+        are read off the sums, not off the divisors of g.  Else it stays.
+        One visit per factor is exact: each step replaces N by a divisor of
+        N; factors along different x share no cyclotomic factor; and after
+        the least exchange neither 1 - x^m nor a smaller exchange divides
+        N/S, or 1 - x^g or a smaller S would divide N.
         Not canonical: equal functions can reduce to different shapes.
         """
         num, den = self.numerator, []
@@ -426,7 +427,12 @@ class BiRationalFunction:
                 sums[key] = sums.get(key, 0) + c
             live = {k: s for k, s in sums.items() if s}
             if live:  # x^m adds m * x[i] to exponent i
-                m = next((m for m in _divisors(g)[:-1] if all(
+                # a valid shift maps one live class onto a live class of its
+                # line with the same sum, so m is one of those offsets
+                (line0, r0), s0 = next(iter(live.items()))
+                offsets = sorted((r - r0) // x[i] % g for (line, r), s in live.items()
+                                 if line == line0 and s == s0)
+                m = next((m for m in offsets if m and g % m == 0 and all(
                     live.get((line, (r + m * x[i]) % f[i])) == s
                     for (line, r), s in live.items())), None)
                 if m is None:
@@ -518,52 +524,24 @@ def _is_prime(p):
     return True
 
 
-@lru_cache(maxsize=1024)
-def _divisors(g):
-    """The divisors of g in increasing order, by trial division up to sqrt(g)."""
-    small = [d for d in range(1, isqrt(g) + 1) if g % d == 0]
-    return tuple(small + [g // d for d in reversed(small) if d * d != g])
-
-
-_SCREEN_PRIME_BOUND = 1 << 31  # screen primes stay below it when some q = 1 (mod g) does
-# The free parameter s of the screen point.  It generates the units modulo
-# 2^31 - 1, the prime for g = 1 and 2; a base of small order there, such as
-# 2 (order 31), would make the screen read 0 on many numerators it should clear.
-_SCREEN_BASE = 7
-
-
-@lru_cache(maxsize=1024)
-def _root_of_unity(g):
-    """A prime q = 1 (mod g), the largest below 2^31 if there is one, and an
-    element of order exactly g modulo q; None if no such prime can be
-    certified."""
-    top = (_SCREEN_PRIME_BOUND - 2) // g
-    for k in chain(range(top, 0, -1), count(top + 1)):
-        q = k * g + 1
-        if q >= _MR_BOUND:
-            return None
-        if _is_prime(q):
-            break
-    proper = _divisors(g)[:-1]
-    for h in count(2):
-        z = pow(h, (q - 1) // g, q)
-        if all(pow(z, m, q) != 1 for m in proper):
-            return q, z
+# The screen prime q = 8 * lcm(1, ..., 22) + 1 and a generator of its units:
+# g | q - 1 for every g <= 22, and q < 2^31.
+_SCREEN_PRIME = 1862340481
+_SCREEN_GENERATOR = 61
 
 
 def _screen_point(x, g):
     """(q, T0, P0) with x = T0^a0 P0^b0 a primitive g-th root of unity mod q:
-    T0 = z^u s^b0 and P0 = z^v s^-a0 with u*a0 + v*b0 = 1.  None when there
-    is no certified q."""
-    root = _root_of_unity(g)
-    if root is None:
+    T0 = z^u s^b0 and P0 = z^v s^-a0 with u*a0 + v*b0 = 1, z = s^((q-1)/g)
+    of order exactly g and s the generator.  None unless g divides q - 1."""
+    q, s = _SCREEN_PRIME, _SCREEN_GENERATOR
+    if (q - 1) % g:
         return None
-    q, z = root
+    z = pow(s, (q - 1) // g, q)
     a0, b0 = x
     u = pow(a0, -1, b0) if b0 else 1
     v = (1 - u * a0) // b0 if b0 else 0
-    return (q, pow(z, u, q) * pow(_SCREEN_BASE, b0, q) % q,
-            pow(z, v, q) * pow(_SCREEN_BASE, -a0, q) % q)
+    return (q, pow(z, u, q) * pow(s, b0, q) % q, pow(z, v, q) * pow(s, -a0, q) % q)
 
 
 def _rows_by_p_degree(poly):
@@ -612,14 +590,16 @@ def _uni_mul(f, g):
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] += a * b
+                if b:
+                    out[i + j] += a * b
     return out
 
 
 def _uni_trim(f):
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return list(f)
+    n = len(f)
+    while n and f[n - 1] == 0:
+        n -= 1
+    return list(f[:n])
 
 
 def _uni_divmod(f, g):
@@ -631,8 +611,9 @@ def _uni_divmod(f, g):
     r = list(f)
     for d in range(len(q) - 1, -1, -1):
         q[d] = c = r[d + len(g) - 1] / g[-1]
-        for i, b in enumerate(g):
-            r[i + d] -= c * b
+        if c:
+            for i, b in enumerate(g):
+                r[i + d] -= c * b
     return _uni_trim(q), _uni_trim(r)
 
 

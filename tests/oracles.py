@@ -6,7 +6,8 @@ direct summation.  Slow but transparently correct.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 from monozeta.linalg import dot, solve
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
@@ -171,3 +172,12 @@ def reduced_by_trial(rf):
         else:
             i += 1
     return BiRationalFunction(num, den)
+
+
+def residue_count(ideal, p, k):
+    """N_k = #{x in (Z/p^k)^n : every generator monomial is 0 mod p^k}, by
+    enumerating the p^(kn) residues."""
+    q = p**k
+    return sum(all(prod(pow(xi, e, q) for xi, e in zip(x, gen)) % q == 0
+                   for gen in ideal.generators)
+               for x in product(range(q), repeat=ideal.n))

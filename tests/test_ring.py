@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -255,7 +255,7 @@ DIRECTIONS = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 3), (3, 1)]
 GCDS = (1, 2, 3, 4, 6, 12)
 
 
-def planted_rf(rng):
+def planted_rf(rng, gcds=GCDS):
     """A rational function whose numerator carries planted factors 1 - x^g,
     cofactors (1 - x^g)/(1 - x^m) and smaller binomials 1 - x^k along the
     primitive directions x of its denominator, which share directions,
@@ -263,7 +263,7 @@ def planted_rf(rng):
     dirs = rng.sample(DIRECTIONS, rng.randint(1, 2))
     den = []
     for _ in range(rng.randint(1, 4)):
-        x, g = rng.choice(dirs), rng.choice(GCDS)
+        x, g = rng.choice(dirs), rng.choice(gcds)
         den += [(g * x[0], g * x[1])] * rng.choice((1, 1, 1, 2))
     num = random_poly(rng, max_deg=2, max_terms=4)
     for _ in range(rng.randint(1, 2)):
@@ -299,6 +299,34 @@ def test_rf_reduce_matches_trial_division_on_corpus_sums(monkeypatch):
     assert len(sums) == 10
     for rf in sums:
         assert rf.reduced() == reduced_by_trial(rf)
+
+
+def test_rf_reduce_matches_trial_division_off_the_screen():
+    # 23 does not divide q - 1, so these factors go straight to the chain sums
+    rng = random.Random(209)
+    divided = exchanged = kept = 0
+    for _ in range(200):
+        rf = planted_rf(rng, gcds=(23, 46))
+        want = reduced_by_trial(rf)
+        assert rf.reduced() == want, rf
+        divided += len(want.denominator) < len(rf.denominator)
+        exchanged += not set(want.denominator) <= set(rf.denominator)
+        kept += bool(set(want.denominator) & set(rf.denominator))
+    assert divided > 20 and exchanged > 20 and kept > 20
+
+
+def test_screen_prime_is_certified():
+    q, s = ring._SCREEN_PRIME, ring._SCREEN_GENERATOR
+    assert ring._is_prime(q) and (q - 1) % lcm(*range(1, 23)) == 0
+    n, primes = q - 1, set()
+    for d in range(2, 100):
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+    assert n == 1  # q - 1 factors over the primes below 100
+    assert all(pow(s, (q - 1) // ell, q) != 1 for ell in primes)
+    for x in DIRECTIONS:
+        assert ring._screen_point(x, 23) is None
 
 
 def cyclotomic(x, g):
@@ -347,15 +375,19 @@ def test_rf_reduce_is_fast_at_huge_degrees():
     g = 2 * 10**9
     cases = [
         (BiRationalFunction(ONE + 2 * BiPoly.term(3 * 10**6, 1), [(1, 1), (2, 3)]), None),
-        # the screen prime for g = 2e9 lies above 2^31
+        # g = 2e9 does not divide the screen prime's q - 1: the chain sums decide
         (BiRationalFunction(ONE, [(g, g)]), None),
-        # an exchange looks only among the divisors of g
+        # the exchange is read off the chain sums, not off the divisors of g
         (BiRationalFunction(ONE + TP**(g // 2), [(g, g)]),
          BiRationalFunction(ONE, [(g // 2, g // 2)])),
-        # no prime q = 1 (mod 10^25) can be certified: the screen abstains
+        # nor does 10^25: the screen abstains
         (BiRationalFunction(BiPoly.binomial(10**25, 10**25), [(10**25, 10**25)]),
          BiRationalFunction.one()),
     ]
+    for g in (10**18, 10**24):  # too large to factor by trial division
+        cases += [(BiRationalFunction(ONE, [(g, g)]), None),
+                  (BiRationalFunction(ONE + TP**(g // 2), [(g, g)]),
+                   BiRationalFunction(ONE, [(g // 2, g // 2)]))]
     for rf, want in cases:
         start = time.perf_counter()
         red = rf.reduced()
@@ -413,6 +445,15 @@ def test_specialize_at_large_primes():
     # first 13 prime bases is proven exact
     with pytest.raises(ValueError, match="cannot certify"):
         rf.specialize(10**25 + 13)
+
+
+def test_specialize_is_linear_in_the_t_degree():
+    e = 50000  # quadratic trimming of zero coefficients takes seconds at this degree
+    start = time.perf_counter()
+    spec = BiRationalFunction(ONE, [(e, 1)]).specialize(3)
+    assert time.perf_counter() - start < 1.0
+    assert spec.num == (Fraction(1),)
+    assert spec.den == (Fraction(1),) + (Fraction(0),) * (e - 1) + (Fraction(-1, 3),)
 
 
 def test_specialize_commutes_with_series():

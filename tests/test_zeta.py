@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import residue_count
 from test_acceptance import corpus
 from monozeta.conegf import Grading, interior_lattice_gf
 from monozeta.fan import normal_fan
@@ -96,6 +97,24 @@ def test_pipeline_matches_definition_over_all_fan_cones():
         got = igusa_zeta(ideal).zeta
         assert same_function(got, zeta_by_definition(ideal)), ideal.generators
     assert not same_function(got, got * BiPoly.binomial(1, 1))
+
+
+def test_specialization_matches_residue_counts():
+    # N_k p^(-nk) is the measure of {x : ord I(x) >= k}, which is 1 minus the
+    # T^j coefficients of Z(p, T) for j < k; counting residues checks the
+    # zeta function without the (1 - P)^n sum of T^ord(a) P^|a| behind it
+    rng = random.Random(311)
+    for _ in range(8):
+        ideal = random_ideal(rng, rng.randint(1, 3), 3, 4)
+        zeta = igusa_zeta(ideal).zeta
+        for p in (2, 3):
+            spec = zeta.specialize(p)
+            k_max = max(k for k in range(1, 20) if p ** (k * ideal.n) <= 5 * 10**4)
+            mu = spec.series_coeffs(k_max)
+            for k in range(1, k_max + 1):
+                want = 1 - sum(mu[:k])
+                assert Fraction(residue_count(ideal, p, k), p ** (k * ideal.n)) == want, (
+                    ideal.generators, p, k)
 
 
 def test_monomial_closed_form_validation():
