@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .fan import Cone, triangulate
 from .linalg import Vec, dot, eliminate, rank, row_hnf
 from .linalg import solve  # noqa: F401  kept: perfbench/test_harness.py reads conegf.solve
-from .ring import BinomialFactor, BiPoly, BiRationalFunction
+from .ring import BiRationalFunction, RowSum
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,21 @@ def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
     return out
 
 
-def half_open_gf(cone: Cone, q: Vec, grading: Grading) -> BiRationalFunction:
-    """Generating function of the cone's half-open cells for the point q."""
-    total = BiRationalFunction.zero()
+def add_half_open_cells(acc: RowSum, cone: Cone, q: Vec, grading: Grading):
+    """Add the generating function of each of the cone's half-open cells for
+    the point q into the accumulator: its parallelepiped's weights over one
+    factor 1 - T^a P^b per ray."""
     for cell in _half_open_cells(cone, q):
-        num = BiPoly(Counter(grading.weight(pt) for pt in parallelepiped_points(cell)))
-        den = [BinomialFactor(*grading.weight(r)) for r in cell.rays]
-        total = total + BiRationalFunction(num, den)
-    return total
+        acc.add(Counter(grading.weight(pt) for pt in parallelepiped_points(cell)),
+                [grading.weight(r) for r in cell.rays])
+
+
+def half_open_gf(cone: Cone, q: Vec, grading: Grading) -> BiRationalFunction:
+    """Generating function of the cone's half-open cells for the point q,
+    summed in one `RowSum`."""
+    acc = RowSum()
+    add_half_open_cells(acc, cone, q, grading)
+    return acc.rational()
 
 
 def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:

@@ -5,12 +5,15 @@ T and P are independent formal variables (in the zeta-function application
 T stands for p^-s and P for 1/p).  A polynomial is a dict mapping exponent
 pairs (t_deg, p_deg) to nonzero integer coefficients.  A rational function
 keeps its denominator as a multiset of factors 1 - T^a P^b and is never
-expanded, so the factored shape survives every operation.
+expanded, so the factored shape survives every operation.  A sum of many
+such fractions is accumulated in a `RowSum`, its numerator packed one int
+per P-degree.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -353,7 +356,10 @@ class BiRationalFunction:
         return BiRationalFunction(-self.numerator, self.denominator)
 
     def __add__(self, other):
-        """Sum over the least common multiset of denominator factors."""
+        """Sum over the least common multiset of denominator factors.
+
+        API only: the pipeline sums its cells in a `RowSum`, which keeps the
+        same multiset and so reaches the same numerator."""
         if not isinstance(other, BiRationalFunction):
             return NotImplemented
         mine = Counter(self.denominator)
@@ -468,10 +474,12 @@ class BiRationalFunction:
         num = self.numerator.subs_inverse_prime(p)
         den = [Fraction(1)]
         for f in self.denominator:
-            factor = [Fraction(0)] * (f.a + 1)
-            factor[0] = Fraction(1)
-            factor[f.a] -= Fraction(1, p ** f.b)
-            den = _uni_mul(den, factor)
+            # times 1 - p^-b T^a: one pass over the nonzero coefficients
+            c, out = Fraction(1, p ** f.b), den + [Fraction(0)] * f.a
+            for i, d in enumerate(den):
+                if d:
+                    out[i + f.a] -= c * d
+            den = out
         return UniRational.reduced_from(num, den)
 
     def __repr__(self):
@@ -492,6 +500,140 @@ class BiRationalFunction:
     def from_json(cls, data):
         return cls(BiPoly.from_json(data["numerator"]),
                    [tuple(f) for f in data["denominator"]])
+
+
+class RowSum:
+    """A running sum of fractions N / prod(1 - T^a P^b), kept over the least
+    common multiset of denominator factors as `BiRationalFunction.__add__`
+    keeps it, the numerator packed one int per P-degree.
+
+    Row p is (t0, v) with v = sum of c_t 2^(W (t - t0)): the row's
+    T-polynomial over T^t0, evaluated at T = 2^W (Kronecker substitution).
+    Adding aligns two offsets with one shift, and multiplying by
+    1 - T^a P^b subtracts row p, its offset moved by a, from row p + b.
+    These are ring operations, so v is exact whatever the coefficients; only
+    reading them back needs each below 2^(W-1) in absolute value.  An l1
+    bound on the numerator proves that: a fraction adds its own, and a
+    binomial at most doubles it.  W starts at 64 bits and doubles (one
+    unpack, one repack) before the bound can reach 2^(W-1).
+    """
+
+    __slots__ = ("_rows", "_den", "_width", "_bound")
+
+    def __init__(self):
+        self._rows: dict[int, tuple[int, int]] = {}
+        self._den: Counter = Counter()
+        self._width = 64
+        self._bound = 0
+
+    def add(self, terms, factors):
+        """Add terms / prod of 1 - T^a P^b over factors (a, b); terms maps
+        (t, p) with t, p >= 0 to int coefficients."""
+        factors = Counter(map(_as_factor, factors))
+        grow, lift = factors - self._den, self._den - factors
+        bound = ((self._bound << sum(grow.values()))
+                 + (sum(map(abs, terms.values())) << sum(lift.values())))
+        self._fit(bound)
+        width = self._width
+        for f in grow.elements():
+            self._rows = _times_binomial(self._rows, f, width)
+        rows = _pack(terms, width)
+        for f in lift.elements():
+            rows = _times_binomial(rows, f, width)
+        _add_rows(self._rows, rows, 0, 0, 1, width)
+        self._den += grow
+        self._bound = bound
+
+    def mul_binomial(self, a, b):
+        """Multiply the numerator by 1 - T^a P^b; the denominator stays."""
+        f = _as_factor((a, b))
+        self._fit(2 * self._bound)
+        self._rows = _times_binomial(self._rows, f, self._width)
+        self._bound *= 2
+
+    def _fit(self, bound):
+        """Widen W, if need be, so that bound < 2^(W-1)."""
+        width = self._width
+        while bound >> (width - 1):
+            width *= 2
+        if width != self._width:
+            self._rows = _pack(_unpack(self._rows, self._width), width)
+            self._width = width
+
+    def rational(self):
+        """The sum as a BiRationalFunction: the one unpack of the rows."""
+        return BiRationalFunction(BiPoly._raw(_unpack(self._rows, self._width)),
+                                  self._den.elements())
+
+
+def _add_rows(target, rows, a, b, sign, width):
+    """target += sign * T^a P^b * rows, in place, row by row."""
+    for p, (t, v) in rows.items():
+        t += a
+        v = v if sign > 0 else -v
+        old = target.get(p + b)
+        if old is not None:
+            t0, v0 = old
+            if t0 <= t:
+                t, v = t0, v0 + (v << width * (t - t0))
+            else:
+                v += v0 << width * (t0 - t)
+        target[p + b] = (t, v)
+
+
+def _times_binomial(rows, f, width):
+    """rows * (1 - T^a P^b), as new rows."""
+    out = dict(rows)
+    _add_rows(out, rows, f.a, f.b, -1, width)
+    return out
+
+
+def _slot_lift(width, n):
+    """2^(width-1) in each of n slots of width bits, little-endian bytes."""
+    return (bytes(width // 8 - 1) + b"\x80") * n
+
+
+def _pack(terms, width):
+    """The rows {p: (t0, v)} of terms {(t, p): c}, each |c| < 2^(width-1).
+    Each slot is written as c + 2^(width-1), so no slot borrows, and the
+    lift is taken off the whole row at once."""
+    by_p: dict[int, list[tuple[int, int]]] = {}
+    for (t, p), c in terms.items():
+        by_p.setdefault(p, []).append((t, c))
+    size, half = width // 8, 1 << (width - 1)
+    rows = {}
+    for p, items in by_p.items():
+        t0 = min(t for t, _ in items)
+        if t0 < 0 or p < 0:
+            raise ValueError("negative exponent in a packed term")
+        lift = _slot_lift(width, max(t for t, _ in items) - t0 + 1)
+        buf = bytearray(lift)
+        for t, c in items:
+            i = (t - t0) * size
+            buf[i:i + size] = (c + half).to_bytes(size, "little")
+        rows[p] = (t0, int.from_bytes(buf, "little") - int.from_bytes(lift, "little"))
+    return rows
+
+
+def _unpack(rows, width):
+    """The nonzero terms {(t, p): c} of the rows, each |c| < 2^(width-1).
+    Lifted by 2^(width-1), every slot lies in [0, 2^width), so the lifted
+    row's bytes are its slots: read as 64-bit words, width/64 to a slot."""
+    size, half, k = width // 8, 1 << (width - 1), width // 64
+    out = {}
+    for p, (t0, v) in rows.items():
+        if not v:
+            continue
+        n = abs(v).bit_length() // width + 1
+        lifted = v + int.from_bytes(_slot_lift(width, n), "little")
+        slots = struct.unpack(f"<{n * k}Q", lifted.to_bytes(n * size, "little"))
+        if k > 1:
+            slots = [sum(w << 64 * j for j, w in enumerate(slots[i:i + k]))
+                     for i in range(0, n * k, k)]
+        for t, s in enumerate(slots, t0):
+            if s != half:
+                out[(t, p)] = s - half
+    return out
 
 
 # Miller-Rabin on these bases is exact below the bound (Sorenson & Webster 2017)
@@ -585,19 +727,9 @@ def _vanishes_at(layout, point):
                for w, (_, ix, cs) in zip(p_powers, rows)) % q == 0
 
 
-def _uni_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
 def _uni_trim(f):
     n = len(f)
-    while n and f[n - 1] == 0:
+    while n and not f[n - 1]:
         n -= 1
     return list(f[:n])
 
@@ -609,10 +741,11 @@ def _uni_divmod(f, g):
         raise ZeroDivisionError
     q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
     r = list(f)
+    terms = [(i, b) for i, b in enumerate(g) if b]
     for d in range(len(q) - 1, -1, -1):
-        q[d] = c = r[d + len(g) - 1] / g[-1]
-        if c:
-            for i, b in enumerate(g):
+        if r[d + len(g) - 1]:  # a zero leading coefficient takes no step
+            q[d] = c = r[d + len(g) - 1] / g[-1]
+            for i, b in terms:
                 r[i + d] -= c * b
     return _uni_trim(q), _uni_trim(r)
 
@@ -620,10 +753,12 @@ def _uni_divmod(f, g):
 def _uni_gcd(f, g):
     f, g = _uni_trim(f), _uni_trim(g)
     while g:
+        if len(g) == 1:  # a nonzero constant divides everything
+            return [Fraction(1)]
         f, g = g, _uni_divmod(f, g)[1]
     if f:
         lead = f[-1]
-        f = [a / lead for a in f]
+        f = [a / lead if a else a for a in f]
     return f
 
 
@@ -647,8 +782,9 @@ class UniRational:
             den = _uni_divmod(den, g)[0]
         # normalize: constant term of the denominator is 1 when possible
         scale = den[0] if den[0] != 0 else den[-1]
-        num = [a / scale for a in num]
-        den = [a / scale for a in den]
+        if scale != 1:
+            num = [a / scale if a else a for a in num]
+            den = [a / scale if a else a for a in den]
         return cls(num, den)
 
     def __eq__(self, other):

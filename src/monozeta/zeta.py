@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conegf import Grading, half_open_gf
+from .conegf import Grading, add_half_open_cells
 from .conegf import lattice_gf  # noqa: F401  re-exported: perfbench/tracer.py wraps it
 from .fan import Fan, normal_fan
 from .linalg import Vec
 from .polyhedra import MonomialIdeal, newton_polyhedron
-from .ring import BinomialFactor, BiPoly, BiRationalFunction
+from .ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,21 @@ def pole_report(zeta: BiRationalFunction, n: int):
 
 
 def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
-    """Exact Igusa zeta function of the ideal, reduced, with pole data."""
+    """Exact Igusa zeta function of the ideal, reduced, with pole data.
+
+    Every half-open cell of every maximal cone goes into one `RowSum`, whose
+    numerator is then multiplied by 1 - P n times; it is unpacked once, for
+    `reduced()`.
+    """
     fan = normal_fan(newton_polyhedron(ideal))
     n = ideal.n
     ones = (1,) * n
-    total = BiRationalFunction.zero()
+    acc = RowSum()
     for sigma in fan.maximal_cones():
-        total = total + half_open_gf(sigma, ones, Grading(sigma.vertex, ones))
-    zeta = (total * BiPoly.binomial(0, 1) ** n).reduced()
+        add_half_open_cells(acc, sigma, ones, Grading(sigma.vertex, ones))
+    for _ in range(n):
+        acc.mul_binomial(0, 1)
+    zeta = acc.rational().reduced()
     divisors = _divisors_of_fan(fan, ideal)
     return ZetaResult(
         n=n,

@@ -10,7 +10,7 @@ import pytest
 from oracles import reduced_by_trial
 from test_acceptance import corpus
 from monozeta import ring
-from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, UniRational
+from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum, UniRational
 from monozeta.zeta import igusa_zeta
 
 P = BiPoly.term(0, 1)
@@ -180,6 +180,83 @@ def test_rf_add_associative_commutative():
         f, g, h = (random_rf(rng) for _ in range(3))
         assert f + g == g + f
         assert (f + g) + h == f + (g + h)
+
+
+def random_factor(rng):
+    # a = 0 and b = 0 both occur, never together
+    return rng.choice([(0, rng.randint(1, 3)), (rng.randint(1, 3), 0),
+                       (rng.randint(1, 3), rng.randint(1, 3))])
+
+
+def test_row_sum_matches_the_pairwise_route():
+    rng = random.Random(1207)
+    widened = 0
+    for _ in range(300):
+        acc, ref = RowSum(), BiRationalFunction.zero()
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.3:
+                a, b = random_factor(rng)
+                acc.mul_binomial(a, b)
+                ref = BiRationalFunction(ref.numerator._mul_binomial(a, b), ref.denominator)
+                continue
+            # sparse rows that start away from T^0, signed coefficients, now
+            # and then one near 2^62 so that the bound forces a wider slot
+            t0, big = rng.randint(0, 40), rng.random() < 0.1
+            terms = {(t0 + rng.randint(0, 30), rng.randint(0, 5)):
+                     rng.choice((-1, 1)) * rng.randint(1, 2**62 if big else 9)
+                     for _ in range(rng.randint(1, 12))}
+            factors = [random_factor(rng) for _ in range(rng.randint(0, 4))]
+            acc.add(terms, factors)
+            ref = ref + BiRationalFunction(BiPoly(terms), factors)
+        widened += acc._width > 64
+        got = acc.rational()
+        assert got == ref
+        assert sorted(got.denominator) == sorted(ref.denominator)
+    assert widened > 10
+
+
+def test_row_sum_cancels_to_zero():
+    acc = RowSum()
+    terms = {(3, 0): 2, (5, 1): -7, (4, 4): 1}
+    acc.add(terms, [(1, 0), (2, 1)])
+    # the same fraction over a larger multiset, with the opposite sign
+    neg = BiPoly(terms)._mul_binomial(0, 2)
+    acc.add({k: -c for k, c in neg.terms()}, [(2, 1), (0, 2), (1, 0)])
+    got = acc.rational()
+    assert got.numerator.is_zero()
+    assert got.denominator == (BinomialFactor(0, 2), BinomialFactor(1, 0),
+                               BinomialFactor(2, 1))
+    assert RowSum().rational() == BiRationalFunction.zero()
+
+
+def test_row_sum_widens_before_its_bound_reaches_the_slot():
+    # (1 - T^3 P)^70 has coefficients up to C(70, 35) > 2^66: a 64-bit slot
+    # would wrap, so the l1 bound 2^70 must have widened the rows first
+    acc = RowSum()
+    acc.add({(2, 1): 1, (0, 0): -3}, [(1, 1)])
+    ref = BiPoly({(2, 1): 1, (0, 0): -3})
+    for _ in range(70):
+        acc.mul_binomial(3, 1)
+        ref = ref._mul_binomial(3, 1)
+    assert acc._width == 128
+    assert max(abs(c) for _, c in ref.terms()) > 2**66
+    assert acc.rational() == BiRationalFunction(ref, [(1, 1)])
+    # a sum keeps widening: a cell lifted by factors the sum holds
+    acc.add({(0, 0): 2**126}, [])
+    ref = ref + BiPoly.term(0, 0, 2**126)._mul_binomial(1, 1)
+    assert acc._width == 256
+    assert acc.rational() == BiRationalFunction(ref, [(1, 1)])
+
+
+def test_row_sum_rejects_bad_input():
+    acc = RowSum()
+    for bad in ([(0, 0)], [(-1, 2)]):
+        with pytest.raises(ValueError):
+            acc.add({(0, 0): 1}, bad)
+    with pytest.raises(ValueError):
+        acc.mul_binomial(0, 0)
+    with pytest.raises(ValueError):
+        acc.add({(-1, 0): 1}, [])
 
 
 def test_rf_reduce_cancels_exact_factors():
@@ -454,6 +531,20 @@ def test_specialize_is_linear_in_the_t_degree():
     assert time.perf_counter() - start < 1.0
     assert spec.num == (Fraction(1),)
     assert spec.den == (Fraction(1),) + (Fraction(0),) * (e - 1) + (Fraction(-1, 3),)
+
+
+def test_specialize_skips_zero_coefficients():
+    # the gcd stops at its first constant remainder, and no zero coefficient
+    # is divided: a constant remainder used to long-divide the whole
+    # denominator, seconds per 10^5 zero coefficients
+    e = 10**6
+    start = time.perf_counter()
+    spec = BiRationalFunction(ONE, [(e, 1)]).specialize(3)
+    assert time.perf_counter() - start < 1.0
+    assert spec.num == (Fraction(1),)
+    assert len(spec.den) == e + 1
+    assert (spec.den[0], spec.den[-1]) == (Fraction(1), Fraction(-1, 3))
+    assert not any(spec.den[1:-1])
 
 
 def test_specialize_commutes_with_series():

@@ -1,6 +1,7 @@
 """End-to-end zeta computation: closed forms, series oracle, pole bookkeeping."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,30 @@ def test_monomial_closed_form_matches_pipeline():
             continue
         via_fan = igusa_zeta(MonomialIdeal(n, [u])).zeta
         assert via_fan == principal_zeta(u).reduced(), u
+
+
+def test_igusa_zeta_sums_off_the_pairwise_route(monkeypatch):
+    # the cells go into one RowSum and (1 - P)^n is n row multiplies: no
+    # pairwise sum of rational functions and no generic polynomial product
+    calls = Counter()
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(BiRationalFunction, "__add__")
+    counted(BiPoly, "__mul__")
+    BiRationalFunction.one() + BiRationalFunction.one()
+    BiPoly.one() * BiPoly.one()
+    assert calls == {"__add__": 1, "__mul__": 1}  # the counters see calls
+    calls.clear()
+    for ideal in corpus()[:6]:
+        igusa_zeta(ideal)
+    assert calls == Counter()
 
 
 def zeta_by_definition(ideal):
