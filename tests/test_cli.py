@@ -68,6 +68,15 @@ def test_zeta_rejects_composite_prime(capsys):
         assert "error: 0 is not a prime" in err
 
 
+def test_specialize_rejects_huge_t_degree(capsys):
+    # a dense list of this length cannot even be sized (OverflowError); the
+    # degree is refused before anything is allocated
+    for cmd in ("zeta", "verify"):
+        code, out, err = run(capsys, cmd, "--ideal", "x^99999999999999999999", "--prime", "2")
+        assert code == 2 and out == ""
+        assert "error: cannot specialize at T-degree 99999999999999999999" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "zeta", "--ideal", "x^")
     assert code == 2 and out == ""

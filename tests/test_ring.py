@@ -448,6 +448,57 @@ def test_screen_zero_falls_through_to_chain_sums():
     assert rf.reduced() == rf == reduced_by_trial(rf)
 
 
+def test_screen_one_pass_matches_one_point_evaluations():
+    # more than 16 points, so a second lane group runs; coefficients up to
+    # 2^200 widen the lanes past 64 bits; gaps up to 10^6 between T-degrees
+    rng = random.Random(210)
+    points = [ring._screen_point(x, g) for x in DIRECTIONS for g in GCDS + (23,)]
+    widths = set()
+    vanished = cleared = 0
+    for trial in range(60):
+        bound = rng.choice((3, 2**64, 2**200))
+        num = BiPoly() if trial == 0 else BiPoly(
+            {(rng.choice((0, 1, 7, 10**3, 10**6)) + rng.randint(0, 3), rng.randint(0, 4)):
+             rng.randint(-bound, bound) for _ in range(rng.randint(1, 12))})
+        for _ in range(rng.randint(0, 2)):
+            x = rng.choice(DIRECTIONS)
+            num = num * BiPoly.binomial(*(rng.choice(GCDS) * e for e in x))
+        layout = ring._rows_by_p_degree(num)
+        chosen = rng.sample(points, rng.randint(17, len(points)))
+        got = ring._nonzero_at(layout, chosen)
+        assert got == [p is not None and not ring._vanishes_at(layout, p) for p in chosen]
+        assert got == [p is not None and sum(
+            c * pow(p[1], t, p[0]) * pow(p[2], e, p[0]) for (t, e), c in num.terms()) % p[0] != 0
+            for p in chosen]
+        vanished += sum(not v for v, p in zip(got, chosen) if p is not None)
+        cleared += sum(got)
+        if num:
+            l1 = max(sum(abs(c) for (_, e), c in num.terms() if e == p)
+                     for p in range(num.p_degree() + 1))
+            widths.add(min(w for w in range(64, 512, 64)
+                           if l1 * (ring._SCREEN_PRIME - 1) < 2**(w - 1)))
+    assert None in points and vanished > 100 and cleared > 100
+    assert {64, 128, 256} <= widths
+
+
+def test_rf_reduce_screens_every_factor_in_one_pass(monkeypatch):
+    def one_point(layout, point):
+        raise AssertionError("a screen point evaluated on its own")
+    monkeypatch.setattr(ring, "_vanishes_at", one_point)
+    sums = []
+    reduced = BiRationalFunction.reduced
+    def recording(self):
+        sums.append(self)
+        return reduced(self)
+    monkeypatch.setattr(BiRationalFunction, "reduced", recording)
+    for ideal in corpus()[:10]:
+        igusa_zeta(ideal)
+    monkeypatch.setattr(BiRationalFunction, "reduced", reduced)
+    assert len(sums) == 10
+    for rf in sums:
+        assert rf.reduced() == reduced_by_trial(rf)
+
+
 def test_rf_reduce_is_fast_at_huge_degrees():
     g = 2 * 10**9
     cases = [
