@@ -186,6 +186,24 @@ def _cmd_bsroots(args) -> int:
     return 0 if check.all_verified else 1
 
 
+# the direct expansion walks every lattice point of coordinate sum <= bound:
+# --ideal x,y,z --bound 150 (585,276 points) took ~5 s (2 vCPU, Python 3.11)
+_MAX_SERIES_POINTS = 10**6
+
+
+def _check_series_bound(bound, n):
+    """Refuse a bound whose direct expansion in n variables walks more than
+    `_MAX_SERIES_POINTS` lattice points, C(bound + n, n) of them.  The
+    product stops once past the limit, so a huge bound costs nothing."""
+    points, top = 1, max(bound, n)
+    for k in range(1, min(bound, n) + 1):
+        points = points * (top + k) // k  # C(top + k, k)
+        if points > _MAX_SERIES_POINTS:
+            raise ValueError(f"--bound {bound} with n = {n} variables: the direct "
+                             f"expansion walks C(bound + n, n) >= {points} lattice "
+                             f"points; the limit is {_MAX_SERIES_POINTS}")
+
+
 def _battery(ideal, res, bound):
     """The checks verify and corpus share, with the series and the Newton
     polyhedron they were read from: the fan route's series against the
@@ -206,8 +224,9 @@ def _cmd_verify(args) -> int:
     if args.bound < 0:
         raise ValueError("--bound must be >= 0")
     ideal, names = _load_ideal(args)
-    res = igusa_zeta(ideal)
     bound = args.bound
+    _check_series_bound(bound, ideal.n)
+    res = igusa_zeta(ideal)
     via, _, ok = _battery(ideal, res, bound)
     checks: list[tuple[str, bool, str]] = [
         ("series match", ok["series"],
@@ -246,6 +265,7 @@ def _cmd_corpus(args) -> int:
             or min(args.max_vars, args.max_gens, args.max_exp) < 1):
         raise ValueError("--count must be >= 0, --bound must be >= 0 and --max-vars, "
                          "--max-gens, --max-exp must be >= 1")
+    _check_series_bound(args.bound, args.max_vars)
     rng = random.Random(args.seed)
     close_out = False
     if args.out in (None, "-"):

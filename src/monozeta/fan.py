@@ -14,12 +14,8 @@ from functools import cached_property
 
 from .dd import extreme_rays
 from .linalg import (Vec, dot, eliminate, left_kernel_basis, primitive, rank,
-                     saturation_basis, scale_to_int, solve)
+                     saturation_basis, scale_to_int, solve, unit)
 from .polyhedra import NewtonPolyhedron
-
-
-def _unit(i, n):
-    return tuple(int(j == i) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ def cone_from_rays(generators, n, vertex=None) -> Cone:
     """
     gens = sorted({primitive(g) for g in generators if any(g)})
     if not gens:
-        ineqs = tuple(h for i in range(n) for h in (_unit(i, n), tuple(-x for x in _unit(i, n))))
+        ineqs = tuple(h for i in range(n) for h in (unit(i, n), tuple(-x for x in unit(i, n))))
         return Cone(n, (), ineqs, 0, vertex)
     basis = saturation_basis(gens, n)
     r = len(basis)

@@ -19,6 +19,11 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
+def unit(i, n) -> Vec:
+    """The i-th unit vector of length n."""
+    return tuple(int(j == i) for j in range(n))
+
+
 def vec_gcd(v) -> int:
     g = 0
     for a in v:

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .dd import facet_normals
-from .linalg import Vec, dot, rank, vec_gcd
-
-
-def _unit(i, n):
-    return tuple(int(j == i) for j in range(n))
+from .linalg import Vec, dot, rank, unit, vec_gcd
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ class NewtonPolyhedron:
 
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     n = ideal.n
-    homog = [g + (1,) for g in ideal.generators] + [_unit(i, n + 1) for i in range(n)]
+    homog = [g + (1,) for g in ideal.generators] + [unit(i, n + 1) for i in range(n)]
     facets = []
     for w in facet_normals(homog, n + 1):
         v, t = w[:n], w[n]

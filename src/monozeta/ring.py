@@ -118,16 +118,7 @@ class BiPoly:
             return BiPoly._raw({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out = {}
-        for (t1, p1), c1 in self._terms.items():
-            for (t2, p2), c2 in other._terms.items():
-                k = (t1 + t2, p1 + p2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return BiPoly._raw(out)
+        return self.mul_truncated(other, self.p_degree() + other.p_degree())
 
     __rmul__ = __mul__
 
@@ -156,6 +147,7 @@ class BiPoly:
         return BiPoly._raw({k: c for k, c in out.items() if c})
 
     def mul_truncated(self, other, bound):
+        """Product with every term of P-degree above bound left out."""
         out = {}
         for (t1, p1), c1 in self._terms.items():
             if p1 > bound:
@@ -189,14 +181,15 @@ class BiPoly:
         Q = N + T^a P^b Q solved chain by chain: monomials congruent modulo
         (a, b) form a chain along which the quotient coefficient is the
         running sum of the numerator coefficients; exact iff every running
-        sum ends at zero.  Linear in the terms of N and Q.
+        sum ends at zero.  A monomial is placed on its chain by one
+        exponent, as `reduced()` tells chains apart; a chain's key may then
+        have a negative P part, but every quotient monomial lies between
+        two numerator monomials of its chain.  Linear in the terms of N
+        and Q.
         """
         chains: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for (t, p), c in self._terms.items():
-            if a and b:
-                k = min(t // a, p // b)
-            else:
-                k = t // a if a else p // b
+            k = t // a if a else p // b
             chains.setdefault((t - k * a, p - k * b), []).append((k, c))
         out: dict[tuple[int, int], int] = {}
         for (rt, rp), items in chains.items():
@@ -604,22 +597,33 @@ def _slot_lift(width, n):
     return (bytes(width // 8 - 1) + b"\x80") * n
 
 
+def _by_p_degree(terms):
+    """{p: (T-degrees, coefficients)} of the terms {(t, p): c}, each row in
+    the order of the terms."""
+    rows: dict[int, tuple[list[int], list[int]]] = {}
+    for (t, p), c in terms.items():
+        row = rows.get(p)
+        if row is None:
+            rows[p] = ([t], [c])
+        else:
+            row[0].append(t)
+            row[1].append(c)
+    return rows
+
+
 def _pack(terms, width):
     """The rows {p: (t0, v)} of terms {(t, p): c}, each |c| < 2^(width-1).
     Each slot is written as c + 2^(width-1), so no slot borrows, and the
     lift is taken off the whole row at once."""
-    by_p: dict[int, list[tuple[int, int]]] = {}
-    for (t, p), c in terms.items():
-        by_p.setdefault(p, []).append((t, c))
     size, half = width // 8, 1 << (width - 1)
     rows = {}
-    for p, items in by_p.items():
-        t0 = min(t for t, _ in items)
+    for p, (ts, cs) in _by_p_degree(terms).items():
+        t0 = min(ts)
         if t0 < 0 or p < 0:
             raise ValueError("negative exponent in a packed term")
-        lift = _slot_lift(width, max(t for t, _ in items) - t0 + 1)
+        lift = _slot_lift(width, max(ts) - t0 + 1)
         buf = bytearray(lift)
-        for t, c in items:
+        for t, c in zip(ts, cs):
             i = (t - t0) * size
             buf[i:i + size] = (c + half).to_bytes(size, "little")
         rows[p] = (t0, int.from_bytes(buf, "little") - int.from_bytes(lift, "little"))
@@ -702,21 +706,10 @@ def _screen_point(x, g):
 
 
 def _rows_by_p_degree(poly):
-    """The terms of poly as rows (p, T-degree indices, coefficients), one
-    per P-degree in increasing order, and the sorted T-degrees present that
-    the indices point into."""
-    rows: dict[int, tuple[list[int], list[int]]] = {}
-    for (t, p), c in poly._terms.items():
-        row = rows.get(p)
-        if row is None:
-            rows[p] = ([t], [c])
-        else:
-            row[0].append(t)
-            row[1].append(c)
-    t_degrees = sorted(set(chain.from_iterable(ts for ts, _ in rows.values())))
-    at = {t: i for i, t in enumerate(t_degrees)}.__getitem__
-    return ([(p, list(map(at, ts)), cs) for p, (ts, cs) in sorted(rows.items())],
-            t_degrees)
+    """The terms of poly as rows (p, T-degrees, coefficients), one per
+    P-degree in increasing order, and the sorted T-degrees present."""
+    rows = [(p, ts, cs) for p, (ts, cs) in sorted(_by_p_degree(poly._terms).items())]
+    return rows, sorted(set(chain.from_iterable(ts for _, ts, _ in rows)))
 
 
 def _powers(base, exponents, q):
@@ -740,13 +733,13 @@ def _nonzero_at(layout, points):
     `_rows_by_p_degree` nonzero at it modulo q?  False for None.
 
     One pass over the terms evaluates up to `_SCREEN_LANES` points (Kronecker
-    substitution, as in `RowSum`): entry t of the table holds T0_k^t mod q
-    in lane k, B bits wide, so a row's sum over the table holds the row's
-    value at every T0_k at once.  B is the least multiple of 64 with
-    l1 * (q - 1) < 2^(B-1), l1 the largest row l1 norm, so every lane is
-    read back exactly by `_unpack`; lane k is then weighted by P0_k^p and
-    summed modulo q.  Linear in the terms: T0 and P0 are raised only to
-    the degrees present."""
+    substitution, as in `RowSum`): the table's entry for T-degree t holds
+    T0_k^t mod q in lane k, B bits wide, so a row's sum over the table
+    holds the row's value at every T0_k at once.  B is the least multiple
+    of 64 with l1 * (q - 1) < 2^(B-1), l1 the largest row l1 norm, so
+    every lane is read back exactly by `_unpack`; lane k is then weighted
+    by P0_k^p and summed modulo q.  Linear in the terms: T0 and P0 are
+    raised only to the degrees present."""
     rows, t_degrees = layout
     live = [k for k, point in enumerate(points) if point is not None]
     out = [False] * len(points)
@@ -761,9 +754,9 @@ def _nonzero_at(layout, points):
         shifts = range(0, width * len(group), width)
         table = [sum(map(lshift, lanes, shifts)) for lanes in
                  zip(*(_powers(t0, t_degrees, q) for q, t0, _ in group))]
-        at = table.__getitem__
-        values = _unpack({r: (0, sum(map(mul, cs, map(at, ix))))
-                          for r, (_, ix, cs) in enumerate(rows)}, width)
+        at = dict(zip(t_degrees, table)).__getitem__
+        values = _unpack({r: (0, sum(map(mul, cs, map(at, ts))))
+                          for r, (_, ts, cs) in enumerate(rows)}, width)
         p_powers = [_powers(p0, p_degrees, q) for q, _, p0 in group]
         sums = [0] * len(group)
         for (k, r), v in values.items():

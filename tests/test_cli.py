@@ -2,14 +2,19 @@
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from monozeta import cli
 from monozeta.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -75,6 +80,37 @@ def test_specialize_rejects_huge_t_degree(capsys):
         code, out, err = run(capsys, cmd, "--ideal", "x^99999999999999999999", "--prime", "2")
         assert code == 2 and out == ""
         assert "error: cannot specialize at T-degree 99999999999999999999" in err
+
+
+def test_series_bound_is_refused_before_expansion(capsys):
+    # a 10^9-term geometric series would exhaust memory: the lattice point
+    # count C(bound + n, n) is refused before anything is expanded
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--ideal", "x", "--bound", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: --bound 1000000000 with n = 1 variables")
+    assert ">= 1000000001 lattice points" in err
+    # corpus sizes the count by --max-vars; the defaults stay accepted
+    code, out, err = run(capsys, "corpus", "--max-vars", "27")
+    assert code == 2 and out == ""
+    assert "--bound 6 with n = 27 variables" in err and ">= 1107568" in err
+    cli._check_series_bound(8, 16)
+    cli._check_series_bound(6, 26)
+
+
+def test_readme_command_line_examples(capsys):
+    # each `$ monozeta ...` example in the README's "Command line" block
+    # prints exactly the lines shown under it
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = block.split("$ monozeta ")[1:]
+    assert [chunk.split()[0] for chunk in examples] == ["zeta", "bsroots", "verify"]
+    for chunk in examples:
+        command, *lines = chunk.rstrip("\n").split("\n")
+        code, out, err = run(capsys, *shlex.split(command))
+        assert code == 0 and err == ""
+        assert out.splitlines() == lines, command
 
 
 def test_parse_error_exit_code(capsys):

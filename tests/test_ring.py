@@ -302,8 +302,10 @@ def test_rf_reduce_preserves_series():
 
 
 def test_rf_reduce_is_one_pass(monkeypatch):
-    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the chain sums rule out 1 - T P
-    # without a division, so the one division made is the one that succeeds
+    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the screen rules out 1 - T P
+    # without a division (at its point T0 = 61, P0 = 61^-1 the numerator is
+    # 1 - 61^-1, nonzero mod q), so the one division made is the one that
+    # succeeds
     calls = []
     div_exact = BiPoly.div_exact
     def counting(self, divisor):
