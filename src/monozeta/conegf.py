@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 from .fan import Cone, triangulate
 from .linalg import Vec, dot, eliminate, rank, row_hnf
@@ -63,14 +64,17 @@ class HalfOpenSimplicialCone:
         object.__setattr__(self, "open_facets", open_facets)
 
 
-def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
-    """Lattice points of the half-open fundamental parallelepiped.
+def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None = None):
+    """Lattice points of the half-open fundamental parallelepiped, sorted;
+    with a grading, their weights instead, one per point, in no set order.
 
     These are the points sum(lam_i * ray_i) with lam_i in [0,1) on closed
     facets and (0,1] on open ones.  The admissible lam form the lattice dual
     to the one the ray matrix's columns span in Z^r; a triangular basis of
     it lets them be enumerated coordinate by coordinate, visiting exactly d
-    points, d the index of that column lattice (|det| for r = n).
+    points, d the index of that column lattice (|det| for r = n).  A weight
+    is linear in lam, so the descent carries it in place of the point: r + 2
+    ints a node instead of r + n, and no point is built.
     """
     rays = cell.rays
     r = len(rays)
@@ -83,38 +87,43 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone) -> list[Vec]:
     basis = [row for row in row_hnf([list(col) for col in zip(*rays)]) if any(row)]
     red, _, d, _ = eliminate([[b[i] for b in basis] + [int(i == j) for j in range(r)]
                               for i in range(r)])
-    # a node is d * lam followed by its point, one add of a step per move; a
-    # step's lam is in the lattice, so its point is integral
-    steps = []
-    for row in (row[r:] for row in red):
+    # a node at level j is its image (point or weight) followed by
+    # d * lam_0..j, one add of a step per move; step j is row j's image and
+    # its d * lam_0..j-1, so the add drops coordinate j, which no lower level
+    # reads.  A step's lam is in the lattice, so its point is integral.
+    # lam_j = (c + y * pivot) / d runs over [0, 1), or (0, 1] on an open
+    # wall, that is c - open + y * pivot over [0, d); the pivot divides d, so
+    # every node has d // pivot moves, the first at y = -((c - open) // pivot)
+    levels = []
+    for j, row in enumerate(row[r:] for row in red):
         image = [dot(row, col) for col in zip(*rays)]
         if any(a % d for a in image):
             raise AssertionError("parallelepiped coefficient escaped the lattice")
-        steps.append(row + [a // d for a in image])
-    points = []
+        point = [a // d for a in image]
+        step = (list(grading.weight(point)) if grading else point) + row[:j]
+        levels.append((step, row[j], int(j in cell.open_facets), d // row[j]))
+    step0, h0, o0, n0 = levels[0]
+    if r == 1:  # the root is an innermost node
+        return sorted(tuple(y * s for s in step0) for y in range(o0, o0 + n0))
+    out = []
 
     def descend(j, node):
-        if j < 0:
-            points.append(tuple(node[r:]))
-            return
-        step = steps[j]
-        h = step[j]
-        base = node[j]
-        if j in cell.open_facets:
-            # 0 < (base + y*h)/d <= 1
-            y_lo = (-base) // h + 1
-            y_hi = (d - base) // h
-        else:
-            # 0 <= (base + y*h)/d < 1
-            y_lo = -(base // h)
-            y_hi = (d - base - 1) // h
-        node = [a + y_lo * s for a, s in zip(node, step)]
-        for _ in range(y_lo, y_hi + 1):
-            descend(j - 1, node)
-            node = [a + s for a, s in zip(node, step)]
+        step, h, o, n = levels[j]
+        y = -((node[-1] - o) // h)
+        node = [a + y * s for a, s in zip(node, step)]
+        for _ in range(n):
+            if j > 1:
+                descend(j - 1, node)
+            else:
+                # the innermost coordinate: its moves are the points
+                y = -((node[-1] - o0) // h0)
+                for _ in range(n0):
+                    out.append(tuple([a + y * s for a, s in zip(node, step0)]))
+                    y += 1
+            node = list(map(add, node, step))
 
-    descend(r - 1, [0] * (r + len(rays[0])))
-    return sorted(points)
+    descend(r - 1, [0] * (len(step0) + r))
+    return out if grading else sorted(out)
 
 
 def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
@@ -147,7 +156,7 @@ def add_half_open_cells(acc: RowSum, cone: Cone, q: Vec, grading: Grading):
     the point q into the accumulator: its parallelepiped's weights over one
     factor 1 - T^a P^b per ray."""
     for cell in _half_open_cells(cone, q):
-        acc.add(Counter(grading.weight(pt) for pt in parallelepiped_points(cell)),
+        acc.add(Counter(parallelepiped_points(cell, grading)),
                 [grading.weight(r) for r in cell.rays])
 
 

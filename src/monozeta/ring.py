@@ -16,7 +16,7 @@ import heapq
 import struct
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from operator import index, lshift, mul
 from typing import NamedTuple
@@ -178,32 +178,53 @@ class BiPoly:
     def _div_binomial(self, a, b):
         """Exact quotient by 1 - T^a P^b, or None.
 
-        Q = N + T^a P^b Q solved chain by chain: monomials congruent modulo
-        (a, b) form a chain along which the quotient coefficient is the
-        running sum of the numerator coefficients; exact iff every running
-        sum ends at zero.  A monomial is placed on its chain by one
-        exponent, as `reduced()` tells chains apart; a chain's key may then
-        have a negative P part, but every quotient monomial lies between
-        two numerator monomials of its chain.  Linear in the terms of N
-        and Q.
+        Q = N + T^a P^b Q, solved one row at a time: a row holds the
+        monomials of one P-degree (one T-degree when b = 0), so quotient row
+        e is numerator row e plus quotient row e - b moved by T^a (row e - a
+        when b = 0).  Rows one step apart form a chain.  A row is kept as
+        (offset, {exponent - offset: c}), so a move changes the offset and
+        an add starts from a C-level dict copy.  Between two numerator rows
+        of a chain the quotient row only moves, so it is computed once per
+        numerator row and written once per row it covers: a gap costs
+        nothing unless the quotient fills it.  Exact iff the last quotient
+        row of every chain is 0; a nonzero one would repeat past the top.
         """
-        chains: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        step, move = (b, a) if b else (a, 0)
+        rows: dict[int, dict[int, int]] = {}
         for (t, p), c in self._terms.items():
-            k = t // a if a else p // b
-            chains.setdefault((t - k * a, p - k * b), []).append((k, c))
-        out: dict[tuple[int, int], int] = {}
-        for (rt, rp), items in chains.items():
-            items.sort()
-            s = 0
-            prev = 0
-            for k, c in items:
-                if s:
-                    for j in range(prev, k):
-                        out[(rt + j * a, rp + j * b)] = s
-                s += c
-                prev = k
-            if s:
+            e, x = (p, t) if b else (t, p)
+            row = rows.get(e)
+            if row is None:
+                rows[e] = {x: c}
+            else:
+                row[x] = c
+        runs = []  # (row, offset, quotient row, next numerator row of its chain)
+        last = None  # the latest nonzero quotient row, as (row, offset, terms)
+        for e in sorted(rows, key=lambda e: (e % step, e)):
+            if last is None:
+                off, q = 0, rows[e]
+            elif (e - last[0]) % step:
                 return None
+            else:
+                runs.append((*last, e))
+                off = last[1] + (e - last[0]) // step * move
+                q = dict(last[2])
+                for x, c in rows[e].items():
+                    x -= off
+                    s = q.get(x, 0) + c
+                    if s:
+                        q[x] = s
+                    else:
+                        del q[x]
+            last = (e, off, q) if q else None
+        if last is not None:
+            return None
+        out: dict[tuple[int, int], int] = {}
+        for e0, off, q, end in runs:
+            for e in range(e0, end, step):
+                xs = map(off.__add__, q) if off else q
+                out.update(zip(zip(xs, repeat(e)) if b else zip(repeat(e), xs), q.values()))
+                off += move
         return BiPoly._raw(out)
 
     def div_exact(self, divisor):

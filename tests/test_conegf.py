@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -65,7 +67,9 @@ SQUARE_R5 = [(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)]
 SQUARE_R3 = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 
 
-def test_parallelepiped_matches_naive_oracle():
+def oracle_cells():
+    """Random cells, negative and non-primitive rays and r = 1 among them,
+    plus cells of rank below n with every choice of open walls."""
     rng = random.Random(600)
     cells = [random_cell(rng, allow_negative=i % 2 == 1) for i in range(100)]
     # rank below n in R^4 and R^5, with every choice of open walls; the first
@@ -77,10 +81,33 @@ def test_parallelepiped_matches_naive_oracle():
         for k in range(len(rays) + 1):
             cells += [HalfOpenSimplicialCone(rays, opened)
                       for opened in itertools.combinations(range(len(rays)), k)]
-    for cell in cells:
+    return cells
+
+
+def test_parallelepiped_matches_naive_oracle():
+    for cell in oracle_cells():
         got = parallelepiped_points(cell)
         assert got == naive_parallelepiped(cell.rays, cell.open_facets), cell
         assert len(set(got)) == len(got)
+
+
+def test_graded_descent_weighs_every_point_once():
+    # the descent carries the weight in place of the point: one weight per
+    # point, the multiset of the points' weights
+    rng = random.Random(602)
+    cells = oracle_cells()
+    rays = [r for c in cells for r in c.rays]
+    assert any(min(r) < 0 for r in rays) and any(gcd(*r) > 1 for r in rays)
+    assert any(len(c.rays) == 1 for c in cells)
+    assert any(len(c.rays) < len(c.rays[0]) for c in cells)
+    for cell in cells:
+        points = parallelepiped_points(cell)
+        n = len(cell.rays[0])
+        for _ in range(3):
+            g = Grading(*(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(2)))
+            weights = parallelepiped_points(cell, g)
+            assert len(weights) == len(points), cell
+            assert Counter(weights) == Counter(g.weight(v) for v in points), (cell, g)
 
 
 def test_parallelepiped_count_is_determinant():

@@ -98,6 +98,41 @@ def test_poly_division_roundtrip():
     assert (ONE - P).div_exact(ONE - TP) is None
 
 
+def test_binomial_division_matches_the_heap_route():
+    # T^a P^b - 1 is not of the form 1 - x, so div_exact divides by it on the
+    # heap: the quotient by 1 - T^a P^b must be its negative, or both None
+    def check(n, a, b):
+        f = BiPoly.binomial(a, b)
+        q, heap = n.div_exact(f), n.div_exact(-f)
+        assert (q is None) == (heap is None), (n, a, b)
+        assert q is None or (q == -heap and q._mul_binomial(a, b) == n), (n, a, b)
+        return q is not None
+
+    rng = random.Random(212)
+    exact = 0
+    for i in range(1500):
+        a, b = rng.choice(((0, rng.randint(1, 3)), (rng.randint(1, 3), 0),
+                           (rng.randint(1, 4), rng.randint(1, 4))))
+        n = random_poly(rng, max_deg=6, max_terms=8)
+        if i % 3:  # planted, then perturbed by one monomial every other time
+            n = n._mul_binomial(a, b)
+            if i % 3 == 2:
+                n = n + BiPoly.term(rng.randint(0, 8), rng.randint(0, 8), rng.choice((-1, 1)))
+        exact += check(n, a, b)
+    assert 500 <= exact <= 600
+    # rows 10^18 apart: neither route walks the gap
+    g = 10**18
+    start = time.perf_counter()
+    for a, b in ((0, 1), (1, 0), (2, 3)):
+        h = BiPoly({(0, 0): 2, (1, 2): -1, (g, 1): 3, (4, g): 1, (g, g + 5): -2})
+        n = h._mul_binomial(a, b)
+        assert check(n, a, b) and check(n + 3 * ONE, a, b) is False
+        # sweep only: the heap route would walk the gap down from the top
+        for bad in (n + BiPoly.term(g + 9, g + 9), ONE + BiPoly.term(g * b, g * a)):
+            assert bad.div_exact(BiPoly.binomial(a, b)) is None
+    assert time.perf_counter() - start < 0.1
+
+
 def test_poly_truncation():
     rng = random.Random(201)
     for _ in range(30):
