@@ -160,14 +160,6 @@ def add_half_open_cells(acc: RowSum, cone: Cone, q: Vec, grading: Grading):
                 [grading.weight(r) for r in cell.rays])
 
 
-def half_open_gf(cone: Cone, q: Vec, grading: Grading) -> BiRationalFunction:
-    """Generating function of the cone's half-open cells for the point q,
-    summed in one `RowSum`."""
-    acc = RowSum()
-    add_half_open_cells(acc, cone, q, grading)
-    return acc.rational()
-
-
 def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
     """Generating function of all lattice points of the (closed) cone."""
     return _cone_gf(cone, grading, 1)
@@ -184,8 +176,11 @@ def interior_lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
 
 
 def _cone_gf(cone: Cone, grading: Grading, side: int) -> BiRationalFunction:
-    """The half-open cells against side * (sum of the rays), side = +-1."""
+    """The half-open cells against side * (sum of the rays), side = +-1,
+    summed in one `RowSum`."""
     grading.validate_on(cone)
     if cone.dim == 0:
         return BiRationalFunction.one()
-    return half_open_gf(cone, tuple(side * sum(col) for col in zip(*cone.rays)), grading)
+    acc = RowSum()
+    add_half_open_cells(acc, cone, tuple(side * sum(col) for col in zip(*cone.rays)), grading)
+    return acc.rational()

@@ -16,7 +16,7 @@ import heapq
 import struct
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd
 from operator import index, lshift, mul
 from typing import NamedTuple
@@ -139,12 +139,10 @@ class BiPoly:
         return BiPoly._raw({k: c for k, c in self._terms.items() if k[1] <= bound})
 
     def subs_t_one(self):
-        """Substitute T = 1, collapsing onto the P axis."""
-        out: dict[tuple[int, int], int] = {}
-        for (t, p), c in self._terms.items():
-            k = (0, p)
-            out[k] = out.get(k, 0) + c
-        return BiPoly._raw({k: c for k, c in out.items() if c})
+        """Substitute T = 1, collapsing onto the P axis: each P-degree row
+        summed."""
+        return BiPoly._raw({(0, p): s for p, row in _by_p_degree(self._terms).items()
+                            if (s := sum(row.values()))})
 
     def mul_truncated(self, other, bound):
         """Product with every term of P-degree above bound left out."""
@@ -175,39 +173,37 @@ class BiPoly:
                 del out[k]
         return BiPoly._raw(out)
 
-    def _div_binomial(self, a, b):
-        """Exact quotient by 1 - T^a P^b, or None.
+    def _swapped(self):
+        """The polynomial with T and P exchanged."""
+        return BiPoly._raw({(p, t): c for (t, p), c in self._terms.items()})
 
-        Q = N + T^a P^b Q, solved one row at a time: a row holds the
-        monomials of one P-degree (one T-degree when b = 0), so quotient row
-        e is numerator row e plus quotient row e - b moved by T^a (row e - a
-        when b = 0).  Rows one step apart form a chain.  A row is kept as
-        (offset, {exponent - offset: c}), so a move changes the offset and
+    def _div_binomial(self, a, b):
+        """Exact quotient by 1 - T^a P^b, b > 0, or None.
+
+        Q = N + T^a P^b Q, solved one row at a time on the P-degree rows of
+        `_by_p_degree`: quotient row e is numerator row e plus quotient row
+        e - b moved by T^a.  Rows b apart form a chain.  A row is kept as
+        (offset, {T-degree - offset: c}), so a move changes the offset and
         an add starts from a C-level dict copy.  Between two numerator rows
         of a chain the quotient row only moves, so it is computed once per
         numerator row and written once per row it covers: a gap costs
         nothing unless the quotient fills it.  Exact iff the last quotient
         row of every chain is 0; a nonzero one would repeat past the top.
+        A P-free factor 1 - T^a never comes here: `div_exact` divides the
+        polynomial with T and P swapped by 1 - P^a and swaps the quotient
+        back.
         """
-        step, move = (b, a) if b else (a, 0)
-        rows: dict[int, dict[int, int]] = {}
-        for (t, p), c in self._terms.items():
-            e, x = (p, t) if b else (t, p)
-            row = rows.get(e)
-            if row is None:
-                rows[e] = {x: c}
-            else:
-                row[x] = c
+        rows = _by_p_degree(self._terms)
         runs = []  # (row, offset, quotient row, next numerator row of its chain)
         last = None  # the latest nonzero quotient row, as (row, offset, terms)
-        for e in sorted(rows, key=lambda e: (e % step, e)):
+        for e in sorted(rows, key=lambda e: (e % b, e)):
             if last is None:
                 off, q = 0, rows[e]
-            elif (e - last[0]) % step:
+            elif (e - last[0]) % b:
                 return None
             else:
                 runs.append((*last, e))
-                off = last[1] + (e - last[0]) // step * move
+                off = last[1] + (e - last[0]) // b * a
                 q = dict(last[2])
                 for x, c in rows[e].items():
                     x -= off
@@ -221,10 +217,10 @@ class BiPoly:
             return None
         out: dict[tuple[int, int], int] = {}
         for e0, off, q, end in runs:
-            for e in range(e0, end, step):
+            for e in range(e0, end, b):
                 xs = map(off.__add__, q) if off else q
-                out.update(zip(zip(xs, repeat(e)) if b else zip(repeat(e), xs), q.values()))
-                off += move
+                out.update(zip(zip(xs, repeat(e)), q.values()))
+                off += a
         return BiPoly._raw(out)
 
     def div_exact(self, divisor):
@@ -242,7 +238,10 @@ class BiPoly:
         if len(divisor._terms) == 2 and divisor._terms.get((0, 0)) == 1:
             ((ea, eb),) = (m for m in divisor._terms if m != (0, 0))
             if divisor._terms[(ea, eb)] == -1:
-                return self._div_binomial(ea, eb)
+                if eb:
+                    return self._div_binomial(ea, eb)
+                q = self._swapped()._div_binomial(eb, ea)
+                return None if q is None else q._swapped()
 
         def key(m):
             # negated graded-lex so heapq's min-heap pops the largest
@@ -438,7 +437,7 @@ class BiRationalFunction:
         num, den = self.numerator, []
         lines = [((f.a // g, f.b // g), g)
                  for f in self.denominator for g in (gcd(f.a, f.b),)]
-        stays = _nonzero_at(_rows_by_p_degree(num),
+        stays = _nonzero_at(_by_p_degree(num._terms),
                             [_screen_point(x, g) for x, g in lines])
         for f, (x, g), stay in zip(self.denominator, lines, stays):
             if stay:
@@ -619,16 +618,17 @@ def _slot_lift(width, n):
 
 
 def _by_p_degree(terms):
-    """{p: (T-degrees, coefficients)} of the terms {(t, p): c}, each row in
-    the order of the terms."""
-    rows: dict[int, tuple[list[int], list[int]]] = {}
+    """The rows {p: {t: c}} of the terms {(t, p): c}, one per P-degree, each
+    in the order of the terms.  The one grouping by P-degree: `_pack`, the
+    `reduced()` screen (`_nonzero_at`), `_div_binomial` and `subs_t_one`
+    all read these rows."""
+    rows: dict[int, dict[int, int]] = {}
     for (t, p), c in terms.items():
         row = rows.get(p)
         if row is None:
-            rows[p] = ([t], [c])
+            rows[p] = {t: c}
         else:
-            row[0].append(t)
-            row[1].append(c)
+            row[t] = c
     return rows
 
 
@@ -638,13 +638,13 @@ def _pack(terms, width):
     lift is taken off the whole row at once."""
     size, half = width // 8, 1 << (width - 1)
     rows = {}
-    for p, (ts, cs) in _by_p_degree(terms).items():
-        t0 = min(ts)
+    for p, row in _by_p_degree(terms).items():
+        t0 = min(row)
         if t0 < 0 or p < 0:
             raise ValueError("negative exponent in a packed term")
-        lift = _slot_lift(width, max(ts) - t0 + 1)
+        lift = _slot_lift(width, max(row) - t0 + 1)
         buf = bytearray(lift)
-        for t, c in zip(ts, cs):
+        for t, c in row.items():
             i = (t - t0) * size
             buf[i:i + size] = (c + half).to_bytes(size, "little")
         rows[p] = (t0, int.from_bytes(buf, "little") - int.from_bytes(lift, "little"))
@@ -726,13 +726,6 @@ def _screen_point(x, g):
     return (q, pow(z, u, q) * pow(s, b0, q) % q, pow(z, v, q) * pow(s, -a0, q) % q)
 
 
-def _rows_by_p_degree(poly):
-    """The terms of poly as rows (p, T-degrees, coefficients), one per
-    P-degree in increasing order, and the sorted T-degrees present."""
-    rows = [(p, ts, cs) for p, (ts, cs) in sorted(_by_p_degree(poly._terms).items())]
-    return rows, sorted(set(chain.from_iterable(ts for _, ts, _ in rows)))
-
-
 def _powers(base, exponents, q):
     """base^e mod q for the increasing exponents e, each one step from the
     last, so a gap costs its logarithm."""
@@ -749,9 +742,10 @@ def _powers(base, exponents, q):
 _SCREEN_LANES = 16
 
 
-def _nonzero_at(layout, points):
-    """For each point (q, T0, P0), or None, is the polynomial laid out by
-    `_rows_by_p_degree` nonzero at it modulo q?  False for None.
+def _nonzero_at(rows, points):
+    """For each point (q, T0, P0), or None, is the polynomial with the
+    P-degree rows {p: {t: c}} of `_by_p_degree` nonzero at it modulo q?
+    False for None.
 
     One pass over the terms evaluates up to `_SCREEN_LANES` points (Kronecker
     substitution, as in `RowSum`): the table's entry for T-degree t holds
@@ -760,14 +754,15 @@ def _nonzero_at(layout, points):
     of 64 with l1 * (q - 1) < 2^(B-1), l1 the largest row l1 norm, so
     every lane is read back exactly by `_unpack`; lane k is then weighted
     by P0_k^p and summed modulo q.  Linear in the terms: T0 and P0 are
-    raised only to the degrees present."""
-    rows, t_degrees = layout
+    raised only to the degrees present, each list of degrees sorted once,
+    since `_powers` steps through them in increasing order."""
     live = [k for k, point in enumerate(points) if point is not None]
     out = [False] * len(points)
     if not rows:
         return out
-    l1 = max(sum(map(abs, cs)) for _, _, cs in rows)
-    p_degrees = [p for p, _, _ in rows]
+    p_degrees = sorted(rows)
+    t_degrees = sorted(set().union(*rows.values()))
+    l1 = max(sum(map(abs, row.values())) for row in rows.values())
     for i in range(0, len(live), _SCREEN_LANES):
         keys = live[i:i + _SCREEN_LANES]
         group = [points[k] for k in keys]
@@ -776,8 +771,8 @@ def _nonzero_at(layout, points):
         table = [sum(map(lshift, lanes, shifts)) for lanes in
                  zip(*(_powers(t0, t_degrees, q) for q, t0, _ in group))]
         at = dict(zip(t_degrees, table)).__getitem__
-        values = _unpack({r: (0, sum(map(mul, cs, map(at, ts))))
-                          for r, (_, ts, cs) in enumerate(rows)}, width)
+        values = _unpack({r: (0, sum(map(mul, row.values(), map(at, row))))
+                          for r, row in enumerate(map(rows.__getitem__, p_degrees))}, width)
         p_powers = [_powers(p0, p_degrees, q) for q, _, p0 in group]
         sums = [0] * len(group)
         for (k, r), v in values.items():
@@ -785,12 +780,6 @@ def _nonzero_at(layout, points):
         for k, s, (q, _, _) in zip(keys, sums, group):
             out[k] = s % q != 0
     return out
-
-
-def _vanishes_at(layout, point):
-    """Is the polynomial laid out by `_rows_by_p_degree` zero at the point
-    (q, T0, P0) modulo q?  The one-point case of `_nonzero_at`."""
-    return not _nonzero_at(layout, [point])[0]
 
 
 def _uni_trim(f):

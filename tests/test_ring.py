@@ -10,6 +10,7 @@ import pytest
 from oracles import reduced_by_trial
 from test_acceptance import corpus
 from monozeta import ring
+from monozeta.polyhedra import MonomialIdeal
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum, UniRational
 from monozeta.zeta import igusa_zeta
 
@@ -336,6 +337,19 @@ def test_rf_reduce_preserves_series():
         assert rf.reduced().reduced() == rf.reduced()
 
 
+@pytest.mark.xfail(strict=True, reason="reduced() is not canonical: 1 - T^2 P divides "
+                   "the numerator of this zeta function, so multiplying through by "
+                   "1 - T^12 P^6 lets the re-reduction absorb (4, 2) and (6, 3)")
+def test_rf_reduce_is_canonical_under_a_common_factor():
+    # x1 x2^4 x3 x4^5, x1^3 x3 x4, x1^4 x3^2, x1^5 x2^3 x3^3 x4^5: the zeta
+    # function keeps (1, 1), (2, 2), (4, 2), (6, 3), (7, 3); times
+    # (1 - T^12 P^6)/(1 - T^12 P^6) it reduces to (1, 1), (2, 2), (7, 3), (12, 6)
+    ideal = MonomialIdeal(4, [(1, 4, 1, 5), (3, 0, 1, 1), (4, 0, 2, 0), (5, 3, 3, 5)])
+    z = igusa_zeta(ideal).zeta
+    rf = BiRationalFunction(z.numerator * BiPoly.binomial(12, 6), z.denominator + ((12, 6),))
+    assert rf.reduced() == z
+
+
 def test_rf_reduce_is_one_pass(monkeypatch):
     # (1 - T P^2)/((1 - T P)(1 - T P^2)): the screen rules out 1 - T P
     # without a division (at its point T0 = 61, P0 = 61^-1 the numerator is
@@ -453,7 +467,7 @@ def cyclotomic(x, g):
 
 
 def screen_vanishes(num, x, g):
-    return ring._vanishes_at(ring._rows_by_p_degree(num), ring._screen_point(x, g))
+    return not ring._nonzero_at(ring._by_p_degree(num._terms), [ring._screen_point(x, g)])[0]
 
 
 def test_screen_point_and_multiples_of_the_cyclotomic_factor():
@@ -500,10 +514,10 @@ def test_screen_one_pass_matches_one_point_evaluations():
         for _ in range(rng.randint(0, 2)):
             x = rng.choice(DIRECTIONS)
             num = num * BiPoly.binomial(*(rng.choice(GCDS) * e for e in x))
-        layout = ring._rows_by_p_degree(num)
+        rows = ring._by_p_degree(num._terms)
         chosen = rng.sample(points, rng.randint(17, len(points)))
-        got = ring._nonzero_at(layout, chosen)
-        assert got == [p is not None and not ring._vanishes_at(layout, p) for p in chosen]
+        got = ring._nonzero_at(rows, chosen)
+        assert got == [p is not None and ring._nonzero_at(rows, [p])[0] for p in chosen]
         assert got == [p is not None and sum(
             c * pow(p[1], t, p[0]) * pow(p[2], e, p[0]) for (t, e), c in num.terms()) % p[0] != 0
             for p in chosen]
@@ -519,9 +533,12 @@ def test_screen_one_pass_matches_one_point_evaluations():
 
 
 def test_rf_reduce_screens_every_factor_in_one_pass(monkeypatch):
-    def one_point(layout, point):
-        raise AssertionError("a screen point evaluated on its own")
-    monkeypatch.setattr(ring, "_vanishes_at", one_point)
+    screens = []  # the number of points of each screen pass
+    nonzero_at = ring._nonzero_at
+    def counting(rows, points):
+        screens.append(len(points))
+        return nonzero_at(rows, points)
+    monkeypatch.setattr(ring, "_nonzero_at", counting)
     sums = []
     reduced = BiRationalFunction.reduced
     def recording(self):
@@ -532,6 +549,7 @@ def test_rf_reduce_screens_every_factor_in_one_pass(monkeypatch):
         igusa_zeta(ideal)
     monkeypatch.setattr(BiRationalFunction, "reduced", reduced)
     assert len(sums) == 10
+    assert screens == [len(rf.denominator) for rf in sums]
     for rf in sums:
         assert rf.reduced() == reduced_by_trial(rf)
 

@@ -1,5 +1,7 @@
 """End-to-end zeta computation: closed forms, series oracle, pole bookkeeping."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -68,6 +70,19 @@ def test_monomial_closed_form_matches_pipeline():
             continue
         via_fan = igusa_zeta(MonomialIdeal(n, [u])).zeta
         assert via_fan == principal_zeta(u).reduced(), u
+
+
+def test_scale_ideal_digest_frozen():
+    # 92 cells, 531,210 parallelepiped points, 39,921 numerator terms and 22
+    # denominator factors: every layer at a scale the other tests do not reach
+    ideal = MonomialIdeal(5, [(4, 3, 0, 4, 0), (1, 4, 0, 4, 4), (3, 0, 1, 0, 4),
+                              (1, 2, 3, 1, 4), (0, 4, 2, 4, 1)])
+    result = igusa_zeta(ideal)
+    assert len(result.zeta.numerator.terms()) == 39921
+    assert len(result.zeta.denominator) == 22
+    text = json.dumps(result.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "67caa9440e24689c52fb831f080e2fecff52e8e39b3b5923e37fadce1db1949e")
 
 
 def test_igusa_zeta_sums_off_the_pairwise_route(monkeypatch):
