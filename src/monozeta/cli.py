@@ -187,7 +187,8 @@ def _cmd_bsroots(args) -> int:
 
 
 # the direct expansion walks every lattice point of coordinate sum <= bound:
-# --ideal x,y,z --bound 150 (585,276 points) took ~5 s (2 vCPU, Python 3.11)
+# --ideal x,y,z --bound 150 (585,276 points) took ~0.4 s, the whole verify
+# ~0.8 s (2 vCPU, Python 3.11)
 _MAX_SERIES_POINTS = 10**6
 
 

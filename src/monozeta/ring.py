@@ -278,10 +278,11 @@ class BiPoly:
     def subs_inverse_prime(self, p):
         """Coefficients of the T-polynomial obtained by setting P = 1/p.
 
-        Returns a list of Fractions indexed by T-degree.
+        Returns a list indexed by T-degree: a Fraction where a term lands,
+        else the int 0, whose truth test is cheap for the dense callers.
         """
         deg = self.t_degree()
-        out = [Fraction(0)] * (deg + 1)
+        out = [0] * (deg + 1)
         for (t, j), c in self._terms.items():
             out[t] += Fraction(c, p ** j)
         return out
@@ -472,17 +473,33 @@ class BiRationalFunction:
         """Power-series expansion truncated to total P-degree <= bound.
 
         Every denominator factor must carry a positive P-exponent, otherwise
-        the truncation by P-degree would keep infinitely many terms.
+        the truncation by P-degree would keep infinitely many terms.  The
+        expansion Q of N / (1 - T^a P^b) solves Q = N + T^a P^b Q, the
+        recurrence of `_div_binomial` without its exactness test: on the
+        P-degree rows of `_by_p_degree`, for e = b, ..., bound in increasing
+        order, row e - b moved by T^a is added into row e.  Each factor
+        costs one sweep over the rows it produces.
         """
         if bound < 0:
             return BiPoly.zero()
-        acc = self.numerator.truncate_p(bound)
+        rows = _by_p_degree(self.numerator.truncate_p(bound)._terms)
         for f in self.denominator:
             if f.b == 0:
                 raise ValueError(f"factor {f} has no P part; cannot expand by P-degree")
-            geom = BiPoly({(f.a * k, f.b * k): 1 for k in range(bound // f.b + 1)})
-            acc = acc.mul_truncated(geom, bound)
-        return acc
+            a, b = f
+            for e in range(b, bound + 1):
+                src = rows.get(e - b)
+                if not src:
+                    continue
+                row = rows.setdefault(e, {})
+                for t, c in src.items():
+                    t += a
+                    s = row.get(t, 0) + c
+                    if s:
+                        row[t] = s
+                    else:
+                        del row[t]
+        return BiPoly._raw({(t, p): c for p, row in rows.items() for t, c in row.items()})
 
     def specialize(self, p):
         """Substitute P = 1/p for a prime p, giving a rational function in T.
@@ -499,7 +516,7 @@ class BiRationalFunction:
         den = [Fraction(1)]
         for f in self.denominator:
             # times 1 - p^-b T^a: one pass over the nonzero coefficients
-            c, out = Fraction(1, p ** f.b), den + [Fraction(0)] * f.a
+            c, out = Fraction(1, p ** f.b), den + [0] * f.a
             for i, d in enumerate(den):
                 if d:
                     out[i + f.a] -= c * d
@@ -620,8 +637,8 @@ def _slot_lift(width, n):
 def _by_p_degree(terms):
     """The rows {p: {t: c}} of the terms {(t, p): c}, one per P-degree, each
     in the order of the terms.  The one grouping by P-degree: `_pack`, the
-    `reduced()` screen (`_nonzero_at`), `_div_binomial` and `subs_t_one`
-    all read these rows."""
+    `reduced()` screen (`_nonzero_at`), `_div_binomial`, `subs_t_one` and
+    `BiRationalFunction.series` all read these rows."""
     rows: dict[int, dict[int, int]] = {}
     for (t, p), c in terms.items():
         row = rows.get(p)
@@ -794,7 +811,7 @@ def _uni_divmod(f, g):
     g = _uni_trim(g)
     if not g:
         raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
+    q = [0] * max(0, len(f) - len(g) + 1)
     r = list(f)
     terms = [(i, b) for i, b in enumerate(g) if b]
     for d in range(len(q) - 1, -1, -1):

@@ -148,6 +148,21 @@ def gf_series_brute(cone, grading, bound, interior=False) -> BiPoly:
     return BiPoly(terms)
 
 
+def series_by_geometric(rf, bound):
+    """`BiRationalFunction.series` by multiplying the P-truncated numerator
+    with the geometric series sum_k T^(a k) P^(b k), k <= bound / b, of
+    each denominator factor, truncating every product at P-degree bound."""
+    if bound < 0:
+        return BiPoly.zero()
+    acc = rf.numerator.truncate_p(bound)
+    for f in rf.denominator:
+        if f.b == 0:
+            raise ValueError(f"factor {f} has no P part; cannot expand by P-degree")
+        geom = BiPoly({(f.a * k, f.b * k): 1 for k in range(bound // f.b + 1)})
+        acc = acc.mul_truncated(geom, bound)
+    return acc
+
+
 def reduced_by_trial(rf):
     """`BiRationalFunction.reduced()` by trial and error: at each factor
     1 - x^g, divide while the division is exact, else try the cofactor

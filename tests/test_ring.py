@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from oracles import reduced_by_trial
+from oracles import reduced_by_trial, series_by_geometric
 from test_acceptance import corpus
 from monozeta import ring
 from monozeta.polyhedra import MonomialIdeal
@@ -592,6 +592,34 @@ def test_series_rejects_pure_t_factor():
     rf = BiRationalFunction(ONE, [(1, 0)])
     with pytest.raises(ValueError):
         rf.series(3)
+    with pytest.raises(ValueError):
+        BiRationalFunction(ONE + P, [(2, 1), (1, 0), (1, 3)]).series(0)
+    assert rf.series(-1) == BiPoly.zero()
+    assert BiRationalFunction(ONE + P, [(2, 1)]).series(-1) == BiPoly.zero()
+
+
+def test_series_matches_geometric_reference():
+    huge = 10**18 + 7
+    planted = [
+        BiRationalFunction(ONE + T * P, [(1, 13)]),  # b > bound
+        BiRationalFunction(ONE - P, [(3, 12)]),  # b = bound
+        BiRationalFunction(ONE + T, [(0, 1), (0, 2), (0, 2)]),  # a = 0, repeated
+        BiRationalFunction(ONE - TP, [(huge, 1), (huge, 1), (10**19, 3)]),
+        BiRationalFunction(BiPoly.zero(), [(1, 1), (2, 3)]),
+        BiRationalFunction(P**15 + T**2 * P**11 - 3 * P**4 + 2 * ONE, [(1, 1), (0, 5)]),
+        BiRationalFunction(P**20, []),  # every term above the bound
+        BiRationalFunction(ONE, [(1, 1)] * 5 + [(2, 1)] * 3),
+    ]
+    rng = random.Random(721)
+    randoms = []
+    for _ in range(40):
+        num = random_poly(rng, max_deg=rng.choice((3, 14)), max_terms=8)
+        den = [(rng.choice((0, rng.randint(0, 4), huge)), rng.randint(1, 14))
+               for _ in range(rng.randint(0, 5))]
+        randoms.append(BiRationalFunction(num, den))
+    for rf in planted + randoms:
+        for bound in range(13):
+            assert rf.series(bound) == series_by_geometric(rf, bound), (rf, bound)
 
 
 def test_specialize_known_values():
@@ -651,6 +679,14 @@ def test_specialize_skips_zero_coefficients():
     assert len(spec.den) == e + 1
     assert (spec.den[0], spec.den[-1]) == (Fraction(1), Fraction(-1, 3))
     assert not any(spec.den[1:-1])
+
+
+def test_specialize_cancels_a_dense_common_factor():
+    # numerator and denominator are the same binomial of T-degree 10^6: the
+    # gcd cancels it, through dense lists padded with int zeros
+    spec = BiRationalFunction(BiPoly.binomial(10**6, 1), [(10**6, 1)]).specialize(3)
+    assert spec.num == (1,)
+    assert spec.den == (1,)
 
 
 def test_specialize_commutes_with_series():

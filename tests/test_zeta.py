@@ -3,12 +3,13 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from oracles import residue_count
+from oracles import orthant_points, residue_count
 from test_acceptance import corpus
 from monozeta.conegf import Grading, interior_lattice_gf
 from monozeta.fan import normal_fan
@@ -186,6 +187,37 @@ def test_series_frozen_values():
         assert zeta_series(MonomialIdeal(n, gens), 0) == BiPoly.one()
     with pytest.raises(ValueError):
         zeta_series(plane, -1)
+
+
+def test_zeta_series_matches_the_definition():
+    # (1 - P)^n * sum of T^ord(a) P^|a| over |a| <= bound, ord read off
+    # vanishing_order point by point
+    rng = random.Random(731)
+    planted = [
+        MonomialIdeal(1, [(3,)]),
+        MonomialIdeal(3, [(2, 0, 1)]),  # one generator, zero entries
+        MonomialIdeal(4, [(0, 0, 0, 2)]),
+        MonomialIdeal(2, [(1, 0), (0, 2), (1, 0)]),  # a duplicate
+        MonomialIdeal(3, [(1, 1, 0), (2, 1, 0), (1, 1, 3)]),  # dominated
+        MonomialIdeal(4, [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 3, 0)]),
+    ]
+    ideals = planted + [random_ideal(rng, rng.randint(1, 4), 5, 3)
+                        for _ in range(40 - len(planted))]
+    for i, ideal in enumerate(ideals):
+        bound = i % 10
+        raw = BiPoly(Counter((ideal.vanishing_order(a), sum(a))
+                             for a in orthant_points(ideal.n, bound)))
+        want = raw.mul_truncated(BiPoly.binomial(0, 1) ** ideal.n, bound)
+        assert zeta_series(ideal, bound) == want, (ideal.generators, bound)
+
+
+def test_zeta_series_at_scale():
+    # 585,276 lattice points, near the 10^6 limit of `verify --bound`
+    ideal = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    start = time.perf_counter()
+    direct = zeta_series(ideal, 150)
+    assert time.perf_counter() - start < 2.0
+    assert direct == igusa_zeta(ideal).zeta.series(150)
 
 
 def test_series_agrees_with_closed_form():
