@@ -2,12 +2,14 @@
 denominators.
 
 T and P are independent formal variables (in the zeta-function application
-T stands for p^-s and P for 1/p).  A polynomial is a dict mapping exponent
-pairs (t_deg, p_deg) to nonzero integer coefficients.  A rational function
+T stands for p^-s and P for 1/p).  A polynomial is stored as its P-degree
+rows {p_deg: {t_deg: c}}: no empty row, no zero coefficient, so equal
+polynomials have equal rows.  Row dicts may be shared between polynomials
+and are never changed once a polynomial holds them.  A rational function
 keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
 such fractions is accumulated in a `RowSum`, its numerator packed one int
-per P-degree.
+per P-degree and decoded once, straight into rows.
 """
 
 from __future__ import annotations
@@ -16,16 +18,16 @@ import heapq
 import struct
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from operator import index, lshift, mul
 from typing import NamedTuple
 
 
 class BiPoly:
-    """Sparse polynomial in T and P with integer coefficients."""
+    """Sparse polynomial in T and P with integer coefficients, stored as
+    its P-degree rows."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_rows", "_hash")
 
     def __init__(self, terms=None):
         clean = {}
@@ -41,17 +43,24 @@ class BiPoly:
                         clean[key] = c0
                     elif key in clean:
                         del clean[key]
-        self._terms = dict(sorted(clean.items()))
+        self._rows = _by_p_degree(clean)
         self._hash = None
 
     @classmethod
-    def _raw(cls, clean: dict) -> "BiPoly":
-        """Adopt a dict already known to be clean: int exponents >= 0 mapped
-        to nonzero int coefficients.  Internal fast path; no validation."""
+    def _raw(cls, rows: dict) -> "BiPoly":
+        """Adopt rows {p: {t: c}} already known to be canonical: int
+        exponents >= 0, no empty row, no zero coefficient.  The row dicts
+        may be shared with other polynomials, so none is ever changed once
+        adopted.  Internal fast path; no validation."""
         out = object.__new__(cls)
-        out._terms = clean
+        out._rows = rows
         out._hash = None
         return out
+
+    @property
+    def _terms(self):
+        """The flat view {(t, p): c}, built on each read and never stored."""
+        return {(t, p): c for p, row in self._rows.items() for t, c in row.items()}
 
     @classmethod
     def zero(cls):
@@ -59,7 +68,7 @@ class BiPoly:
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): 1})
+        return cls._raw({0: {0: 1}})
 
     @classmethod
     def term(cls, t, p, coeff=1):
@@ -68,44 +77,50 @@ class BiPoly:
     @classmethod
     def binomial(cls, a, b):
         """1 - T^a P^b."""
-        return cls({(0, 0): 1, (a, b): -1})
+        a, b = index(a), index(b)
+        if a < 0 or b < 0:
+            raise ValueError("negative exponent in BiPoly term")
+        return cls.one()._mul_binomial(a, b)
 
     def terms(self):
         return tuple(sorted(self._terms.items()))
 
     def is_zero(self):
-        return not self._terms
+        return not self._rows
 
     def p_degree(self):
-        return max((p for _, p in self._terms), default=-1)
+        return max(self._rows, default=-1)
 
     def t_degree(self):
-        return max((t for t, _ in self._terms), default=-1)
+        return max(map(max, self._rows.values()), default=-1)
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._rows)
 
     def __eq__(self, other):
-        return isinstance(other, BiPoly) and self._terms == other._terms
+        return isinstance(other, BiPoly) and self._rows == other._rows
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            self._hash = hash(self.terms())
         return self._hash
 
     def __neg__(self):
-        return BiPoly._raw({k: -c for k, c in self._terms.items()})
+        return BiPoly._raw({p: {t: -c for t, c in row.items()}
+                            for p, row in self._rows.items()})
 
     def __add__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
+        out = dict(self._rows)
+        for p, row in other._rows.items():
+            mine = out.get(p)
+            if mine is None:
+                out[p] = row
+            elif (total := _row_sum(mine, row, 0, 1)):
+                out[p] = total
             else:
-                out.pop(k, None)
+                del out[p]
         return BiPoly._raw(out)
 
     def __sub__(self, other):
@@ -115,7 +130,8 @@ class BiPoly:
         if isinstance(other, int):
             if other == 0:
                 return BiPoly._raw({})
-            return BiPoly._raw({k: c * other for k, c in self._terms.items()})
+            return BiPoly._raw({p: {t: c * other for t, c in row.items()}
+                                for p, row in self._rows.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self.mul_truncated(other, self.p_degree() + other.p_degree())
@@ -136,56 +152,64 @@ class BiPoly:
 
     def truncate_p(self, bound):
         """Drop every term of P-degree above bound."""
-        return BiPoly._raw({k: c for k, c in self._terms.items() if k[1] <= bound})
+        return BiPoly._raw({p: row for p, row in self._rows.items() if p <= bound})
 
     def subs_t_one(self):
         """Substitute T = 1, collapsing onto the P axis: each P-degree row
         summed."""
-        return BiPoly._raw({(0, p): s for p, row in _by_p_degree(self._terms).items()
+        return BiPoly._raw({p: {0: s} for p, row in self._rows.items()
                             if (s := sum(row.values()))})
 
     def mul_truncated(self, other, bound):
         """Product with every term of P-degree above bound left out."""
-        out = {}
-        for (t1, p1), c1 in self._terms.items():
+        out: dict[int, dict[int, int]] = {}
+        for p1, row1 in self._rows.items():
             if p1 > bound:
                 continue
-            for (t2, p2), c2 in other._terms.items():
+            for p2, row2 in other._rows.items():
                 if p1 + p2 > bound:
                     continue
-                k = (t1 + t2, p1 + p2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return BiPoly._raw(out)
+                row = out.setdefault(p1 + p2, {})
+                for t1, c1 in row1.items():
+                    for t2, c2 in row2.items():
+                        t = t1 + t2
+                        s = row.get(t, 0) + c1 * c2
+                        if s:
+                            row[t] = s
+                        else:
+                            del row[t]
+        return BiPoly._raw({p: row for p, row in out.items() if row})
 
     def _mul_binomial(self, a, b):
-        """Product with 1 - T^a P^b in one pass over the terms."""
-        out = dict(self._terms)
-        for (t, p), c in self._terms.items():
-            k = (t + a, p + b)
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+        """Product with 1 - T^a P^b: row e is row e less row e - b moved by
+        T^a, and a row with nothing to subtract is shared."""
+        rows = self._rows
+        out = {}
+        for e in rows.keys() | {p + b for p in rows}:
+            src = rows.get(e - b)
+            if src is None:
+                out[e] = rows[e]
+            elif (row := _row_sum(rows.get(e, {}), src, a, -1)):
+                out[e] = row
         return BiPoly._raw(out)
 
     def _swapped(self):
         """The polynomial with T and P exchanged."""
-        return BiPoly._raw({(p, t): c for (t, p), c in self._terms.items()})
+        out: dict[int, dict[int, int]] = {}
+        for p, row in self._rows.items():
+            for t, c in row.items():
+                out.setdefault(t, {})[p] = c
+        return BiPoly._raw(out)
 
     def _div_binomial(self, a, b):
         """Exact quotient by 1 - T^a P^b, b > 0, or None.
 
-        Q = N + T^a P^b Q, solved one row at a time on the P-degree rows of
-        `_by_p_degree`: quotient row e is numerator row e plus quotient row
-        e - b moved by T^a.  Rows b apart form a chain.  A row is kept as
-        (offset, {T-degree - offset: c}), so a move changes the offset and
-        an add starts from a C-level dict copy.  Between two numerator rows
-        of a chain the quotient row only moves, so it is computed once per
+        Q = N + T^a P^b Q, solved one row at a time on the P-degree rows:
+        quotient row e is numerator row e plus quotient row e - b moved by
+        T^a.  Rows b apart form a chain.  A row is kept as (offset,
+        {T-degree - offset: c}), so a move changes the offset and an add
+        starts from a C-level dict copy.  Between two numerator rows of a
+        chain the quotient row only moves, so it is computed once per
         numerator row and written once per row it covers: a gap costs
         nothing unless the quotient fills it.  Exact iff the last quotient
         row of every chain is 0; a nonzero one would repeat past the top.
@@ -193,7 +217,7 @@ class BiPoly:
         polynomial with T and P swapped by 1 - P^a and swaps the quotient
         back.
         """
-        rows = _by_p_degree(self._terms)
+        rows = self._rows
         runs = []  # (row, offset, quotient row, next numerator row of its chain)
         last = None  # the latest nonzero quotient row, as (row, offset, terms)
         for e in sorted(rows, key=lambda e: (e % b, e)):
@@ -204,22 +228,14 @@ class BiPoly:
             else:
                 runs.append((*last, e))
                 off = last[1] + (e - last[0]) // b * a
-                q = dict(last[2])
-                for x, c in rows[e].items():
-                    x -= off
-                    s = q.get(x, 0) + c
-                    if s:
-                        q[x] = s
-                    else:
-                        del q[x]
+                q = _row_sum(last[2], rows[e], -off, 1)
             last = (e, off, q) if q else None
         if last is not None:
             return None
-        out: dict[tuple[int, int], int] = {}
+        out: dict[int, dict[int, int]] = {}
         for e0, off, q, end in runs:
             for e in range(e0, end, b):
-                xs = map(off.__add__, q) if off else q
-                out.update(zip(zip(xs, repeat(e)), q.values()))
+                out[e] = dict(zip(map(off.__add__, q), q.values())) if off else q
                 off += a
         return BiPoly._raw(out)
 
@@ -235,22 +251,21 @@ class BiPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return BiPoly.zero()
-        if len(divisor._terms) == 2 and divisor._terms.get((0, 0)) == 1:
-            ((ea, eb),) = (m for m in divisor._terms if m != (0, 0))
-            if divisor._terms[(ea, eb)] == -1:
-                if eb:
-                    return self._div_binomial(ea, eb)
-                q = self._swapped()._div_binomial(eb, ea)
-                return None if q is None else q._swapped()
+        dterms = divisor.terms()
+        if len(dterms) == 2 and dterms[0] == ((0, 0), 1) and dterms[1][1] == -1:
+            ea, eb = dterms[1][0]
+            if eb:
+                return self._div_binomial(ea, eb)
+            q = self._swapped()._div_binomial(eb, ea)
+            return None if q is None else q._swapped()
 
         def key(m):
             # negated graded-lex so heapq's min-heap pops the largest
             return (-(m[0] + m[1]), -m[0], -m[1])
 
-        dlead = max(divisor._terms, key=lambda m: (m[0] + m[1], m[0], m[1]))
-        dc = divisor._terms[dlead]
-        rest = [(m, c) for m, c in divisor._terms.items() if m != dlead]
-        work = dict(self._terms)
+        dlead, dc = max(dterms, key=lambda mc: (mc[0][0] + mc[0][1], *mc[0]))
+        rest = [(m, c) for m, c in dterms if m != dlead]
+        work = self._terms
         heap = [(key(m), m) for m in work]
         heapq.heapify(heap)
         quot = {}
@@ -273,7 +288,7 @@ class BiPoly:
                     work[k] = s
                 else:
                     work.pop(k, None)
-        return BiPoly._raw(quot) if not work else None
+        return BiPoly._raw(_by_p_degree(quot)) if not work else None
 
     def subs_inverse_prime(self, p):
         """Coefficients of the T-polynomial obtained by setting P = 1/p.
@@ -283,12 +298,13 @@ class BiPoly:
         """
         deg = self.t_degree()
         out = [0] * (deg + 1)
-        for (t, j), c in self._terms.items():
-            out[t] += Fraction(c, p ** j)
+        for j, row in self._rows.items():
+            for t, c in row.items():
+                out[t] += Fraction(c, p ** j)
         return out
 
     def __repr__(self):
-        if not self._terms:
+        if not self._rows:
             return "0"
         chunks = []
         for (t, p), c in self.terms():
@@ -411,7 +427,7 @@ class BiRationalFunction:
         a primitive g-th root of unity, a zero of Phi_g(x).  A nonzero value
         proves Phi_g(x) does not divide N, and the factor stays with nothing
         more built.  A zero value decides nothing, and no other g is
-        screened; the chain sums decide, so the screen cannot change an
+        screened; the steps below decide, so the screen cannot change an
         outcome, even on an unlucky zero.  Every factor is screened against
         the numerator as it came in: each step replaces N by a divisor of
         N, so a nonzero value there still proves Phi_g(x) does not divide
@@ -429,6 +445,8 @@ class BiRationalFunction:
         S = (1 - x^g)/(1 - x^m) divides N.  Such a shift maps one live sum
         onto an equal live sum on the same line, so the candidates for m
         are read off the sums, not off the divisors of g.  Else it stays.
+        For g = 1 there is no m, and the factor divides N iff every sum is
+        0, so the exact division decides alone, with no sums built.
         One visit per factor is exact: each step replaces N by a divisor of
         N; factors along different x share no cyclotomic factor; and after
         the least exchange neither 1 - x^m nor a smaller exchange divides
@@ -438,17 +456,25 @@ class BiRationalFunction:
         num, den = self.numerator, []
         lines = [((f.a // g, f.b // g), g)
                  for f in self.denominator for g in (gcd(f.a, f.b),)]
-        stays = _nonzero_at(_by_p_degree(num._terms),
-                            [_screen_point(x, g) for x, g in lines])
+        stays = _nonzero_at(num._rows, [_screen_point(x, g) for x, g in lines])
         for f, (x, g), stay in zip(self.denominator, lines, stays):
             if stay:
                 den.append(f)
                 continue
+            if g == 1:
+                q = num.div_exact(f.poly())
+                if q is None:
+                    den.append(f)
+                else:
+                    num = q
+                continue
             i = 0 if f.a else 1  # chains are told apart by exponent i mod f[i]
             sums: dict[tuple[int, int], int] = {}
-            for mono, c in num._terms.items():
-                key = (x[1] * mono[0] - x[0] * mono[1], mono[i] % f[i])
-                sums[key] = sums.get(key, 0) + c
+            for p, row in num._rows.items():
+                line = -x[0] * p
+                for t, c in row.items():
+                    key = (x[1] * t + line, (t, p)[i] % f[i])
+                    sums[key] = sums.get(key, 0) + c
             live = {k: s for k, s in sums.items() if s}
             if live:  # x^m adds m * x[i] to exponent i
                 # a valid shift maps one live class onto a live class of its
@@ -475,14 +501,14 @@ class BiRationalFunction:
         Every denominator factor must carry a positive P-exponent, otherwise
         the truncation by P-degree would keep infinitely many terms.  The
         expansion Q of N / (1 - T^a P^b) solves Q = N + T^a P^b Q, the
-        recurrence of `_div_binomial` without its exactness test: on the
-        P-degree rows of `_by_p_degree`, for e = b, ..., bound in increasing
+        recurrence of `_div_binomial` without its exactness test: on a copy
+        of the numerator's P-degree rows, for e = b, ..., bound in increasing
         order, row e - b moved by T^a is added into row e.  Each factor
         costs one sweep over the rows it produces.
         """
         if bound < 0:
             return BiPoly.zero()
-        rows = _by_p_degree(self.numerator.truncate_p(bound)._terms)
+        rows = {p: dict(row) for p, row in self.numerator._rows.items() if p <= bound}
         for f in self.denominator:
             if f.b == 0:
                 raise ValueError(f"factor {f} has no P part; cannot expand by P-degree")
@@ -499,7 +525,7 @@ class BiRationalFunction:
                         row[t] = s
                     else:
                         del row[t]
-        return BiPoly._raw({(t, p): c for p, row in rows.items() for t, c in row.items()})
+        return BiPoly._raw({p: row for p, row in rows.items() if row})
 
     def specialize(self, p):
         """Substitute P = 1/p for a prime p, giving a rational function in T.
@@ -556,7 +582,7 @@ class RowSum:
     reading them back needs each below 2^(W-1) in absolute value.  An l1
     bound on the numerator proves that: a fraction adds its own, and a
     binomial at most doubles it.  W starts at 64 bits and doubles (one
-    unpack, one repack) before the bound can reach 2^(W-1).
+    decode, one repack) before the bound can reach 2^(W-1).
     """
 
     __slots__ = ("_rows", "_den", "_width", "_bound")
@@ -578,7 +604,7 @@ class RowSum:
         width = self._width
         for f in grow.elements():
             self._rows = _times_binomial(self._rows, f, width)
-        rows = _pack(terms, width)
+        rows = _pack(_by_p_degree(terms), width)
         for f in lift.elements():
             rows = _times_binomial(rows, f, width)
         _add_rows(self._rows, rows, 0, 0, 1, width)
@@ -602,7 +628,8 @@ class RowSum:
             self._width = width
 
     def rational(self):
-        """The sum as a BiRationalFunction: the one unpack of the rows."""
+        """The sum as a BiRationalFunction: each packed row decoded once,
+        straight into the numerator's row."""
         return BiRationalFunction(BiPoly._raw(_unpack(self._rows, self._width)),
                                   self._den.elements())
 
@@ -634,11 +661,26 @@ def _slot_lift(width, n):
     return (bytes(width // 8 - 1) + b"\x80") * n
 
 
+def _row_sum(row, src, shift, sign):
+    """A new row {t: c}: row plus sign * src moved by T^shift, sign = +-1,
+    with no zero coefficient.  Neither argument is changed."""
+    out = dict(row)
+    for t, c in src.items():
+        t += shift
+        s = out.get(t, 0) + sign * c
+        if s:
+            out[t] = s
+        else:
+            del out[t]
+    return out
+
+
 def _by_p_degree(terms):
     """The rows {p: {t: c}} of the terms {(t, p): c}, one per P-degree, each
-    in the order of the terms.  The one grouping by P-degree: `_pack`, the
-    `reduced()` screen (`_nonzero_at`), `_div_binomial`, `subs_t_one` and
-    `BiRationalFunction.series` all read these rows."""
+    in the order of the terms: the layout `BiPoly` stores.  Only input that
+    arrives as terms is grouped here: the `BiPoly` constructor (so
+    `from_json` too), the general division's quotient and a cell's terms in
+    `RowSum.add`."""
     rows: dict[int, dict[int, int]] = {}
     for (t, p), c in terms.items():
         row = rows.get(p)
@@ -649,13 +691,13 @@ def _by_p_degree(terms):
     return rows
 
 
-def _pack(terms, width):
-    """The rows {p: (t0, v)} of terms {(t, p): c}, each |c| < 2^(width-1).
-    Each slot is written as c + 2^(width-1), so no slot borrows, and the
-    lift is taken off the whole row at once."""
+def _pack(rows, width):
+    """The packed rows {p: (t0, v)} of the rows {p: {t: c}}, each
+    |c| < 2^(width-1).  Each slot is written as c + 2^(width-1), so no slot
+    borrows, and the lift is taken off the whole row at once."""
     size, half = width // 8, 1 << (width - 1)
-    rows = {}
-    for p, row in _by_p_degree(terms).items():
+    packed = {}
+    for p, row in rows.items():
         t0 = min(row)
         if t0 < 0 or p < 0:
             raise ValueError("negative exponent in a packed term")
@@ -664,28 +706,30 @@ def _pack(terms, width):
         for t, c in row.items():
             i = (t - t0) * size
             buf[i:i + size] = (c + half).to_bytes(size, "little")
-        rows[p] = (t0, int.from_bytes(buf, "little") - int.from_bytes(lift, "little"))
-    return rows
+        packed[p] = (t0, int.from_bytes(buf, "little") - int.from_bytes(lift, "little"))
+    return packed
 
 
-def _unpack(rows, width):
-    """The nonzero terms {(t, p): c} of the rows, each |c| < 2^(width-1).
-    Lifted by 2^(width-1), every slot lies in [0, 2^width), so the lifted
-    row's bytes are its slots: read as 64-bit words, width/64 to a slot."""
-    size, half, k = width // 8, 1 << (width - 1), width // 64
+def _unpack(packed, width):
+    """The rows {p: {t: c}} of the packed rows, each |c| < 2^(width-1), with
+    no empty row and no zero coefficient: the layout `BiPoly` stores.
+    With L = 2^(width-1) in every slot, v + L has every slot in
+    [0, 2^width), so no slot borrows, and (v + L) ^ L holds each slot's c
+    in two's complement: its bytes read as 64-bit words, width/64 to a
+    slot, the top word of each signed, are the coefficients."""
+    size, k = width // 8, width // 64
     out = {}
-    for p, (t0, v) in rows.items():
+    for p, (t0, v) in packed.items():
         if not v:
             continue
         n = abs(v).bit_length() // width + 1
-        lifted = v + int.from_bytes(_slot_lift(width, n), "little")
-        slots = struct.unpack(f"<{n * k}Q", lifted.to_bytes(n * size, "little"))
+        lift = int.from_bytes(_slot_lift(width, n), "little")
+        slots = struct.unpack("<" + f"{k - 1}Qq" * n if k > 1 else f"<{n}q",
+                              ((v + lift) ^ lift).to_bytes(n * size, "little"))
         if k > 1:
             slots = [sum(w << 64 * j for j, w in enumerate(slots[i:i + k]))
                      for i in range(0, n * k, k)]
-        for t, s in enumerate(slots, t0):
-            if s != half:
-                out[(t, p)] = s - half
+        out[p] = {t: c for t, c in enumerate(slots, t0) if c}
     return out
 
 
@@ -761,7 +805,7 @@ _SCREEN_LANES = 16
 
 def _nonzero_at(rows, points):
     """For each point (q, T0, P0), or None, is the polynomial with the
-    P-degree rows {p: {t: c}} of `_by_p_degree` nonzero at it modulo q?
+    P-degree rows {p: {t: c}} (a `BiPoly`'s `_rows`) nonzero at it modulo q?
     False for None.
 
     One pass over the terms evaluates up to `_SCREEN_LANES` points (Kronecker
@@ -792,8 +836,9 @@ def _nonzero_at(rows, points):
                           for r, row in enumerate(map(rows.__getitem__, p_degrees))}, width)
         p_powers = [_powers(p0, p_degrees, q) for q, _, p0 in group]
         sums = [0] * len(group)
-        for (k, r), v in values.items():
-            sums[k] += v * p_powers[k][r]
+        for r, lanes in values.items():
+            for k, v in lanes.items():
+                sums[k] += v * p_powers[k][r]
         for k, s, (q, _, _) in zip(keys, sums, group):
             out[k] = s % q != 0
     return out

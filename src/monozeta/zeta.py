@@ -116,8 +116,8 @@ def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
     """Exact Igusa zeta function of the ideal, reduced, with pole data.
 
     Every half-open cell of every maximal cone goes into one `RowSum`, whose
-    numerator is then multiplied by 1 - P n times; it is unpacked once, for
-    `reduced()`.
+    numerator is then multiplied by 1 - P n times; its packed rows are
+    decoded once, straight into the P-degree rows that `reduced()` reads.
     """
     fan = normal_fan(newton_polyhedron(ideal))
     n = ideal.n

@@ -295,6 +295,163 @@ def test_row_sum_rejects_bad_input():
         acc.add({(-1, 0): 1}, [])
 
 
+def assert_canonical(f):
+    """The rows {p: {t: c}} hold no empty row and no zero coefficient, so
+    `==` on the rows is equality of polynomials; the flat `_terms` view
+    holds the same terms."""
+    assert all(f._rows.values()), f._rows
+    assert all(c for row in f._rows.values() for c in row.values()), f._rows
+    assert all(t >= 0 and p >= 0 for p, row in f._rows.items() for t in row)
+    assert f.terms() == tuple(sorted(f._terms.items()))
+    return f
+
+
+def assert_same(f, g):
+    assert_canonical(f), assert_canonical(g)
+    assert f == g and hash(f) == hash(g), (f, g)
+
+
+def test_poly_rows_stay_canonical():
+    # terms that cancel inside a row and whole rows that cancel, through
+    # every operation that makes a polynomial
+    rng = random.Random(1801)
+    for _ in range(200):
+        f, g = random_poly(rng, max_deg=5, max_terms=10), random_poly(rng, max_deg=5, max_terms=10)
+        a, b = random_factor(rng)
+        for h in (f, g, f + g, f - g, -f, f * g, 3 * f, f * 0, f - f, f + (-f),
+                  f.truncate_p(rng.randint(-1, 5)), f.subs_t_one(), f._swapped()):
+            assert_canonical(h)
+        assert_same(f - f, BiPoly.zero())
+        assert_same(f + g - g, f)
+        assert_same(f * g, g * f)
+        assert_same(f * g, f.mul_truncated(g, f.p_degree() + g.p_degree()))
+        assert_same(BiPoly(f.terms()), f)
+        assert_same(BiPoly.from_json(f.to_json()), f)
+        assert_same(f._swapped()._swapped(), f)
+        assert_same(BiPoly.binomial(a, b), ONE - BiPoly.term(a, b))
+        fb = assert_canonical(f._mul_binomial(a, b))
+        assert_same(fb, f * BiPoly.binomial(a, b))
+        # the row sweep, the swapped sweep (b = 0) and the heap route
+        assert_same(fb.div_exact(BiPoly.binomial(a, b)), f)
+        if g:
+            assert_same((f * g).div_exact(g), f)
+        for q in (fb.div_exact(-BiPoly.binomial(a, b)), (fb + ONE).div_exact(ONE - P),
+                  (fb + ONE).div_exact(ONE - T)):
+            assert q is None or assert_canonical(q) is q
+        rf = BiRationalFunction(f, [random_factor(rng) for _ in range(rng.randint(0, 3))])
+        if all(fa.b for fa in rf.denominator):
+            assert_same(rf.series(6), series_by_geometric(rf, 6))
+    assert_same(BiPoly.binomial(0, 0), BiPoly.zero())
+    for bad in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            BiPoly.binomial(*bad)
+    with pytest.raises(TypeError):
+        BiPoly.binomial(1.5, 1)
+    for rf in (planted_rf(rng) for _ in range(200)):
+        assert_same(rf.reduced().numerator, reduced_by_trial(rf).numerator)
+    acc, ref = RowSum(), BiRationalFunction.zero()
+    for _ in range(30):
+        terms = {(rng.randint(0, 9), rng.randint(0, 4)): rng.randint(-3, 3) for _ in range(6)}
+        factors = [random_factor(rng) for _ in range(rng.randint(0, 2))]
+        acc.add(terms, factors)
+        ref = ref + BiRationalFunction(BiPoly(terms), factors)
+        acc.add({k: -c for k, c in terms.items()}, factors)  # a whole cell cancels
+        ref = ref + BiRationalFunction(-BiPoly(terms), factors)
+        assert_same(acc.rational().numerator, ref.numerator)
+
+
+def test_operations_leave_their_operands_unchanged():
+    # a result may share row dicts with its operands: no operation may
+    # change a row it did not build
+    rng = random.Random(1802)
+    for _ in range(200):
+        f, g = random_poly(rng, max_deg=5, max_terms=10), random_poly(rng, max_deg=5, max_terms=10)
+        a, b = random_factor(rng)
+        fb = f._mul_binomial(a, b)
+        before = [h.to_json() for h in (f, g, fb)]
+        q = fb.div_exact(BiPoly.binomial(a, b))
+        results = [f + g, f - g, f._mul_binomial(a, b), fb._mul_binomial(a, b), q,
+                   q._mul_binomial(1, 1), (f + g).truncate_p(3), fb.div_exact(ONE - P)]
+        for den in ([(1, 1)], [(0, 1), (2, 1)], [(a, b + 1)] * 2):
+            # series sweeps its rows in place: on a quotient and a sum that
+            # share rows with f, fb and g
+            for h in (q, f + g, fb):
+                results.append(BiRationalFunction(h, den).series(7))
+        rf = BiRationalFunction(fb, [(a, b), (2 * a, 2 * b)])
+        rf_before = rf.to_json()
+        results.append(rf.reduced().numerator)
+        assert rf.to_json() == rf_before
+        assert [h.to_json() for h in (f, g, fb)] == before
+        assert q == f
+        # the next round of operations on the results leaves them as well
+        snapshot = [h.to_json() for h in results if h is not None]
+        for h in results:
+            if h is not None:
+                BiRationalFunction(h, [(1, 1)]).series(5)
+                BiRationalFunction(h, [(1, 1), (0, 1)]).reduced()
+                h._mul_binomial(0, 1).div_exact(ONE - P)
+        assert [h.to_json() for h in results if h is not None] == snapshot
+    # the sum's rows are decoded once; adding to the sum later leaves the
+    # polynomial already read
+    acc = RowSum()
+    acc.add({(0, 0): 1, (3, 2): -2}, [(1, 1)])
+    got = acc.rational()
+    json_before = got.to_json()
+    acc.add({(0, 0): 5, (1, 2): 2**70}, [(1, 2)])
+    acc.mul_binomial(0, 1)
+    assert got.to_json() == json_before
+    assert acc.rational() != got
+
+
+def packed_row(slots, width):
+    """A `RowSum` row's int, sum of c_i 2^(width i), built without `_pack`."""
+    return sum(c << width * i for i, c in enumerate(slots))
+
+
+def test_signed_slot_decode_at_its_edges():
+    for width in (64, 128, 256):
+        top = 2**(width - 1) - 1  # the largest coefficient a slot reads back
+        cases = {  # P-degree: (offset, slots)
+            0: (0, [top]),
+            1: (5, [-top]),
+            2: (0, [0, top, 0, 0, -top, 0]),  # zero slots inside and at both ends
+            3: (2, [top, -top, top, -top]),
+            4: (1, [-1, 0, 0, -top]),  # a negative top slot
+            5: (3, [1, 0, -top]),
+            6: (0, [0, 0, 0]),  # a row that cancels to 0 is dropped
+            7: (9, [-top, 1]),
+            8: (4, [top - 1, -(top - 1), 1, -1, top]),
+        }
+        packed = {p: (t0, packed_row(slots, width)) for p, (t0, slots) in cases.items()}
+        want = BiPoly({(t0 + i, p): c for p, (t0, slots) in cases.items()
+                       for i, c in enumerate(slots)})
+        assert 6 not in want._rows and want._rows[2] == {1: top, 4: -top}
+        rows = ring._unpack(packed, width)
+        assert rows == want._rows
+        assert ring._unpack(ring._pack(rows, width), width) == rows
+        # the sum of one fraction per slot, pairwise and in a RowSum whose
+        # rows and width are set to the packed rows above
+        den = [(1, 1), (0, 2)]
+        ref = BiRationalFunction.zero()
+        for p, (t0, slots) in cases.items():
+            for i, c in enumerate(slots):
+                ref = ref + BiRationalFunction(BiPoly.term(t0 + i, p, c), den)
+        acc = RowSum()
+        acc._fit(2**(width - 2))
+        assert acc._width == width
+        acc.add({}, den)
+        acc._rows = packed
+        got = acc.rational()
+        assert got == ref and assert_canonical(got.numerator)
+        # and built by adding, each slot a cell: the bound widens the rows
+        # past width, and the decode still reads them back
+        acc = RowSum()
+        for p, (t0, slots) in cases.items():
+            for i, c in enumerate(slots):
+                acc.add({(t0 + i, p): c}, den)
+        assert acc._width > width and acc.rational() == ref
+
+
 def test_rf_reduce_cancels_exact_factors():
     rf = BiRationalFunction((ONE - TP) * (ONE - P), [(1, 1)])
     red = rf.reduced()
@@ -467,7 +624,7 @@ def cyclotomic(x, g):
 
 
 def screen_vanishes(num, x, g):
-    return not ring._nonzero_at(ring._by_p_degree(num._terms), [ring._screen_point(x, g)])[0]
+    return not ring._nonzero_at(num._rows, [ring._screen_point(x, g)])[0]
 
 
 def test_screen_point_and_multiples_of_the_cyclotomic_factor():
@@ -514,7 +671,7 @@ def test_screen_one_pass_matches_one_point_evaluations():
         for _ in range(rng.randint(0, 2)):
             x = rng.choice(DIRECTIONS)
             num = num * BiPoly.binomial(*(rng.choice(GCDS) * e for e in x))
-        rows = ring._by_p_degree(num._terms)
+        rows = num._rows
         chosen = rng.sample(points, rng.randint(17, len(points)))
         got = ring._nonzero_at(rows, chosen)
         assert got == [p is not None and ring._nonzero_at(rows, [p])[0] for p in chosen]
