@@ -11,13 +11,20 @@ sigma, make the cells half-open against a reference point q, and sum one
 fundamental parallelepiped per cell.  With q = sum of the rays the cells
 partition sigma (with one q shared by the maximal cones of a fan, their
 union); with q = -(sum of the rays), beyond every facet, they partition the
-relative interior (Koeppe & Verdoolaege 2008, Thm 3)."""
+relative interior (Koeppe & Verdoolaege 2008, Thm 3).
+
+A cell's parallelepiped is a finite group, enumerated as a mixed-radix
+residue system, a batch at a time (`parallelepiped_points`).  Under a
+grading each point comes out as one int, the key t + (p << S) of its weight
+(t, p), and a cell's counted keys go into a `RowSum` as they are, with no
+tuple and no term built."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from itertools import product
+from operator import add, mul
 
 from .fan import Cone, triangulate
 from .linalg import Vec, dot, eliminate, rank, row_hnf
@@ -64,17 +71,50 @@ class HalfOpenSimplicialCone:
         object.__setattr__(self, "open_facets", open_facets)
 
 
+def weight_shift(cell: HalfOpenSimplicialCone, grading: Grading) -> int:
+    """The shift S of the cell's packed weight keys t + (p << S): the least
+    with 2^(S-1) above the sum of |l1| over the rays, so above |t| for every
+    point of the parallelepiped."""
+    return sum(abs(dot(grading.l1, r)) for r in cell.rays).bit_length() + 1
+
+
 def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None = None):
     """Lattice points of the half-open fundamental parallelepiped, sorted;
-    with a grading, their weights instead, one per point, in no set order.
+    with a grading, their packed weight keys instead, a flat list with one
+    key per point, in no set order.
 
     These are the points sum(lam_i * ray_i) with lam_i in [0,1) on closed
-    facets and (0,1] on open ones.  The admissible lam form the lattice dual
-    to the one the ray matrix's columns span in Z^r; a triangular basis of
-    it lets them be enumerated coordinate by coordinate, visiting exactly d
-    points, d the index of that column lattice (|det| for r = n).  A weight
-    is linear in lam, so the descent carries it in place of the point: r + 2
-    ints a node instead of r + n, and no point is built.
+    facets and (0,1] on open ones.  The admissible lam form a lattice
+    containing Z^r, dual to the one the ray matrix's columns span in Z^r;
+    the points are the d elements of the group it makes modulo Z^r, d the
+    index of that column lattice (|det| for r = n).  The rows R_j of a
+    lower triangular basis d * B^-T of d * {lam} and the radices
+    n_j = d / R_jj make a mixed-radix residue system of that group: each
+    point is d * lam = (sum_j y_j R_j) mod d with 0 <= y_j < n_j, each
+    coordinate reduced into [0, d), or (0, d] on an open wall (Koeppe &
+    Verdoolaege 2008; the parallelepiped group of Barvinok's algorithm).
+    The level with the largest radix is enumerated as a batch, one list
+    comprehension per coordinate it moves, and the other levels by
+    `itertools.product`.
+
+    A point's image is linear in lam, so each point comes out as one int,
+    sum_i (d lam_i) K_i // d, which divides exactly, K_i the image of ray i
+    packed into one int by signed digits S bits apart.  With a grading,
+    K_i = a_i + (b_i << S), (a_i, b_i) the ray's weight and S =
+    `weight_shift(cell, grading)`: the key t + (p << S) of the point's
+    weight (t, p), which `RowSum.add` reads.  Without one, K_i packs the
+    ray's n coordinates, and the keys are decoded into the sorted points.
+    A digit can be negative (a ray or a grading can be), so a key is
+    decoded with a rounding shift: p = (key + 2^(S-1)) >> S and
+    t = key - (p << S).
+
+    `add_half_open_cells` calls this through the module global and counts
+    on the graded call's flat list, one key per point: the benchmark's
+    tracer wraps `conegf.parallelepiped_points` and counts `len` of what it
+    returns as `conegf.points`.  The same tracer reads `conegf.solve`, which
+    this module therefore imports unused, and needs `ring.div_exact_calls`
+    above 0, which the (1 - P)^n multiply-then-divide of `igusa_zeta`
+    provides.
     """
     rays = cell.rays
     r = len(rays)
@@ -83,47 +123,61 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
     # lam . B^T is.  Bareiss on the lower triangular B^T swaps no row, so
     # d = prod B_ii > 0 and the right block d * B^-T, a basis of d * {lam},
     # is lower triangular with a positive diagonal: row j moves coordinate j
-    # and none above it
+    # and none above it, so distinct y give distinct residues, and
+    # prod n_j = d^r / det(d * B^-T) = d of them
     basis = [row for row in row_hnf([list(col) for col in zip(*rays)]) if any(row)]
     red, _, d, _ = eliminate([[b[i] for b in basis] + [int(i == j) for j in range(r)]
                               for i in range(r)])
-    # a node at level j is its image (point or weight) followed by
-    # d * lam_0..j, one add of a step per move; step j is row j's image and
-    # its d * lam_0..j-1, so the add drops coordinate j, which no lower level
-    # reads.  A step's lam is in the lattice, so its point is integral.
-    # lam_j = (c + y * pivot) / d runs over [0, 1), or (0, 1] on an open
-    # wall, that is c - open + y * pivot over [0, d); the pivot divides d, so
-    # every node has d // pivot moves, the first at y = -((c - open) // pivot)
-    levels = []
-    for j, row in enumerate(row[r:] for row in red):
-        image = [dot(row, col) for col in zip(*rays)]
-        if any(a % d for a in image):
-            raise AssertionError("parallelepiped coefficient escaped the lattice")
-        point = [a // d for a in image]
-        step = (list(grading.weight(point)) if grading else point) + row[:j]
-        levels.append((step, row[j], int(j in cell.open_facets), d // row[j]))
-    step0, h0, o0, n0 = levels[0]
-    if r == 1:  # the root is an innermost node
-        return sorted(tuple(y * s for s in step0) for y in range(o0, o0 + n0))
+    steps = [row[r:] for row in red]
+    if grading:
+        shift = weight_shift(cell, grading)
+        keys = [a + (b << shift) for a, b in map(grading.weight, rays)]
+    else:
+        # room for each coordinate, as weight_shift leaves room for t
+        shift = max(sum(map(abs, col)) for col in zip(*rays)).bit_length() + 1
+        keys = [sum(x << shift * k for k, x in enumerate(ray)) for ray in rays]
+    # a point's key sum is sum_j y_j (R_j . K) modulo multiples of d K_i, so
+    # every division below is exact iff each R_j . K is divisible by d
+    if any(sum(map(mul, row, keys)) % d for row in steps):
+        raise AssertionError("parallelepiped coefficient escaped the lattice")
+    radix = [d // row[j] for j, row in enumerate(steps)]
+    top = max(range(r), key=radix.__getitem__)
+    n, moves = radix[top], [s % d for s in steps[top]]
+    # an open wall's coordinate is (x - 1) mod d + 1: start one lower, and
+    # add its key once for the whole batch
+    start = [-int(i in cell.open_facets) for i in range(r)]
+    lift = -sum(map(mul, start, keys))
+    others = [j for j in range(r) if j != top]
     out = []
+    for ys in product(*(range(radix[j]) for j in others)):
+        coords = start
+        for j, y in zip(others, ys):
+            if y:
+                coords = [c + y * s for c, s in zip(coords, steps[j])]
+        fixed, batch = lift, None
+        for c, s, key in zip(coords, moves, keys):
+            if not s:  # a coordinate the batch level does not move
+                fixed += c % d * key
+                continue
+            col = [x % d * key for x in range(c, c + n * s, s)]
+            batch = col if batch is None else list(map(add, batch, col))
+        if batch is None:  # d = 1: the origin alone
+            out.append(fixed // d)
+        else:
+            out += [(v + fixed) // d for v in batch]
+    if grading:
+        return out
+    return sorted(tuple(_digits(v, shift, len(rays[0]))) for v in out)
 
-    def descend(j, node):
-        step, h, o, n = levels[j]
-        y = -((node[-1] - o) // h)
-        node = [a + y * s for a, s in zip(node, step)]
-        for _ in range(n):
-            if j > 1:
-                descend(j - 1, node)
-            else:
-                # the innermost coordinate: its moves are the points
-                y = -((node[-1] - o0) // h0)
-                for _ in range(n0):
-                    out.append(tuple([a + y * s for a, s in zip(node, step0)]))
-                    y += 1
-            node = list(map(add, node, step))
 
-    descend(r - 1, [0] * (len(step0) + r))
-    return out if grading else sorted(out)
+def _digits(key, shift, count):
+    """The count signed digits of key, S = shift bits apart, each of
+    absolute value below 2^(S-1), lowest first."""
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    for _ in range(count):
+        digit = ((key + half) & mask) - half
+        yield digit
+        key = (key - digit) >> shift
 
 
 def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
@@ -153,10 +207,10 @@ def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
 
 def add_half_open_cells(acc: RowSum, cone: Cone, q: Vec, grading: Grading):
     """Add the generating function of each of the cone's half-open cells for
-    the point q into the accumulator: its parallelepiped's weights over one
-    factor 1 - T^a P^b per ray."""
+    the point q into the accumulator: its parallelepiped's weight keys,
+    counted, over one factor 1 - T^a P^b per ray."""
     for cell in _half_open_cells(cone, q):
-        acc.add(Counter(parallelepiped_points(cell, grading)),
+        acc.add(Counter(parallelepiped_points(cell, grading)), weight_shift(cell, grading),
                 [grading.weight(r) for r in cell.rays])
 
 

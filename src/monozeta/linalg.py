@@ -1,9 +1,9 @@
 """Exact linear algebra over integer matrices and lattices.
 
 Matrices are sequences of rows of Python ints; no floats are ever
-introduced.  One fraction-free elimination serves rank, det, invert and
-solve.  Fractions appear only in what invert and solve return and in
-scale_to_int, which clears them.
+introduced.  One fraction-free elimination serves rank, det_int, solve and
+the parallelepiped enumeration's d * B^-T (`conegf`).  Fractions appear
+only in what solve returns and in scale_to_int, which clears them.
 """
 
 from __future__ import annotations
@@ -92,20 +92,6 @@ def rank(rows) -> int:
 def det_int(rows) -> int:
     _, pivots, d, sign = eliminate(rows)
     return sign * d if len(pivots) == len(rows) else 0
-
-
-def det(rows) -> Fraction:
-    return Fraction(det_int(rows))
-
-
-def invert(rows):
-    """Inverse of a nonsingular square matrix, as rows of Fractions."""
-    n = len(rows)
-    red, pivots, d, _ = eliminate(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[Fraction(a, d) for a in row[n:]] for row in red]
 
 
 def solve(rows, rhs):

@@ -9,13 +9,14 @@ and are never changed once a polynomial holds them.  A rational function
 keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
 such fractions is accumulated in a `RowSum`, its numerator packed one int
-per P-degree and decoded once, straight into rows.
+per P-degree, built from packed keys and decoded once, straight into rows.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -582,7 +583,9 @@ class RowSum:
     reading them back needs each below 2^(W-1) in absolute value.  An l1
     bound on the numerator proves that: a fraction adds its own, and a
     binomial at most doubles it.  W starts at 64 bits and doubles (one
-    decode, one repack) before the bound can reach 2^(W-1).
+    decode, one repack) before the bound can reach 2^(W-1).  A fraction's
+    numerator comes in as packed keys t + (p << S), a cell's counted weight
+    keys, and goes into rows with no term built.
     """
 
     __slots__ = ("_rows", "_den", "_width", "_bound")
@@ -593,18 +596,20 @@ class RowSum:
         self._width = 64
         self._bound = 0
 
-    def add(self, terms, factors):
-        """Add terms / prod of 1 - T^a P^b over factors (a, b); terms maps
-        (t, p) with t, p >= 0 to int coefficients."""
+    def add(self, keys, shift, factors):
+        """Add N / prod of 1 - T^a P^b over factors (a, b).  The terms
+        c T^t P^p of N come packed, keys maps t + (p << shift) to c, with
+        p >= 0 and 0 <= t < 2^(shift-1) (a cell's weight keys, counted), and
+        go into packed rows with no term built (`_pack_keys`)."""
         factors = Counter(map(_as_factor, factors))
         grow, lift = factors - self._den, self._den - factors
         bound = ((self._bound << sum(grow.values()))
-                 + (sum(map(abs, terms.values())) << sum(lift.values())))
+                 + (sum(map(abs, keys.values())) << sum(lift.values())))
         self._fit(bound)
         width = self._width
         for f in grow.elements():
             self._rows = _times_binomial(self._rows, f, width)
-        rows = _pack(_by_p_degree(terms), width)
+        rows = _pack_keys(keys, shift, width)
         for f in lift.elements():
             rows = _times_binomial(rows, f, width)
         _add_rows(self._rows, rows, 0, 0, 1, width)
@@ -679,8 +684,8 @@ def _by_p_degree(terms):
     """The rows {p: {t: c}} of the terms {(t, p): c}, one per P-degree, each
     in the order of the terms: the layout `BiPoly` stores.  Only input that
     arrives as terms is grouped here: the `BiPoly` constructor (so
-    `from_json` too), the general division's quotient and a cell's terms in
-    `RowSum.add`."""
+    `from_json` too) and the general division's quotient.  A cell comes
+    into `RowSum.add` as packed keys, never as terms."""
     rows: dict[int, dict[int, int]] = {}
     for (t, p), c in terms.items():
         row = rows.get(p)
@@ -693,21 +698,60 @@ def _by_p_degree(terms):
 
 def _pack(rows, width):
     """The packed rows {p: (t0, v)} of the rows {p: {t: c}}, each
-    |c| < 2^(width-1).  Each slot is written as c + 2^(width-1), so no slot
-    borrows, and the lift is taken off the whole row at once."""
-    size, half = width // 8, 1 << (width - 1)
+    |c| < 2^(width-1): keyed as `RowSum.add` takes a cell, and packed the
+    same way."""
+    shift = max(map(max, rows.values()), default=0).bit_length() + 2
+    return _pack_keys({t + (p << shift): c for p, row in rows.items() for t, c in row.items()},
+                      shift, width)
+
+
+def _pack_keys(keys, shift, width):
+    """The packed rows {p: (t0, v)} of the terms given as keys
+    {t + (p << shift): c}, p >= 0, 0 <= t < 2^(shift-1), |c| < 2^(width-1).
+
+    In key order a row is one run of keys, from p << shift up to below
+    (p << shift) + 2^(shift-1), so sorting the keys groups them, and one
+    bisection per row finds where its run ends.  Each c is written into a
+    buffer of 64-bit words in two's complement, width/64 words to a slot,
+    and the buffer is read as one unsigned int X, little-endian both ways.
+    X is the row when no c is negative, as for a cell's point counts.  Else,
+    with L = 2^(width-1) in every slot, X ^ L holds c + 2^(width-1) in each
+    slot (flipping the top bit of a two's complement number adds
+    2^(width-1) to it), so no slot borrows, and X ^ L - L is the row."""
+    half, k = 1 << (shift - 1), width // 64
+    order = sorted(keys)
+    coeff = keys.__getitem__
+    signed = min(keys.values(), default=0) < 0
     packed = {}
-    for p, row in rows.items():
-        t0 = min(row)
+    lo, end = 0, len(order)
+    while lo < end:
+        first = order[lo]
+        p = (first + half) >> shift  # the rounding shift: t may read as negative
+        t0 = first - (p << shift)
         if t0 < 0 or p < 0:
             raise ValueError("negative exponent in a packed term")
-        lift = _slot_lift(width, max(row) - t0 + 1)
-        buf = bytearray(lift)
-        for t, c in row.items():
-            i = (t - t0) * size
-            buf[i:i + size] = (c + half).to_bytes(size, "little")
-        packed[p] = (t0, int.from_bytes(buf, "little") - int.from_bytes(lift, "little"))
+        hi = bisect_left(order, (p << shift) + half, lo)
+        n = (order[hi - 1] - first + 1) * k
+        words = [0] * n
+        if k == 1:
+            for key in order[lo:hi]:
+                words[key - first] = coeff(key) & _WORD
+        else:
+            for key in order[lo:hi]:
+                c, i = coeff(key), (key - first) * k
+                for j in range(i, i + k):
+                    words[j] = c & _WORD
+                    c >>= 64
+        v = int.from_bytes(struct.pack(f"<{n}Q", *words), "little")
+        if signed:
+            lift = int.from_bytes(_slot_lift(width, n // k), "little")
+            v = (v ^ lift) - lift
+        packed[p] = (t0, v)
+        lo = hi
     return packed
+
+
+_WORD = (1 << 64) - 1
 
 
 def _unpack(packed, width):

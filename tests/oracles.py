@@ -2,15 +2,30 @@
 
 Deliberately naive: feasibility by textbook two-phase simplex over
 Fractions, lattice enumeration by bounding boxes, generating functions by
-direct summation.  Slow but transparently correct.
+direct summation.  Slow but transparently correct.  Reference code that
+the package no longer needs lives here too (`det`, `invert`).
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
-from monozeta.linalg import dot, solve
+from monozeta.linalg import det_int, dot, eliminate, solve
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
+
+
+def det(rows) -> Fraction:
+    return Fraction(det_int(rows))
+
+
+def invert(rows):
+    """Inverse of a nonsingular square matrix, as rows of Fractions."""
+    n = len(rows)
+    red, pivots, d, _ = eliminate(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(a, d) for a in row[n:]] for row in red]
 
 
 def lp_feasible(A, b) -> bool:

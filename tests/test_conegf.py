@@ -15,6 +15,7 @@ from monozeta.conegf import (
     interior_lattice_gf,
     lattice_gf,
     parallelepiped_points,
+    weight_shift,
 )
 from monozeta.fan import cone_faces, cone_from_rays, normal_fan
 from monozeta.linalg import det_int, dot, solve
@@ -91,21 +92,51 @@ def test_parallelepiped_matches_naive_oracle():
         assert len(set(got)) == len(got)
 
 
+def graded_weights(cell, grading):
+    """The graded call's keys t + (p << S), decoded with the rounding shift
+    into the weights (t, p); t and p may be negative here."""
+    shift = weight_shift(cell, grading)
+    half = 1 << (shift - 1)
+    return [(key - (p << shift), p)
+            for key in parallelepiped_points(cell, grading) for p in ((key + half) >> shift,)]
+
+
+# groups with a radix above 10^4: cyclic of prime order 20,011, and
+# Z/2 x Z/20014, which is not cyclic
+LARGE_GROUPS = [[(1, 0), (1, 20011)], [(2, 2), (0, 20014)]]
+
+
+def in_plane_cell(cell, v):
+    """Does v lie in the half-open parallelepiped of a cell of two rays in
+    the plane?  Cramer's rule: its coefficients are lam_j = num_j / det."""
+    (a, b), (c, e) = cell.rays
+    det = a * e - b * c
+    sign = 1 if det > 0 else -1
+    nums = (sign * (v[0] * e - v[1] * c), sign * (a * v[1] - b * v[0]))
+    return all(0 < x <= abs(det) if j in cell.open_facets else 0 <= x < abs(det)
+               for j, x in enumerate(nums))
+
+
 def test_graded_descent_weighs_every_point_once():
-    # the descent carries the weight in place of the point: one weight per
-    # point, the multiset of the points' weights
+    # the graded call gives one weight key per point: the multiset of the
+    # points' weights, negative weights and gradings included
     rng = random.Random(602)
     cells = oracle_cells()
     rays = [r for c in cells for r in c.rays]
     assert any(min(r) < 0 for r in rays) and any(gcd(*r) > 1 for r in rays)
     assert any(len(c.rays) == 1 for c in cells)
     assert any(len(c.rays) < len(c.rays[0]) for c in cells)
-    for cell in cells:
+    large = [HalfOpenSimplicialCone(rays, opened)
+             for rays in LARGE_GROUPS for opened in ((), (1,), (0, 1))]
+    for cell in cells + large:
         points = parallelepiped_points(cell)
         n = len(cell.rays[0])
-        for _ in range(3):
+        if cell in large:  # too large for the naive oracle
+            assert len(set(points)) == len(points) == abs(det_int([list(r) for r in cell.rays]))
+            assert all(in_plane_cell(cell, v) for v in points), cell
+        for _ in range(1 if cell in large else 3):
             g = Grading(*(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(2)))
-            weights = parallelepiped_points(cell, g)
+            weights = graded_weights(cell, g)
             assert len(weights) == len(points), cell
             assert Counter(weights) == Counter(g.weight(v) for v in points), (cell, g)
 

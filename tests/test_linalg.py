@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import det, invert
 from monozeta.linalg import (
-    det,
     det_int,
     dot,
     eliminate,
-    invert,
     left_kernel_basis,
     primitive,
     rank,

@@ -18,6 +18,12 @@ P = BiPoly.term(0, 1)
 T = BiPoly.term(1, 0)
 TP = BiPoly.term(1, 1)
 ONE = BiPoly.one()
+SHIFT = 40
+
+
+def keyed(terms):
+    """The terms {(t, p): c} as the keys t + (p << SHIFT) that `RowSum.add` reads."""
+    return {t + (p << SHIFT): c for (t, p), c in terms.items()}
 
 
 def random_poly(rng, max_deg=3, max_terms=5, max_coeff=3):
@@ -242,7 +248,7 @@ def test_row_sum_matches_the_pairwise_route():
                      rng.choice((-1, 1)) * rng.randint(1, 2**62 if big else 9)
                      for _ in range(rng.randint(1, 12))}
             factors = [random_factor(rng) for _ in range(rng.randint(0, 4))]
-            acc.add(terms, factors)
+            acc.add(keyed(terms), SHIFT, factors)
             ref = ref + BiRationalFunction(BiPoly(terms), factors)
         widened += acc._width > 64
         got = acc.rational()
@@ -251,13 +257,36 @@ def test_row_sum_matches_the_pairwise_route():
     assert widened > 10
 
 
+def test_key_packing_add_matches_the_pairwise_route():
+    # keys t + (p << S) at shifts with more room than t needs, signed
+    # coefficients or a cell's positive counts, and now and then a
+    # coefficient near 2^126, which widens the rows from 64 bits past 128
+    rng = random.Random(1901)
+    widths = set()
+    for _ in range(200):
+        acc, ref = RowSum(), BiRationalFunction.zero()
+        for _ in range(rng.randint(1, 6)):
+            big, signed = rng.random() < 0.1, rng.random() < 0.7
+            terms = {(rng.randint(0, 60), rng.randint(0, 6)):
+                     (rng.choice((-1, 1)) if signed else 1)
+                     * (rng.randint(2**125, 2**126) if big else rng.randint(1, 9))
+                     for _ in range(rng.randint(1, 15))}
+            shift = max(t for t, _ in terms).bit_length() + rng.randint(1, 9)
+            factors = [random_factor(rng) for _ in range(rng.randint(0, 3))]
+            acc.add({t + (p << shift): c for (t, p), c in terms.items()}, shift, factors)
+            ref = ref + BiRationalFunction(BiPoly(terms), factors)
+        widths.add(acc._width)
+        assert acc.rational() == ref
+    assert 64 in widths and max(widths) >= 256
+
+
 def test_row_sum_cancels_to_zero():
     acc = RowSum()
     terms = {(3, 0): 2, (5, 1): -7, (4, 4): 1}
-    acc.add(terms, [(1, 0), (2, 1)])
+    acc.add(keyed(terms), SHIFT, [(1, 0), (2, 1)])
     # the same fraction over a larger multiset, with the opposite sign
     neg = BiPoly(terms)._mul_binomial(0, 2)
-    acc.add({k: -c for k, c in neg.terms()}, [(2, 1), (0, 2), (1, 0)])
+    acc.add(keyed({k: -c for k, c in neg.terms()}), SHIFT, [(2, 1), (0, 2), (1, 0)])
     got = acc.rational()
     assert got.numerator.is_zero()
     assert got.denominator == (BinomialFactor(0, 2), BinomialFactor(1, 0),
@@ -269,7 +298,7 @@ def test_row_sum_widens_before_its_bound_reaches_the_slot():
     # (1 - T^3 P)^70 has coefficients up to C(70, 35) > 2^66: a 64-bit slot
     # would wrap, so the l1 bound 2^70 must have widened the rows first
     acc = RowSum()
-    acc.add({(2, 1): 1, (0, 0): -3}, [(1, 1)])
+    acc.add(keyed({(2, 1): 1, (0, 0): -3}), SHIFT, [(1, 1)])
     ref = BiPoly({(2, 1): 1, (0, 0): -3})
     for _ in range(70):
         acc.mul_binomial(3, 1)
@@ -278,7 +307,7 @@ def test_row_sum_widens_before_its_bound_reaches_the_slot():
     assert max(abs(c) for _, c in ref.terms()) > 2**66
     assert acc.rational() == BiRationalFunction(ref, [(1, 1)])
     # a sum keeps widening: a cell lifted by factors the sum holds
-    acc.add({(0, 0): 2**126}, [])
+    acc.add(keyed({(0, 0): 2**126}), SHIFT, [])
     ref = ref + BiPoly.term(0, 0, 2**126)._mul_binomial(1, 1)
     assert acc._width == 256
     assert acc.rational() == BiRationalFunction(ref, [(1, 1)])
@@ -288,11 +317,13 @@ def test_row_sum_rejects_bad_input():
     acc = RowSum()
     for bad in ([(0, 0)], [(-1, 2)]):
         with pytest.raises(ValueError):
-            acc.add({(0, 0): 1}, bad)
+            acc.add(keyed({(0, 0): 1}), SHIFT, bad)
     with pytest.raises(ValueError):
         acc.mul_binomial(0, 0)
     with pytest.raises(ValueError):
-        acc.add({(-1, 0): 1}, [])
+        acc.add(keyed({(-1, 0): 1}), SHIFT, [])
+    with pytest.raises(ValueError):  # a negative T-degree above P-degree 0
+        acc.add(keyed({(3, 2): 1, (-1, 2): 1}), SHIFT, [])
 
 
 def assert_canonical(f):
@@ -353,9 +384,9 @@ def test_poly_rows_stay_canonical():
     for _ in range(30):
         terms = {(rng.randint(0, 9), rng.randint(0, 4)): rng.randint(-3, 3) for _ in range(6)}
         factors = [random_factor(rng) for _ in range(rng.randint(0, 2))]
-        acc.add(terms, factors)
+        acc.add(keyed(terms), SHIFT, factors)
         ref = ref + BiRationalFunction(BiPoly(terms), factors)
-        acc.add({k: -c for k, c in terms.items()}, factors)  # a whole cell cancels
+        acc.add(keyed({k: -c for k, c in terms.items()}), SHIFT, factors)  # a whole cell cancels
         ref = ref + BiRationalFunction(-BiPoly(terms), factors)
         assert_same(acc.rational().numerator, ref.numerator)
 
@@ -394,10 +425,10 @@ def test_operations_leave_their_operands_unchanged():
     # the sum's rows are decoded once; adding to the sum later leaves the
     # polynomial already read
     acc = RowSum()
-    acc.add({(0, 0): 1, (3, 2): -2}, [(1, 1)])
+    acc.add(keyed({(0, 0): 1, (3, 2): -2}), SHIFT, [(1, 1)])
     got = acc.rational()
     json_before = got.to_json()
-    acc.add({(0, 0): 5, (1, 2): 2**70}, [(1, 2)])
+    acc.add(keyed({(0, 0): 5, (1, 2): 2**70}), SHIFT, [(1, 2)])
     acc.mul_binomial(0, 1)
     assert got.to_json() == json_before
     assert acc.rational() != got
@@ -439,7 +470,7 @@ def test_signed_slot_decode_at_its_edges():
         acc = RowSum()
         acc._fit(2**(width - 2))
         assert acc._width == width
-        acc.add({}, den)
+        acc.add(keyed({}), SHIFT, den)
         acc._rows = packed
         got = acc.rational()
         assert got == ref and assert_canonical(got.numerator)
@@ -448,7 +479,7 @@ def test_signed_slot_decode_at_its_edges():
         acc = RowSum()
         for p, (t0, slots) in cases.items():
             for i, c in enumerate(slots):
-                acc.add({(t0 + i, p): c}, den)
+                acc.add(keyed({(t0 + i, p): c}), SHIFT, den)
         assert acc._width > width and acc.rational() == ref
 
 
