@@ -226,12 +226,3 @@ def triangulate(cone: Cone) -> list[Cone]:
         out.append(Cone(cone.n, tuple(rays), tuple(walls + pairs), cone.dim))
     return out
 
-
-def cone_faces(cone: Cone) -> list[tuple[Cone, int]]:
-    """All faces of the cone, each with the sign (-1)^(dim cone - dim face).
-
-    Includes the zero face and the cone itself; ordered by (dim, rays).
-    """
-    faces = [cone_from_rays(rayset, cone.n) for rayset in _face_raysets(cone)]
-    faces.sort(key=lambda c: (c.dim, c.rays))
-    return [(f, (-1) ** (cone.dim - f.dim)) for f in faces]

@@ -10,6 +10,10 @@ keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
 such fractions is accumulated in a `RowSum`, its numerator packed one int
 per P-degree, built from packed keys and decoded once, straight into rows.
+`reduced()` decides each denominator factor once: an edge certificate read
+off the ends of the numerator's rows keeps most factors, one modular screen
+pass over the numerator's terms keeps most of the rest, and exact division
+and chain sums decide the others.
 """
 
 from __future__ import annotations
@@ -423,17 +427,28 @@ class BiRationalFunction:
         Write the factor as 1 - x^g, x = T^a0 P^b0 primitive.  Every step
         below (dividing by 1 - x^g, or exchanging it for 1 - x^m, m a proper
         divisor of g) needs the cyclotomic factor Phi_g(x) to divide the
-        numerator N.  So a screen comes first: N is evaluated modulo one
-        fixed prime q with g | q - 1 for every g <= 22, at a point where x is
-        a primitive g-th root of unity, a zero of Phi_g(x).  A nonzero value
-        proves Phi_g(x) does not divide N, and the factor stays with nothing
-        more built.  A zero value decides nothing, and no other g is
-        screened; the steps below decide, so the screen cannot change an
-        outcome, even on an unlucky zero.  Every factor is screened against
-        the numerator as it came in: each step replaces N by a divisor of
-        N, so a nonzero value there still proves Phi_g(x) does not divide
-        N.  So one pass over N's terms screens every factor
-        (`_nonzero_at`): each point is one B-bit lane of a packed table of
+        numerator N.  Two tests that can prove it does not come first, both
+        against the numerator as it came in: each step replaces N by a
+        divisor of N, so a proof there still holds.  A proven factor stays
+        with nothing more built; an unproven one goes on to the exact
+        steps, so neither test can change an outcome.
+
+        The edge certificate (`_edge_certified`): multiplying by a
+        polynomial in x keeps phi = b0*t - a0*p, so Phi_g(x) divides the
+        part of N on every line phi = const, the two extreme lines
+        included (Ostrowski: Newt(f g) = Newt(f) + Newt(g)).  An extreme
+        line with one term, or whose polynomial in x is nonzero mod q at
+        a primitive g-th root of unity (the screen prime q below, when
+        g | q - 1), proves the factor stays.  The extreme lines are read
+        off the ends of N's P-degree rows, O(rows) per direction.
+
+        The screen (`_nonzero_at`), for the factors left: N is evaluated
+        modulo one fixed prime q with g | q - 1 for every g <= 22, at a
+        point where x is a primitive g-th root of unity, a zero of
+        Phi_g(x).  A nonzero value proves Phi_g(x) does not divide N.  A
+        zero value decides nothing, and no other g is screened.  One pass
+        over N's terms screens every factor left, and there is no pass
+        when none is: each point is one B-bit lane of a packed table of
         T-powers, at most 16 lanes to a pass, B the least multiple of 64
         that holds every row's value at every point exactly.
 
@@ -457,7 +472,12 @@ class BiRationalFunction:
         num, den = self.numerator, []
         lines = [((f.a // g, f.b // g), g)
                  for f in self.denominator for g in (gcd(f.a, f.b),)]
-        stays = _nonzero_at(num._rows, [_screen_point(x, g) for x, g in lines])
+        stays = _edge_certified(num._rows, lines)
+        left = [k for k, stay in enumerate(stays) if not stay]
+        if left:
+            screened = _nonzero_at(num._rows, [_screen_point(*lines[k]) for k in left])
+            for k, stay in zip(left, screened):
+                stays[k] = stay
         for f, (x, g), stay in zip(self.denominator, lines, stays):
             if stay:
                 den.append(f)
@@ -831,6 +851,48 @@ def _screen_point(x, g):
     return (q, pow(z, u, q) * pow(s, b0, q) % q, pow(z, v, q) * pow(s, -a0, q) % q)
 
 
+def _edge_certified(rows, lines):
+    """For each (x, g), x = (a0, b0) primitive, does an extreme line of the
+    polynomial with the P-degree rows {p: {t: c}} prove that Phi_g(x)
+    does not divide it, x = T^a0 P^b0?
+
+    Multiplying by a polynomial in x keeps each monomial on its line
+    phi = b0*t - a0*p = const, so in a multiple of Phi_g(x) the part on
+    every line is one too.  The part on a line is a monomial times h(x),
+    h a polynomial in one variable, and Phi_g(x) divides it only if h has
+    more than one term and, when g | q - 1 for the screen prime q, only if
+    h(z) = 0 mod q at z of order g (Phi_g(z) = 0 mod q).  Only the two
+    extreme lines, phi largest and smallest, are tested: for b0 > 0 a row
+    holds at most one term of a line, so they are made of row ends, each
+    row's least and greatest T-degree, read once per call; for b0 = 0
+    (x = T) the lines are the rows, and they are the lowest and highest."""
+    out = [False] * len(lines)
+    if not rows:
+        return out
+    q, ends, edges = _SCREEN_PRIME, None, {}
+    for k, (x, g) in enumerate(lines):
+        if x not in edges:
+            a0, b0 = x
+            if not b0:  # a0 = 1
+                edges[x] = [[(t - t0, c) for t, c in row.items()]
+                            for row in (rows[min(rows)], rows[max(rows)])
+                            for t0 in (min(row),)]
+            else:
+                if ends is None:
+                    ends = [(p, min(row), max(row)) for p, row in rows.items()]
+                edges[x] = []
+                for side, best in ((2, max), (1, min)):
+                    phi = [b0 * e[side] - a0 * e[0] for e in ends]
+                    top = best(phi)
+                    on = [e for e, v in zip(ends, phi) if v == top]
+                    p0 = min(e[0] for e in on)
+                    edges[x].append([((e[0] - p0) // b0, rows[e[0]][e[side]]) for e in on])
+        z = None if (q - 1) % g else pow(_SCREEN_GENERATOR, (q - 1) // g, q)
+        out[k] = any(len(h) == 1 or z is not None and sum(
+            c * pow(z, e, q) for e, c in h) % q != 0 for h in edges[x])
+    return out
+
+
 def _powers(base, exponents, q):
     """base^e mod q for the increasing exponents e, each one step from the
     last, so a gap costs its logarithm."""
@@ -863,7 +925,7 @@ def _nonzero_at(rows, points):
     since `_powers` steps through them in increasing order."""
     live = [k for k, point in enumerate(points) if point is not None]
     out = [False] * len(points)
-    if not rows:
+    if not rows or not live:
         return out
     p_degrees = sorted(rows)
     t_degrees = sorted(set().union(*rows.values()))
@@ -954,11 +1016,6 @@ class UniRational:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def value_at(self, t):
-        n = sum(c * Fraction(t) ** i for i, c in enumerate(self.num))
-        d = sum(c * Fraction(t) ** i for i, c in enumerate(self.den))
-        return n / d
 
     def series_coeffs(self, count):
         """First `count` Taylor coefficients at T = 0 (den[0] must be nonzero)."""

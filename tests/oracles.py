@@ -3,13 +3,15 @@
 Deliberately naive: feasibility by textbook two-phase simplex over
 Fractions, lattice enumeration by bounding boxes, generating functions by
 direct summation.  Slow but transparently correct.  Reference code that
-the package no longer needs lives here too (`det`, `invert`).
+the package no longer needs lives here too (`det`, `invert`, `cone_faces`,
+`value_at`).
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
+from monozeta.fan import Cone, _face_raysets, cone_from_rays
 from monozeta.linalg import det_int, dot, eliminate, solve
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
 
@@ -26,6 +28,23 @@ def invert(rows):
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [[Fraction(a, d) for a in row[n:]] for row in red]
+
+
+def cone_faces(cone: Cone) -> list[tuple[Cone, int]]:
+    """All faces of the cone, each with the sign (-1)^(dim cone - dim face).
+
+    Includes the zero face and the cone itself; ordered by (dim, rays).
+    """
+    faces = [cone_from_rays(rayset, cone.n) for rayset in _face_raysets(cone)]
+    faces.sort(key=lambda c: (c.dim, c.rays))
+    return [(f, (-1) ** (cone.dim - f.dim)) for f in faces]
+
+
+def value_at(r, t):
+    """The value of the `UniRational` r at t."""
+    n = sum(c * Fraction(t) ** i for i, c in enumerate(r.num))
+    d = sum(c * Fraction(t) ** i for i, c in enumerate(r.den))
+    return n / d
 
 
 def lp_feasible(A, b) -> bool:

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import cone_faces
 from monozeta.conegf import (
     Grading,
     HalfOpenSimplicialCone,
@@ -16,7 +17,7 @@ from monozeta.conegf import (
     lattice_gf,
     parallelepiped_points,
 )
-from monozeta.fan import cone_faces, normal_fan
+from monozeta.fan import normal_fan
 from monozeta.linalg import det_int
 from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
 from monozeta.ring import BiPoly, BiRationalFunction

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from oracles import gf_series_brute, naive_parallelepiped, orthant_points
+from oracles import cone_faces, gf_series_brute, naive_parallelepiped, orthant_points
 from monozeta.conegf import (
     Grading,
     HalfOpenSimplicialCone,
@@ -17,7 +17,7 @@ from monozeta.conegf import (
     parallelepiped_points,
     weight_shift,
 )
-from monozeta.fan import cone_faces, cone_from_rays, normal_fan
+from monozeta.fan import cone_from_rays, normal_fan
 from monozeta.linalg import det_int, dot, solve
 from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
 from monozeta.ring import BinomialFactor, BiRationalFunction

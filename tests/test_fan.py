@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from oracles import in_cone, orthant_points
-from monozeta.fan import Cone, cone_faces, cone_from_rays, normal_fan, triangulate
+from oracles import cone_faces, in_cone, orthant_points
+from monozeta.fan import Cone, cone_from_rays, normal_fan, triangulate
 from monozeta.linalg import dot
 from monozeta.polyhedra import Facet, MonomialIdeal, NewtonPolyhedron, newton_polyhedron
 

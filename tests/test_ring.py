@@ -2,12 +2,13 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
-from oracles import reduced_by_trial, series_by_geometric
+from oracles import reduced_by_trial, series_by_geometric, value_at
 from test_acceptance import corpus
 from monozeta import ring
 from monozeta.polyhedra import MonomialIdeal
@@ -539,10 +540,9 @@ def test_rf_reduce_is_canonical_under_a_common_factor():
 
 
 def test_rf_reduce_is_one_pass(monkeypatch):
-    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the screen rules out 1 - T P
-    # without a division (at its point T0 = 61, P0 = 61^-1 the numerator is
-    # 1 - 61^-1, nonzero mod q), so the one division made is the one that
-    # succeeds
+    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the edge certificate rules out
+    # 1 - T P without a division (its extreme lines, 1 and T P^2, hold one
+    # term each), so the one division made is the one that succeeds
     calls = []
     div_exact = BiPoly.div_exact
     def counting(self, divisor):
@@ -679,12 +679,17 @@ def test_screen_point_and_multiples_of_the_cyclotomic_factor():
 
 def test_screen_zero_falls_through_to_chain_sums():
     # T - t0 vanishes at the screen point of 1 - T P, but 1 - T P does not
-    # divide it: the chain sums must still keep the factor
+    # divide it: the chain sums must still keep the factor.  Its extreme
+    # lines T and t0 hold one term each, so the edge certificate keeps it
+    # first; adding T^2 (1 - T P) + P (1 - T P) puts 1 - T P on both
+    # extreme lines, and the factor reaches the screen and the division
     q, t0, p0 = ring._screen_point((1, 1), 1)
     num = T - t0 * ONE
-    assert screen_vanishes(num, (1, 1), 1)
-    rf = BiRationalFunction(num, [(1, 1), (2, 2)])
-    assert rf.reduced() == rf == reduced_by_trial(rf)
+    for num in (num, num + (T * T + P) * (ONE - TP)):
+        assert screen_vanishes(num, (1, 1), 1)
+        rf = BiRationalFunction(num, [(1, 1), (2, 2)])
+        assert rf.reduced() == rf == reduced_by_trial(rf)
+    assert ring._edge_certified(num._rows, factor_lines(rf)) == [False, True]
 
 
 def test_screen_one_pass_matches_one_point_evaluations():
@@ -720,26 +725,143 @@ def test_screen_one_pass_matches_one_point_evaluations():
     assert {64, 128, 256} <= widths
 
 
-def test_rf_reduce_screens_every_factor_in_one_pass(monkeypatch):
-    screens = []  # the number of points of each screen pass
+def factor_lines(rf):
+    """((a0, b0), g) for each denominator factor, as `reduced()` reads it."""
+    return [((f.a // g, f.b // g), g) for f in rf.denominator for g in (gcd(f.a, f.b),)]
+
+
+def test_rf_reduce_screens_what_the_certificate_leaves_in_one_pass(monkeypatch):
+    screens = []  # the points of each screen pass
     nonzero_at = ring._nonzero_at
     def counting(rows, points):
-        screens.append(len(points))
+        screens.append(points)
         return nonzero_at(rows, points)
     monkeypatch.setattr(ring, "_nonzero_at", counting)
+    sums, passes = [], []  # each reduced() call's input and screen passes
+    reduced = BiRationalFunction.reduced
+    def recording(self):
+        screens.clear()
+        out = reduced(self)
+        sums.append(self)
+        passes.append(list(screens))
+        return out
+    monkeypatch.setattr(BiRationalFunction, "reduced", recording)
+    for ideal in corpus()[:10]:
+        igusa_zeta(ideal)
+    monkeypatch.undo()
+    assert len(sums) == 10
+    for rf, made in zip(sums, passes):
+        lines = factor_lines(rf)
+        left = [ring._screen_point(*line) for line, certified
+                in zip(lines, ring._edge_certified(rf.numerator._rows, lines)) if not certified]
+        assert made == ([left] if left else [])  # at most one pass, on the factors left
+    assert any(not made for made in passes)  # some sum needs no pass at all
+    for rf in sums:
+        assert rf.reduced() == reduced_by_trial(rf)
+
+
+def edge_certified_by_terms(num, x, g):
+    """`ring._edge_certified` for one factor, from the flat terms: the lines
+    b0*t - a0*p of largest and smallest value, each a monomial times a
+    polynomial h in x = T^a0 P^b0, its exponents (t + p - least) / (a0 + b0)."""
+    q = ring._SCREEN_PRIME
+    z = None if (q - 1) % g else pow(ring._SCREEN_GENERATOR, (q - 1) // g, q)
+    terms = num.terms()
+    phi = [x[1] * t - x[0] * p for (t, p), _ in terms]
+    for top in {max(phi, default=0), min(phi, default=0)} if terms else ():
+        line = [(t + p, c) for ((t, p), c), v in zip(terms, phi) if v == top]
+        low = min(d for d, _ in line)
+        if len(line) == 1 or z is not None and sum(
+                c * pow(z, (d - low) // sum(x), q) for d, c in line) % q:
+            return True
+    return False
+
+
+def drawn_pool(seed, size, n, gens, max_exp):
+    """Ideals drawn by the rule of the benchmark's fixed-size pools."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(size):
+        draw = []
+        while len(draw) < gens:
+            g = tuple(rng.randint(0, max_exp) for _ in range(n))
+            if any(g):
+                draw.append(g)
+        out.append(MonomialIdeal(n, draw))
+    return out
+
+
+def test_edge_certificate_only_keeps_what_trial_division_keeps(monkeypatch):
+    # the unreduced sums of the acceptance corpus and of the benchmark's
+    # `wide` (n = 3, 6 generators, exponents <= 20) and `deep` pools
     sums = []
     reduced = BiRationalFunction.reduced
     def recording(self):
         sums.append(self)
         return reduced(self)
     monkeypatch.setattr(BiRationalFunction, "reduced", recording)
-    for ideal in corpus()[:10]:
+    for ideal in corpus() + drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3):
         igusa_zeta(ideal)
-    monkeypatch.setattr(BiRationalFunction, "reduced", reduced)
-    assert len(sums) == 10
-    assert screens == [len(rf.denominator) for rf in sums]
+    monkeypatch.undo()
+    certified = 0
     for rf in sums:
-        assert rf.reduced() == reduced_by_trial(rf)
+        flags = ring._edge_certified(rf.numerator._rows, factor_lines(rf))
+        kept = Counter(f for f, flag in zip(rf.denominator, flags) if flag)
+        assert not kept - Counter(reduced_by_trial(rf).denominator), rf
+        certified += kept.total()
+    assert certified > 200
+
+
+def test_edge_certificate_matches_the_extreme_lines_of_the_terms():
+    rng = random.Random(211)
+    certified = 0
+    for _ in range(150):
+        num = random_poly(rng, max_deg=6, max_terms=10, max_coeff=4)
+        for _ in range(rng.randint(0, 2)):
+            x = rng.choice(DIRECTIONS)
+            num = num * BiPoly.binomial(*(rng.choice(GCDS) * e for e in x))
+        lines = [(x, g) for x in DIRECTIONS for g in GCDS + (23,)]
+        got = ring._edge_certified(num._rows, lines)
+        assert got == [edge_certified_by_terms(num, x, g) for x, g in lines]
+        for (x, g), flag in zip(lines, got):
+            if flag:  # a proof that Phi_g(x) does not divide num
+                assert num.div_exact(cyclotomic(x, g)) is None
+        certified += sum(got)
+    assert certified > 6000
+
+
+def test_edge_certificate_cases():
+    def certified(num, x, g):
+        return ring._edge_certified(num._rows, [(x, g)])[0]
+    # x = T P, g = 23, off the screen: the line T P^5 (b0*t - a0*p = -4) is
+    # one term, so the factor stays, though the other extreme line 1 + T P
+    # holds two
+    num = TP * P**4 + ONE + TP
+    assert ring._screen_point((1, 1), 23) is None and certified(num, (1, 1), 23)
+    rf = BiRationalFunction(num, [(23, 23)])
+    assert rf.reduced() == rf == reduced_by_trial(rf)
+    # one line 1 + 2 x: nonzero at x = 1, -1 and at a cube root of unity;
+    # 1 + x vanishes at x = -1, and 1 - x^2 is exchanged for 1 - x
+    for g in (1, 2, 3):
+        assert certified(ONE + 2 * TP, (1, 1), g)
+    assert not certified(ONE + TP, (1, 1), 2)
+    assert BiRationalFunction(ONE + TP, [(2, 2)]).reduced() == BiRationalFunction(ONE, [(1, 1)])
+    # x = T (b0 = 0): the lines are the rows, 1 + T and P (1 - T); x = P
+    # (a0 = 0): the lines are the columns, 1 + P and T (1 - P)
+    for x, y, z in ((1, 0), T, P), ((0, 1), P, T):
+        num = ONE + y + z * (ONE - y)
+        assert certified(num, x, 1) and certified(num, x, 2) and certified(num, x, 3)
+        assert not certified((ONE - y) * (ONE + z), x, 1)
+        assert not certified((ONE - y * y) * (ONE + z), x, 2)
+        assert certified(ONE + y * z, x, 5)  # each extreme line one term
+    # a multiple of Phi_g(x), or of 1 - x^g, is never certified
+    rng = random.Random(212)
+    for x in DIRECTIONS:
+        for g in GCDS + (23,):
+            phi, full = cyclotomic(x, g), BiPoly.binomial(g * x[0], g * x[1])
+            for _ in range(3):
+                num = random_poly(rng, max_deg=4, max_terms=8, max_coeff=50)
+                assert not certified(num * phi, x, g) and not certified(num * full, x, g)
 
 
 def test_rf_reduce_is_fast_at_huge_degrees():
@@ -904,7 +1026,7 @@ def test_unirational_reduction():
     )
     assert r.num == (Fraction(1), Fraction(1))
     assert r.den == (Fraction(1),)
-    assert r.value_at(5) == 6
+    assert value_at(r, 5) == 6
 
 
 def test_unirational_series():
