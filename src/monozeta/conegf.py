@@ -22,12 +22,12 @@ tuple and no term built."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import add, mul
 
 from .fan import Cone, triangulate
-from .linalg import Vec, dot, eliminate, rank, row_hnf
+from .linalg import Vec, dot, eliminate
 from .linalg import solve  # noqa: F401  kept: perfbench/test_harness.py reads conegf.solve
 from .ring import BiRationalFunction, RowSum
 
@@ -53,43 +53,137 @@ class Grading:
 @dataclass(frozen=True)
 class HalfOpenSimplicialCone:
     """Linearly independent rays; open_facets marks the walls whose facet
-    variable runs over (0, 1] instead of [0, 1) in the parallelepiped."""
+    variable runs over (0, 1] instead of [0, 1) in the parallelepiped.
+
+    group is (D, rows): rows of D [rays; C]^-1 for some C completing the
+    rays to a nonsingular n x n matrix A, D = |det A|, ray coordinates
+    first.  They generate the parallelepiped group (`parallelepiped_points`).
+    A cell from `_half_open_cells` takes them from `triangulate`; a cell
+    built here takes them from one elimination of [rays | I], whose pivot
+    count is the rank check."""
 
     rays: tuple[Vec, ...]
     open_facets: frozenset[int]
+    group: tuple = field(default=(), compare=False, repr=False)
 
     def __init__(self, rays, open_facets=()):
         rays = tuple(tuple(r) for r in rays)
         if not rays:
             raise ValueError("need at least one ray")
-        if rank(rays) != len(rays):
+        n, r = len(rays[0]), len(rays)
+        red, pivots, d, _ = eliminate([list(v) + [int(i == j) for j in range(r)]
+                                       for i, v in enumerate(rays)])
+        # [rays | I] has rank r, so r pivots, all among the ray columns iff
+        # the rays are independent
+        if pivots[-1] >= n:
             raise ValueError("rays must be linearly independent")
         open_facets = frozenset(open_facets)
-        if not open_facets <= set(range(len(rays))):
+        if not open_facets <= set(range(r)):
             raise ValueError("open facet index out of range")
+        # C: the unit covectors off the pivot columns P.  Row k of red is
+        # d (R_P^-1 R | R_P^-1), so the row of d A^-1 at coordinate P[k] is
+        # (d R_P^-1 row k, -(row k off P)); the other rows are d times unit
+        # rows, zero mod D.  Negating all rows, or the C coordinates, keeps
+        # the subgroup where the C coordinates vanish, so the signs of d and
+        # of row k off P can stay as they are.
+        free = [c for c in range(n) if c not in pivots]
+        rows = tuple((*row[n:], *(row[c] for c in free)) for row in red)
+        self._set(rays, open_facets, (abs(d), rows))
+
+    def _set(self, rays, open_facets, group):
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "open_facets", open_facets)
+        object.__setattr__(self, "group", group)
+
+    @classmethod
+    def _of_cell(cls, rays, open_facets, group):
+        """A cell of a triangulation, taken as it is: no rank check."""
+        cell = object.__new__(cls)
+        cell._set(rays, open_facets, group)
+        return cell
 
 
 def weight_shift(cell: HalfOpenSimplicialCone, grading: Grading) -> int:
     """The shift S of the cell's packed weight keys t + (p << S): the least
     with 2^(S-1) above the sum of |l1| over the rays, so above |t| for every
     point of the parallelepiped."""
-    return sum(abs(dot(grading.l1, r)) for r in cell.rays).bit_length() + 1
+    return _key_shift(map(grading.weight, cell.rays))
 
 
-def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None = None):
+def _key_shift(weights) -> int:
+    return sum(abs(a) for a, _ in weights).bit_length() + 1
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x a + y b, for a > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _group_basis(d, rows, r):
+    """A triangular basis of the group the rows generate in (Z/d)^n, on the
+    subgroup where coordinates r, ..., n-1 vanish: (steps, radices), step j
+    of length r, equal to g_j = d / radix_j at coordinate j (mod d) and zero
+    before it, so that the sums of y_j step_j with 0 <= y_j < radix_j are the
+    subgroup's elements, each once.
+
+    A Hermite form mod d, column by column, coordinates r, ... first: the
+    column's pivot g is the gcd of d and its entries, the pivot row h a
+    combination with h_c = g, every row loses its multiple of h, and
+    (d / g) h, zero at c mod d, joins them.  Then the remaining rows
+    generate the elements zero at c.  The pivot rows of coordinates r, ...
+    are dropped, so what is left is the subgroup where they vanish.  The
+    whole group has order d (|det A| for a nonsingular A, d A^-1 the rows):
+    the product of all n radices must be d."""
+    n = len(rows[0])
+    rows = [reduced for row in rows if any(reduced := [x % d for x in row])]
+    steps, radices, order = [], [], 1
+    for c in (*range(r, n), *range(r)):
+        g, h = d, [0] * n
+        for row in rows:
+            if row[c]:
+                g, x, y = _xgcd(g, row[c])
+                h = [(x * u + y * v) % d for u, v in zip(h, row)]
+        if g == d:
+            radix = 1
+        else:
+            radix = d // g
+            rows = [row if not row[c] else [(v - row[c] // g * u) % d for u, v in zip(h, row)]
+                    for row in rows]
+            rows = [row for row in rows if any(row)]
+            extra = [radix * u % d for u in h]
+            if any(extra):
+                rows.append(extra)
+        order *= radix
+        if c < r:
+            steps.append(h[:r])
+            radices.append(radix)
+    if order != d:
+        raise AssertionError("parallelepiped group has the wrong order")
+    return steps, radices
+
+
+def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None = None,
+                          *, weights=None):
     """Lattice points of the half-open fundamental parallelepiped, sorted;
     with a grading, their packed weight keys instead, a flat list with one
-    key per point, in no set order.
+    key per point, in no set order.  A caller that has the rays' weights
+    under the grading passes them as weights.
 
     These are the points sum(lam_i * ray_i) with lam_i in [0,1) on closed
     facets and (0,1] on open ones.  The admissible lam form a lattice
-    containing Z^r, dual to the one the ray matrix's columns span in Z^r;
-    the points are the d elements of the group it makes modulo Z^r, d the
-    index of that column lattice (|det| for r = n).  The rows R_j of a
-    lower triangular basis d * B^-T of d * {lam} and the radices
-    n_j = d / R_jj make a mixed-radix residue system of that group: each
+    containing Z^r; the points are the elements of the group it makes
+    modulo Z^r.  The cell's group rows are d A^-1 for A = [rays; C]
+    (`HalfOpenSimplicialCone`).  Each x in Z^n is lam . rays + mu . C with
+    (lam, mu) = x A^-1, and x lies in the rays' span iff mu = 0, so
+    d * {lam} is the part of the group the rows generate mod d where the C
+    coordinates vanish; d = |det A| is the point count for r = n and a
+    multiple of it below.  A triangular basis of it mod d (`_group_basis`),
+    steps R_j with radices n_j, makes a mixed-radix residue system: each
     point is d * lam = (sum_j y_j R_j) mod d with 0 <= y_j < n_j, each
     coordinate reduced into [0, d), or (0, d] on an open wall (Koeppe &
     Verdoolaege 2008; the parallelepiped group of Barvinok's algorithm).
@@ -118,20 +212,13 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
     """
     rays = cell.rays
     r = len(rays)
-    # rows of B: the upper triangular Hermite basis (pivots > 0) of the
-    # lattice the ray matrix's columns span; lam . ray matrix is integral iff
-    # lam . B^T is.  Bareiss on the lower triangular B^T swaps no row, so
-    # d = prod B_ii > 0 and the right block d * B^-T, a basis of d * {lam},
-    # is lower triangular with a positive diagonal: row j moves coordinate j
-    # and none above it, so distinct y give distinct residues, and
-    # prod n_j = d^r / det(d * B^-T) = d of them
-    basis = [row for row in row_hnf([list(col) for col in zip(*rays)]) if any(row)]
-    red, _, d, _ = eliminate([[b[i] for b in basis] + [int(i == j) for j in range(r)]
-                              for i in range(r)])
-    steps = [row[r:] for row in red]
+    d, rows = cell.group
+    steps, radix = _group_basis(d, rows, r)
     if grading:
-        shift = weight_shift(cell, grading)
-        keys = [a + (b << shift) for a, b in map(grading.weight, rays)]
+        if weights is None:
+            weights = [grading.weight(v) for v in rays]
+        shift = _key_shift(weights)
+        keys = [a + (b << shift) for a, b in weights]
     else:
         # room for each coordinate, as weight_shift leaves room for t
         shift = max(sum(map(abs, col)) for col in zip(*rays)).bit_length() + 1
@@ -140,9 +227,8 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
     # every division below is exact iff each R_j . K is divisible by d
     if any(sum(map(mul, row, keys)) % d for row in steps):
         raise AssertionError("parallelepiped coefficient escaped the lattice")
-    radix = [d // row[j] for j, row in enumerate(steps)]
     top = max(range(r), key=radix.__getitem__)
-    n, moves = radix[top], [s % d for s in steps[top]]
+    n, moves = radix[top], steps[top]
     # an open wall's coordinate is (x - 1) mod d + 1: start one lower, and
     # add its key once for the whole batch
     start = [-int(i in cell.open_facets) for i in range(r)]
@@ -161,7 +247,7 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
                 continue
             col = [x % d * key for x in range(c, c + n * s, s)]
             batch = col if batch is None else list(map(add, batch, col))
-        if batch is None:  # d = 1: the origin alone
+        if batch is None:  # a trivial group: one point
             out.append(fixed // d)
         else:
             out += [(v + fixed) // d for v in batch]
@@ -190,28 +276,29 @@ def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
     every facet of the cone, every facet is open and the cells partition its
     relative interior (Koeppe & Verdoolaege 2008, Thm 3).
 
-    The unit vectors serve every cone: a non-simplicial cone's cell walls
-    are orthogonal to the span-kernel rows of their elimination, so they lie
-    in the span, where a push along e_i acts as one along its projection; a
-    simplicial cone is its own cell and ties no wall at q = +-(sum of rays).
+    The wall opposite ray j is column j of the cell's D [rays; C]^-1 from
+    `triangulate`, up to a positive factor that changes no sign.  The unit
+    vectors serve every cone: the walls are orthogonal to the span-kernel
+    rows C, so they lie in the span, where a push along e_i acts as one
+    along its projection.  The cell keeps the same matrix as its group rows.
     """
     out = []
     for cell in triangulate(cone):
-        # the wall opposite ray j is the inequality positive on ray j alone
-        walls = [next(h for h in cell.ineqs if dot(h, r) > 0) for r in cell.rays]
-        open_idx = {j for j, h in enumerate(walls)
-                    if next(s for s in (dot(h, q), *h) if s) < 0}
-        out.append(HalfOpenSimplicialCone(cell.rays, open_idx))
+        walls = list(zip(*cell.inverse[1]))[:len(cell.rays)]
+        open_idx = frozenset(j for j, h in enumerate(walls)
+                             if next(s for s in (dot(h, q), *h) if s) < 0)
+        out.append(HalfOpenSimplicialCone._of_cell(cell.rays, open_idx, cell.inverse))
     return out
 
 
 def add_half_open_cells(acc: RowSum, cone: Cone, q: Vec, grading: Grading):
     """Add the generating function of each of the cone's half-open cells for
     the point q into the accumulator: its parallelepiped's weight keys,
-    counted, over one factor 1 - T^a P^b per ray."""
+    counted, over one factor 1 - T^a P^b per ray, each ray weighed once."""
     for cell in _half_open_cells(cone, q):
-        acc.add(Counter(parallelepiped_points(cell, grading)), weight_shift(cell, grading),
-                [grading.weight(r) for r in cell.rays])
+        weights = [grading.weight(r) for r in cell.rays]
+        acc.add(Counter(parallelepiped_points(cell, grading, weights=weights)),
+                _key_shift(weights), weights)
 
 
 def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:

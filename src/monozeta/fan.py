@@ -9,7 +9,7 @@ integer arithmetic.  A fan is built from its maximal cones only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .dd import extreme_rays
@@ -27,6 +27,8 @@ class Cone:
     ineqs: tuple[Vec, ...]
     dim: int
     vertex: Vec | None = field(default=None, compare=False)
+    # (D, D [rays; C]^-1) on a cell that `triangulate` returns
+    inverse: tuple | None = field(default=None, compare=False, repr=False)
 
     def contains(self, x) -> bool:
         return all(dot(h, x) >= 0 for h in self.ineqs)
@@ -188,41 +190,59 @@ def normal_fan(poly: NewtonPolyhedron) -> Fan:
 def triangulate(cone: Cone) -> list[Cone]:
     """Pulling triangulation of the cone using only its own rays.
 
-    Recurses over ray tuples, never building a Cone for a face: the facets
-    of a face F are the cuts F ∩ {h = 0} of rank dim F - 1 by the cone's
-    own inequalities h, since every face of F is a face of the cone.  The
-    apex at each level is the lexicographically smallest ray, which makes
-    the decomposition deterministic and consistent across shared faces.
+    Recurses over ray sets as bitmasks, never building a Cone for a face:
+    every face of a face F is a face of the cone, so the facets of F are
+    the inclusion-maximal proper cuts F ∩ {h = 0} by the cone's own
+    inequalities h, read off their ray incidences with no rank computed.
+    The apex at each level is the lexicographically smallest ray, which
+    makes the decomposition deterministic and consistent across shared
+    faces.  A simplicial cone is its own cell.
 
-    Each cell comes from one elimination of [rays; K | I], K a basis of the
-    covectors vanishing on the cone's span: the right block is d times the
-    inverse, so its column j, signed by d and made primitive, is the wall
-    positive on ray j alone and zero on the others and on K.  The cell's
-    inequalities are its sorted walls plus the cone's span-kernel pairs.
+    Each cell leaves with its one elimination, of [rays; C | I], C a basis
+    of the covectors vanishing on the cone's span: `inverse` is (D, M),
+    D = |d| the pivot and M = D [rays; C]^-1.  Column j of M is positive on
+    ray j alone and zero on the others and on C, so made primitive it is
+    the wall opposite ray j, lying in the span; the rows of M generate the
+    cell's parallelepiped group (`conegf.parallelepiped_points`).  A
+    non-simplicial cone's cells have as inequalities their sorted walls plus
+    the cone's span-kernel pairs; a simplicial cone keeps its own.
     """
-    if cone.dim == 0 or cone.is_simplicial():
-        return [cone]
+    n, rays = cone.n, cone.rays
+    # bit i of zeros[k] is set iff ineqs[k] vanishes on ray i
+    zeros = [sum(1 << i for i, r in enumerate(rays) if not dot(h, r)) for h in cone.ineqs]
+    full = (1 << len(rays)) - 1
+    pairs = [h for h, z in zip(cone.ineqs, zeros) if z == full]
+    kernel = tuple(h for h in pairs if h > tuple(-x for x in h))  # one of each pair
+    if cone.is_simplicial():
+        return [replace(cone, inverse=_scaled_inverse(rays + kernel, n))]
 
-    def pull(rays, dim):
-        if len(rays) == dim:
-            return [rays]
-        apex = rays[0]
-        cuts = {tuple(r for r in rays if dot(h, r) == 0) for h in cone.ineqs}
+    def ray_tuple(mask):
+        return tuple(r for i, r in enumerate(rays) if mask >> i & 1)
+
+    def pull(face, dim):
+        if face.bit_count() == dim:
+            return [face]
+        apex = face & -face
+        cuts = {face & z for z in zeros} - {face}
         cells = []
-        for facet in sorted(cuts):
-            if apex not in facet and rank(facet) == dim - 1:
-                cells.extend(sub + (apex,) for sub in pull(facet, dim - 1))
+        for facet in sorted(cuts, key=ray_tuple):
+            if not facet & apex and not any(facet & c == facet != c for c in cuts):
+                cells.extend(sub | apex for sub in pull(facet, dim - 1))
         return cells
 
-    pairs = [h for h in cone.ineqs if not any(dot(h, r) for r in cone.rays)]
-    kernel = [h for h in pairs if h > tuple(-x for x in h)]  # one of each pair
     out = []
-    for cell in pull(cone.rays, cone.dim):
-        rays = sorted(cell)
-        red, _, d, _ = eliminate([list(v) + [int(i == j) for j in range(cone.n)]
-                                  for i, v in enumerate(rays + kernel)])
-        walls = sorted(primitive([d * row[cone.n + j] for row in red])
-                       for j in range(cone.dim))
-        out.append(Cone(cone.n, tuple(rays), tuple(walls + pairs), cone.dim))
+    for cell in pull(full, cone.dim):
+        cell_rays = tuple(sorted(ray_tuple(cell)))
+        inverse = _scaled_inverse(cell_rays + kernel, n)
+        walls = sorted(primitive([row[j] for row in inverse[1]]) for j in range(cone.dim))
+        out.append(Cone(n, cell_rays, tuple(walls + pairs), cone.dim, inverse=inverse))
     return out
 
+
+def _scaled_inverse(rows, n):
+    """(D, D A^-1) for the nonsingular n x n integer matrix A of the given
+    rows, D = |det A|, from one elimination of [A | I]."""
+    red, _, d, _ = eliminate([list(v) + [int(i == j) for j in range(n)]
+                              for i, v in enumerate(rows)])
+    sign = 1 if d > 0 else -1
+    return abs(d), tuple(tuple(sign * x for x in row[n:]) for row in red)

@@ -1,9 +1,11 @@
 """Exact linear algebra over integer matrices and lattices.
 
 Matrices are sequences of rows of Python ints; no floats are ever
-introduced.  One fraction-free elimination serves rank, det_int, solve and
-the parallelepiped enumeration's d * B^-T (`conegf`).  Fractions appear
-only in what solve returns and in scale_to_int, which clears them.
+introduced.  One fraction-free elimination serves rank and solve, and
+gives each triangulation cell its d * [rays; K]^-1 (`fan.triangulate`),
+whose columns are the cell's walls and whose rows generate its
+parallelepiped group (`conegf`).  Fractions appear only in what solve
+returns and in scale_to_int, which clears them.
 """
 
 from __future__ import annotations
@@ -87,11 +89,6 @@ def eliminate(rows):
 
 def rank(rows) -> int:
     return len(eliminate(rows)[1])
-
-
-def det_int(rows) -> int:
-    _, pivots, d, sign = eliminate(rows)
-    return sign * d if len(pivots) == len(rows) else 0
 
 
 def solve(rows, rhs):

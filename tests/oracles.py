@@ -3,8 +3,8 @@
 Deliberately naive: feasibility by textbook two-phase simplex over
 Fractions, lattice enumeration by bounding boxes, generating functions by
 direct summation.  Slow but transparently correct.  Reference code that
-the package no longer needs lives here too (`det`, `invert`, `cone_faces`,
-`value_at`).
+the package no longer needs lives here too (`det_int`, `det`, `invert`,
+`cone_faces`, `value_at`).
 """
 
 from fractions import Fraction
@@ -12,8 +12,13 @@ from itertools import product
 from math import gcd, prod
 
 from monozeta.fan import Cone, _face_raysets, cone_from_rays
-from monozeta.linalg import det_int, dot, eliminate, solve
+from monozeta.linalg import dot, eliminate, solve
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
+
+
+def det_int(rows) -> int:
+    _, pivots, d, sign = eliminate(rows)
+    return sign * d if len(pivots) == len(rows) else 0
 
 
 def det(rows) -> Fraction:

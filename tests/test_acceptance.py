@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import cone_faces
+from oracles import cone_faces, det_int
 from monozeta.conegf import (
     Grading,
     HalfOpenSimplicialCone,
@@ -18,7 +18,6 @@ from monozeta.conegf import (
     parallelepiped_points,
 )
 from monozeta.fan import normal_fan
-from monozeta.linalg import det_int
 from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
 from monozeta.ring import BiPoly, BiRationalFunction
 from monozeta.roots import verify_pole_roots

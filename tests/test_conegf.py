@@ -8,19 +8,22 @@ from math import gcd
 
 import pytest
 
-from oracles import cone_faces, gf_series_brute, naive_parallelepiped, orthant_points
+from oracles import cone_faces, det_int, gf_series_brute, naive_parallelepiped, orthant_points
+from monozeta import conegf, fan, linalg
 from monozeta.conegf import (
     Grading,
     HalfOpenSimplicialCone,
+    _half_open_cells,
+    add_half_open_cells,
     interior_lattice_gf,
     lattice_gf,
     parallelepiped_points,
     weight_shift,
 )
-from monozeta.fan import cone_from_rays, normal_fan
-from monozeta.linalg import det_int, dot, solve
+from monozeta.fan import Cone, cone_from_rays, normal_fan, triangulate
+from monozeta.linalg import dot, solve
 from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
-from monozeta.ring import BinomialFactor, BiRationalFunction
+from monozeta.ring import BinomialFactor, BiRationalFunction, RowSum
 
 
 def test_parallelepiped_frozen_examples():
@@ -141,6 +144,56 @@ def test_graded_descent_weighs_every_point_once():
             assert Counter(weights) == Counter(g.weight(v) for v in points), (cell, g)
 
 
+def test_pipeline_cells_match_public_cells():
+    # a cell from triangulate's one elimination of [rays; C | I], C the
+    # span's kernel, against the same rays built in public, which eliminate
+    # [rays | I]: the same points, and under a grading the same keys
+    rng = random.Random(606)
+    large = [HalfOpenSimplicialCone(rays, opened)
+             for rays in LARGE_GROUPS for opened in ((), (1,), (0, 1))]
+    cells = oracle_cells() + large
+    assert any(len(c.rays) < len(c.rays[0]) and c.open_facets for c in cells)
+    for cell in cells:
+        n = len(cell.rays[0])
+        # the cone over the cell's own rays (unsorted, maybe not primitive)
+        hull = cone_from_rays(cell.rays, n)
+        cone = Cone(n, cell.rays, hull.ineqs, hull.dim)
+        # a reference point beyond exactly the cell's open walls
+        q = tuple(sum(-x if j in cell.open_facets else x for j, x in enumerate(col))
+                  for col in zip(*cell.rays))
+        (piped,) = _half_open_cells(cone, q)
+        assert piped == cell
+        assert parallelepiped_points(piped) == parallelepiped_points(cell), cell
+        g = Grading(*(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(2)))
+        assert (Counter(parallelepiped_points(piped, g))
+                == Counter(parallelepiped_points(cell, g))), (cell, g)
+
+
+def test_one_elimination_per_cell(monkeypatch):
+    # the pipeline's cell route over maximal cones simplicial and not: each
+    # cell costs one elimination, in any module, and no Hermite form
+    ideal = MonomialIdeal(3, [(2, 2, 0), (3, 1, 0), (1, 0, 2), (3, 1, 3)])
+    sigmas = normal_fan(newton_polyhedron(ideal)).maximal_cones()
+    assert {c.is_simplicial() for c in sigmas} == {True, False}
+    cells = sum(len(triangulate(sigma)) for sigma in sigmas)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    eliminate = counted("eliminate", linalg.eliminate)
+    for mod in (linalg, fan, conegf):
+        monkeypatch.setattr(mod, "eliminate", eliminate)
+    monkeypatch.setattr(linalg, "row_hnf", counted("row_hnf", linalg.row_hnf))
+    ones = (1,) * ideal.n
+    for sigma in sigmas:
+        add_half_open_cells(RowSum(), sigma, ones, Grading(sigma.vertex, ones))
+    assert calls == Counter(eliminate=cells)
+
+
 def test_parallelepiped_count_is_determinant():
     rng = random.Random(601)
     for _ in range(40):
@@ -168,8 +221,6 @@ def in_half_open(cell, point):
 
 
 def test_half_open_cells_partition_cone():
-    from monozeta.conegf import _half_open_cells
-
     # (cells, is the point in the region they must partition, test points)
     cases = []
     rng = random.Random(602)

@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import det, invert
+from oracles import det, det_int, invert
 from monozeta.linalg import (
-    det_int,
     dot,
     eliminate,
     left_kernel_basis,
