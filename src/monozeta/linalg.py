@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import index
+from operator import index, mul
 
 Vec = tuple[int, ...]
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    """The dot product of two sequences of equal length."""
+    if len(u) != len(v):
+        raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def unit(i, n) -> Vec:

@@ -12,8 +12,10 @@ such fractions is accumulated in a `RowSum`, its numerator packed one int
 per P-degree, built from packed keys and decoded once, straight into rows.
 `reduced()` decides each denominator factor once: an edge certificate read
 off the ends of the numerator's rows keeps most factors, one modular screen
-pass over the numerator's terms keeps most of the rest, and exact division
-and chain sums decide the others.
+pass keeps most of the rest, and exact division and chain sums decide the
+others.  The screen of a sum from a `RowSum` that kept its summands reads
+them, far fewer than the numerator's terms; any other function is screened
+over its terms, as one summand.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import struct
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from math import gcd
-from operator import index, lshift, mul
+from functools import partial
+from math import gcd, prod
+from operator import index, mul
 from typing import NamedTuple
 
 
@@ -154,10 +157,6 @@ class BiPoly:
             base = base * base
             n >>= 1
         return result
-
-    def truncate_p(self, bound):
-        """Drop every term of P-degree above bound."""
-        return BiPoly._raw({p: row for p, row in self._rows.items() if p <= bound})
 
     def subs_t_one(self):
         """Substitute T = 1, collapsing onto the P axis: each P-degree row
@@ -361,15 +360,21 @@ def _as_factor(f):
 
 
 class BiRationalFunction:
-    """numerator / product of binomial factors, the denominator kept factored."""
+    """numerator / product of binomial factors, the denominator kept factored.
 
-    __slots__ = ("numerator", "denominator")
+    `_screen`, None unless `RowSum.rational` set it from a sum that kept
+    its summands, evaluates the numerator at screen points from them
+    (`reduced()`); it is not part of the value, so `==` and `hash` do not
+    read it."""
+
+    __slots__ = ("numerator", "denominator", "_screen")
 
     def __init__(self, numerator, denominator=()):
         if not isinstance(numerator, BiPoly):
             raise TypeError("numerator must be a BiPoly")
         self.numerator = numerator
         self.denominator = tuple(sorted(_as_factor(f) for f in denominator))
+        self._screen = None
 
     @classmethod
     def zero(cls):
@@ -442,15 +447,19 @@ class BiRationalFunction:
         g | q - 1), proves the factor stays.  The extreme lines are read
         off the ends of N's P-degree rows, O(rows) per direction.
 
-        The screen (`_nonzero_at`), for the factors left: N is evaluated
-        modulo one fixed prime q with g | q - 1 for every g <= 22, at a
-        point where x is a primitive g-th root of unity, a zero of
-        Phi_g(x).  A nonzero value proves Phi_g(x) does not divide N.  A
-        zero value decides nothing, and no other g is screened.  One pass
-        over N's terms screens every factor left, and there is no pass
-        when none is: each point is one B-bit lane of a packed table of
-        T-powers, at most 16 lanes to a pass, B the least multiple of 64
-        that holds every row's value at every point exactly.
+        The screen, for the factors left: N is evaluated modulo one fixed
+        prime q with g | q - 1 for every g <= 22, at a point where x is a
+        primitive g-th root of unity, a zero of Phi_g(x).  A nonzero value
+        proves Phi_g(x) does not divide N.  A zero value decides nothing,
+        and no other g is screened.  One call screens every factor left,
+        and there is none when none is.  A sum from a `RowSum` that kept
+        its summands is evaluated from them (`_summands_nonzero_at`): each
+        cell's counted keys, times the factors of the sum's denominator that
+        the cell lacks, times the `mul_binomial` factors after it, so the
+        1 - P lane of (1 - P)^n is 0 with no key read.  Any other numerator
+        is evaluated the same way as one summand, its terms (`_nonzero_at`).
+        Both give N's residue mod q at every point, so the decisions do not
+        depend on which summands are read.
 
         The chain sums: one pass sums N per chain (monomials differing by a
         power of x^g), keyed by the line b0*t - a0*p and t mod a (p mod b
@@ -475,7 +484,8 @@ class BiRationalFunction:
         stays = _edge_certified(num._rows, lines)
         left = [k for k, stay in enumerate(stays) if not stay]
         if left:
-            screened = _nonzero_at(num._rows, [_screen_point(*lines[k]) for k in left])
+            screen = self._screen or partial(_nonzero_at, num._rows)
+            screened = screen([_screen_point(*lines[k]) for k in left])
             for k, stay in zip(left, screened):
                 stays[k] = stay
         for f, (x, g), stay in zip(self.denominator, lines, stays):
@@ -606,15 +616,26 @@ class RowSum:
     decode, one repack) before the bound can reach 2^(W-1).  A fraction's
     numerator comes in as packed keys t + (p << S), a cell's counted weight
     keys, and goes into rows with no term built.
+
+    With keep_summands, the summands are kept as well, in order: each
+    fraction's keys, shift and factors, and each `mul_binomial` factor.
+    The sum's `reduced()` screens its denominator factors from them
+    (`_summands_nonzero_at`), which reads each key at most once per screen
+    point rather than every numerator term.  The keys are kept as given,
+    not copied, so a caller must not change them, and they live as long as
+    the function `rational()` returns; a sum that is not reduced should
+    not keep them.
     """
 
-    __slots__ = ("_rows", "_den", "_width", "_bound")
+    __slots__ = ("_rows", "_den", "_width", "_bound", "_summands")
 
-    def __init__(self):
+    def __init__(self, keep_summands=False):
         self._rows: dict[int, tuple[int, int]] = {}
         self._den: Counter = Counter()
         self._width = 64
         self._bound = 0
+        self._summands: list[tuple[dict, int, Counter] | BinomialFactor] | None = (
+            [] if keep_summands else None)
 
     def add(self, keys, shift, factors):
         """Add N / prod of 1 - T^a P^b over factors (a, b).  The terms
@@ -627,14 +648,16 @@ class RowSum:
                  + (sum(map(abs, keys.values())) << sum(lift.values())))
         self._fit(bound)
         width = self._width
+        rows = _pack_keys(keys, shift, width)  # may reject the keys: nothing changed yet
         for f in grow.elements():
             self._rows = _times_binomial(self._rows, f, width)
-        rows = _pack_keys(keys, shift, width)
         for f in lift.elements():
             rows = _times_binomial(rows, f, width)
         _add_rows(self._rows, rows, 0, 0, 1, width)
         self._den += grow
         self._bound = bound
+        if self._summands is not None:
+            self._summands.append((keys, shift, factors))
 
     def mul_binomial(self, a, b):
         """Multiply the numerator by 1 - T^a P^b; the denominator stays."""
@@ -642,6 +665,8 @@ class RowSum:
         self._fit(2 * self._bound)
         self._rows = _times_binomial(self._rows, f, self._width)
         self._bound *= 2
+        if self._summands is not None:
+            self._summands.append(f)
 
     def _fit(self, bound):
         """Widen W, if need be, so that bound < 2^(W-1)."""
@@ -654,9 +679,14 @@ class RowSum:
 
     def rational(self):
         """The sum as a BiRationalFunction: each packed row decoded once,
-        straight into the numerator's row."""
-        return BiRationalFunction(BiPoly._raw(_unpack(self._rows, self._width)),
-                                  self._den.elements())
+        straight into the numerator's row.  With keep_summands it carries
+        the summands as they stand now, for its `reduced()` screen."""
+        out = BiRationalFunction(BiPoly._raw(_unpack(self._rows, self._width)),
+                                 self._den.elements())
+        if self._summands is not None:
+            out._screen = partial(_summands_nonzero_at, tuple(self._summands),
+                                  Counter(self._den))
+        return out
 
 
 def _add_rows(target, rows, a, b, sign, width):
@@ -895,59 +925,84 @@ def _edge_certified(rows, lines):
 
 def _powers(base, exponents, q):
     """base^e mod q for the increasing exponents e, each one step from the
-    last, so a gap costs its logarithm."""
+    last: one multiply for a gap of 1, the most common, and the logarithm
+    of any other gap."""
     out, w, prev = [], 1, 0
     for e in exponents:
-        w = w * pow(base, e - prev, q) % q
+        gap = e - prev
+        w = w * (base if gap == 1 else pow(base, gap, q)) % q
         out.append(w)
         prev = e
     return out
 
 
-# points evaluated in one pass, the lanes of a table entry; the cap keeps
-# the table within a small multiple of the numerator's size
-_SCREEN_LANES = 16
-
-
 def _nonzero_at(rows, points):
     """For each point (q, T0, P0), or None, is the polynomial with the
     P-degree rows {p: {t: c}} (a `BiPoly`'s `_rows`) nonzero at it modulo q?
-    False for None.
+    False for None.  The screen of a function with no summands kept: its
+    terms are one summand with no factors, keyed t + (p << S) as
+    `RowSum.add` takes a cell."""
+    shift = max(map(max, rows.values()), default=0).bit_length()
+    keys = {t + (p << shift): c for p, row in rows.items() for t, c in row.items()}
+    return _summands_nonzero_at(((keys, shift, Counter()),), Counter(), points)
 
-    One pass over the terms evaluates up to `_SCREEN_LANES` points (Kronecker
-    substitution, as in `RowSum`): the table's entry for T-degree t holds
-    T0_k^t mod q in lane k, B bits wide, so a row's sum over the table
-    holds the row's value at every T0_k at once.  B is the least multiple
-    of 64 with l1 * (q - 1) < 2^(B-1), l1 the largest row l1 norm, so
-    every lane is read back exactly by `_unpack`; lane k is then weighted
-    by P0_k^p and summed modulo q.  Linear in the terms: T0 and P0 are
-    raised only to the degrees present, each list of degrees sorted once,
-    since `_powers` steps through them in increasing order."""
-    live = [k for k, point in enumerate(points) if point is not None]
-    out = [False] * len(points)
-    if not rows or not live:
-        return out
-    p_degrees = sorted(rows)
-    t_degrees = sorted(set().union(*rows.values()))
-    l1 = max(sum(map(abs, row.values())) for row in rows.values())
-    for i in range(0, len(live), _SCREEN_LANES):
-        keys = live[i:i + _SCREEN_LANES]
-        group = [points[k] for k in keys]
-        width = 64 * ((l1 * (max(q for q, _, _ in group) - 1)).bit_length() // 64 + 1)
-        shifts = range(0, width * len(group), width)
-        table = [sum(map(lshift, lanes, shifts)) for lanes in
-                 zip(*(_powers(t0, t_degrees, q) for q, t0, _ in group))]
-        at = dict(zip(t_degrees, table)).__getitem__
-        values = _unpack({r: (0, sum(map(mul, row.values(), map(at, row))))
-                          for r, row in enumerate(map(rows.__getitem__, p_degrees))}, width)
-        p_powers = [_powers(p0, p_degrees, q) for q, _, p0 in group]
-        sums = [0] * len(group)
-        for r, lanes in values.items():
-            for k, v in lanes.items():
-                sums[k] += v * p_powers[k][r]
-        for k, s, (q, _, _) in zip(keys, sums, group):
-            out[k] = s % q != 0
-    return out
+
+def _summands_nonzero_at(summands, den, points):
+    """For each point (q, T0, P0), or None, is the numerator of a `RowSum`,
+    given by its summands and denominator, nonzero at it modulo q?  False
+    for None (`_summands_at`)."""
+    values = _summands_at(summands, den, set(points) - {None})
+    return [bool(values.get(point)) for point in points]
+
+
+def _summands_at(summands, den, points):
+    """{(q, T0, P0): N(T0, P0) mod q} over the points, N the numerator of a
+    `RowSum` given by its summands, in order, and its denominator D: a cell
+    (keys, S, F) adds K * prod(D - F), a factor multiplies what came
+    before it.
+
+    K is the polynomial with the terms c T^t P^p given as keys
+    {t + (p << S): c}, and D - F, a multiset difference, the factors the
+    cell was lifted by.  Evaluation mod q is a ring map, so N(T0, P0) mod q
+    is the same expression in the factors' values at the point, each
+    computed once.  Walking the summands backwards, a cell is weighed by
+    the product of the factors after it, and once that product is 0, as
+    under (1 - P)^n at P0 = 1, no earlier key is read.  At a screen point
+    x is a root of unity of order g, so the factor screened, 1 - x^g, is 0
+    there, and so is every cell that lacks a copy of it; no key of such a
+    cell is read either.  The keys of the other cells are read once per
+    point, against T0 and P0 raised only to the degrees present
+    (`_powers`)."""
+    decoded = {}  # cell index: (T-degrees, P-degrees, coefficients)
+    factors_used = {*den, *(s for s in summands if isinstance(s, BinomialFactor))}
+
+    def value(q, t0, p0):
+        at = {f: (1 - pow(t0, f.a, q) * pow(p0, f.b, q)) % q for f in factors_used}
+        after, lifted = 1, []
+        for i in reversed(range(len(summands))):
+            if isinstance(summand := summands[i], BinomialFactor):
+                after = after * at[summand] % q
+                if not after:
+                    break
+                continue
+            keys, shift, factors = summand
+            m = after * prod(pow(at[f], c - factors[f], q) for f, c in den.items()) % q
+            if m:
+                if i not in decoded:
+                    mask = (1 << shift) - 1
+                    decoded[i] = ([u & mask for u in keys], [u >> shift for u in keys],
+                                  list(keys.values()))
+                lifted.append((m, *decoded[i]))
+        if not lifted:
+            return 0
+        t_degrees = sorted(set().union(*(ts for _, ts, _, _ in lifted)))
+        p_degrees = sorted(set().union(*(ps for _, _, ps, _ in lifted)))
+        t_at = dict(zip(t_degrees, _powers(t0, t_degrees, q))).__getitem__
+        p_at = dict(zip(p_degrees, _powers(p0, p_degrees, q))).__getitem__
+        return sum(m * sum(map(mul, cs, map(mul, map(t_at, ts), map(p_at, ps))))
+                   for m, ts, ps, cs in lifted) % q
+
+    return {point: value(*point) for point in points}
 
 
 def _uni_trim(f):

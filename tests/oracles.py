@@ -4,7 +4,7 @@ Deliberately naive: feasibility by textbook two-phase simplex over
 Fractions, lattice enumeration by bounding boxes, generating functions by
 direct summation.  Slow but transparently correct.  Reference code that
 the package no longer needs lives here too (`det_int`, `det`, `invert`,
-`cone_faces`, `value_at`).
+`cone_faces`, `value_at`, `truncate_p`).
 """
 
 from fractions import Fraction
@@ -50,6 +50,11 @@ def value_at(r, t):
     n = sum(c * Fraction(t) ** i for i, c in enumerate(r.num))
     d = sum(c * Fraction(t) ** i for i, c in enumerate(r.den))
     return n / d
+
+
+def truncate_p(poly, bound):
+    """The `BiPoly` poly with every term of P-degree above bound dropped."""
+    return BiPoly._raw({p: row for p, row in poly._rows.items() if p <= bound})
 
 
 def lp_feasible(A, b) -> bool:
@@ -193,7 +198,7 @@ def series_by_geometric(rf, bound):
     each denominator factor, truncating every product at P-degree bound."""
     if bound < 0:
         return BiPoly.zero()
-    acc = rf.numerator.truncate_p(bound)
+    acc = truncate_p(rf.numerator, bound)
     for f in rf.denominator:
         if f.b == 0:
             raise ValueError(f"factor {f} has no P part; cannot expand by P-degree")

@@ -54,6 +54,13 @@ SPECIAL = [
 ]
 
 
+def test_dot_products_and_length_mismatch():
+    assert dot((1, -2, 3), [4, 5, 6]) == 12 and dot((), ()) == 0
+    for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))):
+        with pytest.raises(ValueError):
+            dot(u, v)
+
+
 def test_primitive_and_gcd():
     assert vec_gcd((4, -6, 8)) == 2
     assert vec_gcd((0, 0)) == 0

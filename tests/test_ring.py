@@ -8,9 +8,11 @@ from math import gcd, lcm
 
 import pytest
 
-from oracles import reduced_by_trial, series_by_geometric, value_at
+from oracles import reduced_by_trial, series_by_geometric, truncate_p, value_at
 from test_acceptance import corpus
 from monozeta import ring
+from monozeta.conegf import Grading, add_half_open_cells, interior_lattice_gf
+from monozeta.fan import cone_from_rays
 from monozeta.polyhedra import MonomialIdeal
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum, UniRational
 from monozeta.zeta import igusa_zeta
@@ -147,8 +149,8 @@ def test_poly_truncation():
         f = random_poly(rng)
         g = random_poly(rng)
         b = rng.randint(0, 4)
-        assert f.mul_truncated(g, b) == (f * g).truncate_p(b)
-    assert (ONE + P + P**2).truncate_p(1) == ONE + P
+        assert f.mul_truncated(g, b) == truncate_p(f * g, b)
+    assert truncate_p(ONE + P + P**2, 1) == ONE + P
 
 
 def test_poly_subs_t_one():
@@ -258,6 +260,32 @@ def test_row_sum_matches_the_pairwise_route():
     assert widened > 10
 
 
+def test_row_sum_summands_give_the_rows_values():
+    # signed coefficients up to 2^62, multipliers between the adds, and a
+    # function taken mid-way, which keeps the summands it was built from
+    rng, q = random.Random(1208), ring._SCREEN_PRIME
+    for _ in range(100):
+        acc, taken = RowSum(keep_summands=True), []
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.3:
+                acc.mul_binomial(*random_factor(rng))
+            else:
+                terms = {(rng.randint(0, 30), rng.randint(0, 5)):
+                         rng.choice((-1, 1)) * rng.randint(1, rng.choice((9, 2**62)))
+                         for _ in range(rng.randint(1, 12))}
+                factors = [random_factor(rng) for _ in range(rng.randint(0, 4))]
+                acc.add(keyed(terms), SHIFT, factors)
+            if rng.random() < 0.3:
+                taken.append(acc.rational())
+        taken.append(acc.rational())
+        for rf in taken:
+            lines = factor_lines(rf)
+            points = {(q, rng.randrange(1, q), rng.randrange(1, q)), (q, rng.randrange(1, q), 1),
+                      *filter(None, (ring._screen_point(*line) for line in lines))}
+            assert ring._summands_at(*rf._screen.args, points) == {
+                point: value_by_rows(rf.numerator._rows, point) for point in points}
+
+
 def test_key_packing_add_matches_the_pairwise_route():
     # keys t + (p << S) at shifts with more room than t needs, signed
     # coefficients or a cell's positive counts, and now and then a
@@ -292,6 +320,7 @@ def test_row_sum_cancels_to_zero():
     assert got.numerator.is_zero()
     assert got.denominator == (BinomialFactor(0, 2), BinomialFactor(1, 0),
                                BinomialFactor(2, 1))
+    assert got._screen is None  # a sum keeps no summands unless asked to
     assert RowSum().rational() == BiRationalFunction.zero()
 
 
@@ -315,7 +344,7 @@ def test_row_sum_widens_before_its_bound_reaches_the_slot():
 
 
 def test_row_sum_rejects_bad_input():
-    acc = RowSum()
+    acc = RowSum(keep_summands=True)
     for bad in ([(0, 0)], [(-1, 2)]):
         with pytest.raises(ValueError):
             acc.add(keyed({(0, 0): 1}), SHIFT, bad)
@@ -325,6 +354,12 @@ def test_row_sum_rejects_bad_input():
         acc.add(keyed({(-1, 0): 1}), SHIFT, [])
     with pytest.raises(ValueError):  # a negative T-degree above P-degree 0
         acc.add(keyed({(3, 2): 1, (-1, 2): 1}), SHIFT, [])
+    # a rejected fraction leaves the sum as it was: rows, factors, summands
+    acc.add(keyed({(0, 0): 1}), SHIFT, [(1, 1)])
+    with pytest.raises(ValueError):
+        acc.add(keyed({(-1, 0): 1}), SHIFT, [(2, 1)])
+    got = acc.rational()
+    assert got == BiRationalFunction(ONE, [(1, 1)]) and len(got._screen.args[0]) == 1
 
 
 def assert_canonical(f):
@@ -351,7 +386,7 @@ def test_poly_rows_stay_canonical():
         f, g = random_poly(rng, max_deg=5, max_terms=10), random_poly(rng, max_deg=5, max_terms=10)
         a, b = random_factor(rng)
         for h in (f, g, f + g, f - g, -f, f * g, 3 * f, f * 0, f - f, f + (-f),
-                  f.truncate_p(rng.randint(-1, 5)), f.subs_t_one(), f._swapped()):
+                  truncate_p(f, rng.randint(-1, 5)), f.subs_t_one(), f._swapped()):
             assert_canonical(h)
         assert_same(f - f, BiPoly.zero())
         assert_same(f + g - g, f)
@@ -403,7 +438,7 @@ def test_operations_leave_their_operands_unchanged():
         before = [h.to_json() for h in (f, g, fb)]
         q = fb.div_exact(BiPoly.binomial(a, b))
         results = [f + g, f - g, f._mul_binomial(a, b), fb._mul_binomial(a, b), q,
-                   q._mul_binomial(1, 1), (f + g).truncate_p(3), fb.div_exact(ONE - P)]
+                   q._mul_binomial(1, 1), truncate_p(f + g, 3), fb.div_exact(ONE - P)]
         for den in ([(1, 1)], [(0, 1), (2, 1)], [(a, b + 1)] * 2):
             # series sweeps its rows in place: on a quotient and a sum that
             # share rows with f, fb and g
@@ -602,16 +637,22 @@ def test_rf_reduce_matches_trial_division():
     assert exchanged > 200
 
 
-def test_rf_reduce_matches_trial_division_on_corpus_sums(monkeypatch):
+def unreduced_sums(monkeypatch, ideals):
+    """The sum that `igusa_zeta` hands to `reduced()`, one per ideal."""
     sums = []
     reduced = BiRationalFunction.reduced
     def recording(self):
         sums.append(self)
         return reduced(self)
     monkeypatch.setattr(BiRationalFunction, "reduced", recording)
-    for ideal in corpus()[:10]:
+    for ideal in ideals:
         igusa_zeta(ideal)
-    monkeypatch.undo()
+    monkeypatch.setattr(BiRationalFunction, "reduced", reduced)
+    return sums
+
+
+def test_rf_reduce_matches_trial_division_on_corpus_sums(monkeypatch):
+    sums = unreduced_sums(monkeypatch, corpus()[:10])
     assert len(sums) == 10
     for rf in sums:
         assert rf.reduced() == reduced_by_trial(rf)
@@ -693,8 +734,9 @@ def test_screen_zero_falls_through_to_chain_sums():
 
 
 def test_screen_one_pass_matches_one_point_evaluations():
-    # more than 16 points, so a second lane group runs; coefficients up to
-    # 2^200 widen the lanes past 64 bits; gaps up to 10^6 between T-degrees
+    # 17 or more points in one call; coefficients up to 2^200, so that a row's
+    # l1 norm times q - 1 needs 64, 128 or 256 bits; gaps up to 10^6 between
+    # T-degrees
     rng = random.Random(210)
     points = [ring._screen_point(x, g) for x in DIRECTIONS for g in GCDS + (23,)]
     widths = set()
@@ -732,11 +774,11 @@ def factor_lines(rf):
 
 def test_rf_reduce_screens_what_the_certificate_leaves_in_one_pass(monkeypatch):
     screens = []  # the points of each screen pass
-    nonzero_at = ring._nonzero_at
-    def counting(rows, points):
+    summands_nonzero_at = ring._summands_nonzero_at
+    def counting(summands, den, points):
         screens.append(points)
-        return nonzero_at(rows, points)
-    monkeypatch.setattr(ring, "_nonzero_at", counting)
+        return summands_nonzero_at(summands, den, points)
+    monkeypatch.setattr(ring, "_summands_nonzero_at", counting)
     sums, passes = [], []  # each reduced() call's input and screen passes
     reduced = BiRationalFunction.reduced
     def recording(self):
@@ -758,6 +800,74 @@ def test_rf_reduce_screens_what_the_certificate_leaves_in_one_pass(monkeypatch):
     assert any(not made for made in passes)  # some sum needs no pass at all
     for rf in sums:
         assert rf.reduced() == reduced_by_trial(rf)
+
+
+def test_igusa_zeta_never_runs_the_row_screen(monkeypatch):
+    # every sum igusa_zeta reduces comes from a RowSum, so its screen reads
+    # the summands, never the expanded numerator's terms
+    def row_screen(rows, points):
+        raise AssertionError("the row screen ran over an igusa_zeta numerator")
+    screened = []
+    summands_nonzero_at = ring._summands_nonzero_at
+    def counting(summands, den, points):
+        screened.extend(points)
+        return summands_nonzero_at(summands, den, points)
+    monkeypatch.setattr(ring, "_nonzero_at", row_screen)
+    monkeypatch.setattr(ring, "_summands_nonzero_at", counting)
+    for ideal in corpus() + drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3):
+        igusa_zeta(ideal)
+    assert len(screened) > 50
+
+
+def value_by_rows(rows, point):
+    """The polynomial with the P-degree rows {p: {t: c}} at (q, T0, P0), mod q."""
+    q, t0, p0 = point
+    t_pow = {t: pow(t0, t, q) for t in set().union(*rows.values())}
+    return sum(pow(p0, p, q) * sum(c * t_pow[t] for t, c in row.items())
+               for p, row in rows.items()) % q
+
+
+def test_summand_screen_matches_the_row_screen(monkeypatch):
+    # the unreduced sums of the `wide` and `deep` pools, of 10 corpus ideals
+    # and of a non-simplicial cone's interior
+    sums = unreduced_sums(monkeypatch, drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3)
+                          + corpus()[:10])
+    # interior_lattice_gf keeps no summands; its cells, summed in a RowSum
+    # that keeps them, give the same function
+    square = cone_from_rays([(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)], 5)
+    grading = Grading((0, 1, 2, 3, 4), (1,) * 5)
+    interior = interior_lattice_gf(square, grading)
+    acc = RowSum(keep_summands=True)
+    add_half_open_cells(acc, square, tuple(-sum(col) for col in zip(*square.rays)), grading)
+    sums.append(acc.rational())
+    assert sums[-1] == interior and interior._screen is None
+    rng, q = random.Random(213), ring._SCREEN_PRIME
+    verdicts, controls = Counter(), 0
+    for rf in sums:
+        plain = BiRationalFunction(rf.numerator, rf.denominator)
+        assert rf == plain and hash(rf) == hash(plain) and plain._screen is None
+        # every factor's screen point, and random points, one with P0 = 1
+        points = [ring._screen_point(*line) for line in factor_lines(rf)]
+        points += [(q, rng.randrange(1, q), p0)
+                   for p0 in (1, rng.randrange(2, q), rng.randrange(2, q))]
+        want = ring._nonzero_at(rf.numerator._rows, points)
+        assert rf._screen(points) == want
+        verdicts.update(want)
+        summands, den = rf._screen.args
+        live = set(points) - {None}
+        values = ring._summands_at(summands, den, live)
+        assert values == {point: value_by_rows(rf.numerator._rows, point) for point in live}
+        # control: one count moved by 1 changes N by a monomial times the
+        # cell's multiplier, nonzero at a random point with P0 != 1
+        for i, summand in enumerate(summands):
+            if not isinstance(summand, BinomialFactor) and summand[0]:
+                keys, shift, factors = summand
+                moved = dict(keys)
+                moved[next(iter(moved))] += 1
+                changed = (*summands[:i], (moved, shift, factors), *summands[i + 1:])
+                assert ring._summands_at(changed, den, live) != values
+                controls += 1
+    assert verdicts[True] > 100 and verdicts[False] > 30 and controls > 100
 
 
 def edge_certified_by_terms(num, x, g):
@@ -794,15 +904,8 @@ def drawn_pool(seed, size, n, gens, max_exp):
 def test_edge_certificate_only_keeps_what_trial_division_keeps(monkeypatch):
     # the unreduced sums of the acceptance corpus and of the benchmark's
     # `wide` (n = 3, 6 generators, exponents <= 20) and `deep` pools
-    sums = []
-    reduced = BiRationalFunction.reduced
-    def recording(self):
-        sums.append(self)
-        return reduced(self)
-    monkeypatch.setattr(BiRationalFunction, "reduced", recording)
-    for ideal in corpus() + drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3):
-        igusa_zeta(ideal)
-    monkeypatch.undo()
+    sums = unreduced_sums(monkeypatch, corpus() + drawn_pool(2, 8, 3, 6, 20)
+                          + drawn_pool(1, 3, 5, 4, 3))
     certified = 0
     for rf in sums:
         flags = ring._edge_certified(rf.numerator._rows, factor_lines(rf))
