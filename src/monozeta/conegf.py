@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import add, mul
 
-from .fan import Cone, triangulate
-from .linalg import Vec, dot, eliminate
+from .fan import Cone, _scaled_inverse, triangulate
+from .linalg import Vec, dot, left_kernel_basis
 from .linalg import solve  # noqa: F401  kept: perfbench/test_harness.py reads conegf.solve
 from .ring import BiRationalFunction, RowSum
 
@@ -55,12 +55,12 @@ class HalfOpenSimplicialCone:
     """Linearly independent rays; open_facets marks the walls whose facet
     variable runs over (0, 1] instead of [0, 1) in the parallelepiped.
 
-    group is (D, rows): rows of D [rays; C]^-1 for some C completing the
-    rays to a nonsingular n x n matrix A, D = |det A|, ray coordinates
+    group is (D, rows): rows of D [rays; C]^-1, C a basis of the covectors
+    vanishing on the rays' span and D = |det [rays; C]|, ray coordinates
     first.  They generate the parallelepiped group (`parallelepiped_points`).
     A cell from `_half_open_cells` takes them from `triangulate`; a cell
-    built here takes them from one elimination of [rays | I], whose pivot
-    count is the rank check."""
+    built here takes them from the same `_scaled_inverse`, with C from
+    `left_kernel_basis`, whose size is the rank check."""
 
     rays: tuple[Vec, ...]
     open_facets: frozenset[int]
@@ -71,24 +71,15 @@ class HalfOpenSimplicialCone:
         if not rays:
             raise ValueError("need at least one ray")
         n, r = len(rays[0]), len(rays)
-        red, pivots, d, _ = eliminate([list(v) + [int(i == j) for j in range(r)]
-                                       for i, v in enumerate(rays)])
-        # [rays | I] has rank r, so r pivots, all among the ray columns iff
-        # the rays are independent
-        if pivots[-1] >= n:
+        if any(len(v) != n for v in rays):
+            raise ValueError(f"rays of unequal lengths {sorted({len(v) for v in rays})}")
+        kernel = left_kernel_basis(list(zip(*rays)), nrows=n)
+        if len(kernel) != n - r:
             raise ValueError("rays must be linearly independent")
         open_facets = frozenset(open_facets)
         if not open_facets <= set(range(r)):
             raise ValueError("open facet index out of range")
-        # C: the unit covectors off the pivot columns P.  Row k of red is
-        # d (R_P^-1 R | R_P^-1), so the row of d A^-1 at coordinate P[k] is
-        # (d R_P^-1 row k, -(row k off P)); the other rows are d times unit
-        # rows, zero mod D.  Negating all rows, or the C coordinates, keeps
-        # the subgroup where the C coordinates vanish, so the signs of d and
-        # of row k off P can stay as they are.
-        free = [c for c in range(n) if c not in pivots]
-        rows = tuple((*row[n:], *(row[c] for c in free)) for row in red)
-        self._set(rays, open_facets, (abs(d), rows))
+        self._set(rays, open_facets, _scaled_inverse(rays + tuple(kernel), n))
 
     def _set(self, rays, open_facets, group):
         object.__setattr__(self, "rays", rays)

@@ -59,6 +59,10 @@ def cone_from_rays(generators, n, vertex=None) -> Cone:
     Non-extreme and duplicate generators are filtered out.  The cone must be
     pointed (always true inside the orthant).
     """
+    generators = [tuple(g) for g in generators]
+    for g in generators:
+        if len(g) != n:
+            raise ValueError(f"generator {g} has length {len(g)}, not n = {n}")
     gens = sorted({primitive(g) for g in generators if any(g)})
     if not gens:
         ineqs = tuple(h for i in range(n) for h in (unit(i, n), tuple(-x for x in unit(i, n))))

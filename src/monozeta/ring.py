@@ -362,10 +362,10 @@ def _as_factor(f):
 class BiRationalFunction:
     """numerator / product of binomial factors, the denominator kept factored.
 
-    `_screen`, None unless `RowSum.rational` set it from a sum that kept
-    its summands, evaluates the numerator at screen points from them
-    (`reduced()`); it is not part of the value, so `==` and `hash` do not
-    read it."""
+    `_screen`, None unless `RowSum.reduced` set it on the sum it is about
+    to reduce, evaluates the numerator at screen points from the sum's
+    summands (`reduced()`); it is not part of the value, so `==` and `hash`
+    do not read it, and no function the package returns carries one."""
 
     __slots__ = ("numerator", "denominator", "_screen")
 
@@ -452,8 +452,8 @@ class BiRationalFunction:
         primitive g-th root of unity, a zero of Phi_g(x).  A nonzero value
         proves Phi_g(x) does not divide N.  A zero value decides nothing,
         and no other g is screened.  One call screens every factor left,
-        and there is none when none is.  A sum from a `RowSum` that kept
-        its summands is evaluated from them (`_summands_nonzero_at`): each
+        and there is none when none is.  A sum that `RowSum.reduced` hands
+        over is evaluated from its summands (`_summands_nonzero_at`): each
         cell's counted keys, times the factors of the sum's denominator that
         the cell lacks, times the `mul_binomial` factors after it, so the
         1 - P lane of (1 - P)^n is 0 with no key read.  Any other numerator
@@ -617,25 +617,23 @@ class RowSum:
     numerator comes in as packed keys t + (p << S), a cell's counted weight
     keys, and goes into rows with no term built.
 
-    With keep_summands, the summands are kept as well, in order: each
-    fraction's keys, shift and factors, and each `mul_binomial` factor.
-    The sum's `reduced()` screens its denominator factors from them
-    (`_summands_nonzero_at`), which reads each key at most once per screen
-    point rather than every numerator term.  The keys are kept as given,
-    not copied, so a caller must not change them, and they live as long as
-    the function `rational()` returns; a sum that is not reduced should
-    not keep them.
+    The summands are kept as well, in order: each fraction's keys, shift
+    and factors, and each `mul_binomial` factor.  `reduced()` screens the
+    sum's denominator factors from them (`_summands_nonzero_at`), which
+    reads each key at most once per screen point rather than every
+    numerator term.  The keys are kept as given, not copied, so a caller
+    must not change them; they live as long as the `RowSum`, and no
+    function it returns holds them.
     """
 
     __slots__ = ("_rows", "_den", "_width", "_bound", "_summands")
 
-    def __init__(self, keep_summands=False):
+    def __init__(self):
         self._rows: dict[int, tuple[int, int]] = {}
         self._den: Counter = Counter()
         self._width = 64
         self._bound = 0
-        self._summands: list[tuple[dict, int, Counter] | BinomialFactor] | None = (
-            [] if keep_summands else None)
+        self._summands: list[tuple[dict, int, Counter] | BinomialFactor] = []
 
     def add(self, keys, shift, factors):
         """Add N / prod of 1 - T^a P^b over factors (a, b).  The terms
@@ -656,8 +654,7 @@ class RowSum:
         _add_rows(self._rows, rows, 0, 0, 1, width)
         self._den += grow
         self._bound = bound
-        if self._summands is not None:
-            self._summands.append((keys, shift, factors))
+        self._summands.append((keys, shift, factors))
 
     def mul_binomial(self, a, b):
         """Multiply the numerator by 1 - T^a P^b; the denominator stays."""
@@ -665,8 +662,7 @@ class RowSum:
         self._fit(2 * self._bound)
         self._rows = _times_binomial(self._rows, f, self._width)
         self._bound *= 2
-        if self._summands is not None:
-            self._summands.append(f)
+        self._summands.append(f)
 
     def _fit(self, bound):
         """Widen W, if need be, so that bound < 2^(W-1)."""
@@ -679,14 +675,17 @@ class RowSum:
 
     def rational(self):
         """The sum as a BiRationalFunction: each packed row decoded once,
-        straight into the numerator's row.  With keep_summands it carries
-        the summands as they stand now, for its `reduced()` screen."""
-        out = BiRationalFunction(BiPoly._raw(_unpack(self._rows, self._width)),
-                                 self._den.elements())
-        if self._summands is not None:
-            out._screen = partial(_summands_nonzero_at, tuple(self._summands),
-                                  Counter(self._den))
-        return out
+        straight into the numerator's row."""
+        return BiRationalFunction(BiPoly._raw(_unpack(self._rows, self._width)),
+                                  self._den.elements())
+
+    def reduced(self):
+        """`rational().reduced()`, its screen read from the summands: the
+        one place a function gets a `_screen`, set on the sum just before
+        `BiRationalFunction.reduced` takes it, so what comes back has none."""
+        out = self.rational()
+        out._screen = partial(_summands_nonzero_at, tuple(self._summands), Counter(self._den))
+        return out.reduced()
 
 
 def _add_rows(target, rows, a, b, sign, width):

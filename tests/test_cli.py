@@ -7,11 +7,12 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from monozeta import cli
+from monozeta import cli, log_canonical_threshold, verify_pole_roots
 from monozeta.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -111,6 +112,27 @@ def test_readme_command_line_examples(capsys):
         code, out, err = run(capsys, *shlex.split(command))
         assert code == 0 and err == ""
         assert out.splitlines() == lines, command
+
+
+def test_readme_python_api_example():
+    # the README's "Python API" block runs as written, and each line with a
+    # comment evaluates to the value the comment shows ("..." elides terms)
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    shown = [line.split("#", 1) for line in block.splitlines() if "#" in line]
+    assert len(shown) == 4
+    for expr, comment in shown:
+        got, want = repr(eval(expr, scope)), comment.strip()
+        if " ... " in want:
+            head, tail = want.split(" ... ")
+            assert got.startswith(head) and got.endswith(tail), expr
+        else:
+            assert got == want, expr
+    assert scope["result"].poles == ((Fraction(-5, 6), 1),)
+    assert log_canonical_threshold(scope["poly"]) == Fraction(5, 6)
+    assert verify_pole_roots(scope["result"], scope["poly"]).all_verified
 
 
 def test_parse_error_exit_code(capsys):

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from oracles import cone_faces, det_int, gf_series_brute, naive_parallelepiped, orthant_points
-from monozeta import conegf, fan, linalg
+from monozeta import fan, linalg
 from monozeta.conegf import (
     Grading,
     HalfOpenSimplicialCone,
@@ -45,6 +45,10 @@ def test_cell_validation():
         HalfOpenSimplicialCone([(1, 0), (2, 0)])
     with pytest.raises(ValueError):
         HalfOpenSimplicialCone([(1, 0)], {1})
+    with pytest.raises(ValueError, match="unequal lengths"):
+        HalfOpenSimplicialCone([(1, 0), (0, 1, 1)])
+    with pytest.raises(ValueError, match="has length 2, not n = 3"):
+        cone_from_rays([(1, 0)], 3)
 
 
 def random_cell(rng, allow_negative=False):
@@ -146,8 +150,9 @@ def test_graded_descent_weighs_every_point_once():
 
 def test_pipeline_cells_match_public_cells():
     # a cell from triangulate's one elimination of [rays; C | I], C the
-    # span's kernel, against the same rays built in public, which eliminate
-    # [rays | I]: the same points, and under a grading the same keys
+    # span-kernel pairs of the cone's inequalities, against the same rays
+    # built in public, C from left_kernel_basis: the same points, and under
+    # a grading the same keys
     rng = random.Random(606)
     large = [HalfOpenSimplicialCone(rays, opened)
              for rays in LARGE_GROUPS for opened in ((), (1,), (0, 1))]
@@ -185,7 +190,7 @@ def test_one_elimination_per_cell(monkeypatch):
         return wrapper
 
     eliminate = counted("eliminate", linalg.eliminate)
-    for mod in (linalg, fan, conegf):
+    for mod in (linalg, fan):
         monkeypatch.setattr(mod, "eliminate", eliminate)
     monkeypatch.setattr(linalg, "row_hnf", counted("row_hnf", linalg.row_hnf))
     ones = (1,) * ideal.n

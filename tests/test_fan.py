@@ -44,6 +44,12 @@ def test_cone_from_rays_low_dimension():
     assert z.contains_relint((0, 0))
 
 
+def test_cone_from_rays_rejects_a_generator_of_the_wrong_length():
+    for gens, n in (([(1, 0)], 3), ([(1, 0, 0), (0, 1)], 3), ([(0, 0, 0)], 2)):
+        with pytest.raises(ValueError, match=f"not n = {n}"):
+            cone_from_rays(gens, n)
+
+
 def test_cone_relint_vs_boundary():
     c = cone_from_rays([(1, 0), (1, 1)], 2)
     assert c.contains_relint((2, 1))

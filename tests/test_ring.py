@@ -11,7 +11,7 @@ import pytest
 from oracles import reduced_by_trial, series_by_geometric, truncate_p, value_at
 from test_acceptance import corpus
 from monozeta import ring
-from monozeta.conegf import Grading, add_half_open_cells, interior_lattice_gf
+from monozeta.conegf import Grading, add_half_open_cells, interior_lattice_gf, lattice_gf
 from monozeta.fan import cone_from_rays
 from monozeta.polyhedra import MonomialIdeal
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum, UniRational
@@ -262,10 +262,10 @@ def test_row_sum_matches_the_pairwise_route():
 
 def test_row_sum_summands_give_the_rows_values():
     # signed coefficients up to 2^62, multipliers between the adds, and a
-    # function taken mid-way, which keeps the summands it was built from
+    # function taken mid-way, next to the summands it was built from
     rng, q = random.Random(1208), ring._SCREEN_PRIME
     for _ in range(100):
-        acc, taken = RowSum(keep_summands=True), []
+        acc, taken = RowSum(), []
         for _ in range(rng.randint(1, 8)):
             if rng.random() < 0.3:
                 acc.mul_binomial(*random_factor(rng))
@@ -276,13 +276,13 @@ def test_row_sum_summands_give_the_rows_values():
                 factors = [random_factor(rng) for _ in range(rng.randint(0, 4))]
                 acc.add(keyed(terms), SHIFT, factors)
             if rng.random() < 0.3:
-                taken.append(acc.rational())
-        taken.append(acc.rational())
-        for rf in taken:
+                taken.append((acc.rational(), tuple(acc._summands), Counter(acc._den)))
+        taken.append((acc.rational(), tuple(acc._summands), Counter(acc._den)))
+        for rf, summands, den in taken:
             lines = factor_lines(rf)
             points = {(q, rng.randrange(1, q), rng.randrange(1, q)), (q, rng.randrange(1, q), 1),
                       *filter(None, (ring._screen_point(*line) for line in lines))}
-            assert ring._summands_at(*rf._screen.args, points) == {
+            assert ring._summands_at(summands, den, points) == {
                 point: value_by_rows(rf.numerator._rows, point) for point in points}
 
 
@@ -320,7 +320,7 @@ def test_row_sum_cancels_to_zero():
     assert got.numerator.is_zero()
     assert got.denominator == (BinomialFactor(0, 2), BinomialFactor(1, 0),
                                BinomialFactor(2, 1))
-    assert got._screen is None  # a sum keeps no summands unless asked to
+    assert got._screen is None  # rational() hands out no screen
     assert RowSum().rational() == BiRationalFunction.zero()
 
 
@@ -344,7 +344,7 @@ def test_row_sum_widens_before_its_bound_reaches_the_slot():
 
 
 def test_row_sum_rejects_bad_input():
-    acc = RowSum(keep_summands=True)
+    acc = RowSum()
     for bad in ([(0, 0)], [(-1, 2)]):
         with pytest.raises(ValueError):
             acc.add(keyed({(0, 0): 1}), SHIFT, bad)
@@ -359,7 +359,7 @@ def test_row_sum_rejects_bad_input():
     with pytest.raises(ValueError):
         acc.add(keyed({(-1, 0): 1}), SHIFT, [(2, 1)])
     got = acc.rational()
-    assert got == BiRationalFunction(ONE, [(1, 1)]) and len(got._screen.args[0]) == 1
+    assert got == BiRationalFunction(ONE, [(1, 1)]) and len(acc._summands) == 1
 
 
 def assert_canonical(f):
@@ -637,8 +637,9 @@ def test_rf_reduce_matches_trial_division():
     assert exchanged > 200
 
 
-def unreduced_sums(monkeypatch, ideals):
-    """The sum that `igusa_zeta` hands to `reduced()`, one per ideal."""
+def unreduced_sums(monkeypatch, ideals, row_sums=()):
+    """The sum that `igusa_zeta` hands to `reduced()`, one per ideal, then
+    the one each `RowSum` in row_sums hands over as it reduces itself."""
     sums = []
     reduced = BiRationalFunction.reduced
     def recording(self):
@@ -647,6 +648,8 @@ def unreduced_sums(monkeypatch, ideals):
     monkeypatch.setattr(BiRationalFunction, "reduced", recording)
     for ideal in ideals:
         igusa_zeta(ideal)
+    for acc in row_sums:
+        acc.reduced()
     monkeypatch.setattr(BiRationalFunction, "reduced", reduced)
     return sums
 
@@ -827,19 +830,25 @@ def value_by_rows(rows, point):
                for p, row in rows.items()) % q
 
 
-def test_summand_screen_matches_the_row_screen(monkeypatch):
-    # the unreduced sums of the `wide` and `deep` pools, of 10 corpus ideals
-    # and of a non-simplicial cone's interior
-    sums = unreduced_sums(monkeypatch, drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3)
-                          + corpus()[:10])
-    # interior_lattice_gf keeps no summands; its cells, summed in a RowSum
-    # that keeps them, give the same function
+def interior_row_sum():
+    """A non-simplicial cone's interior cells, summed in a `RowSum`, with
+    the cone and grading: the sum `interior_lattice_gf` returns."""
     square = cone_from_rays([(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)], 5)
     grading = Grading((0, 1, 2, 3, 4), (1,) * 5)
-    interior = interior_lattice_gf(square, grading)
-    acc = RowSum(keep_summands=True)
+    acc = RowSum()
     add_half_open_cells(acc, square, tuple(-sum(col) for col in zip(*square.rays)), grading)
-    sums.append(acc.rational())
+    return acc, square, grading
+
+
+def test_summand_screen_matches_the_row_screen(monkeypatch):
+    # the unreduced sums of the `wide` and `deep` pools, of 10 corpus ideals
+    # and of a non-simplicial cone's interior: interior_lattice_gf returns
+    # no screen, and its cells, summed in a RowSum that reduces itself, give
+    # the same function with one
+    acc, square, grading = interior_row_sum()
+    interior = interior_lattice_gf(square, grading)
+    sums = unreduced_sums(monkeypatch, drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3)
+                          + corpus()[:10], [acc])
     assert sums[-1] == interior and interior._screen is None
     rng, q = random.Random(213), ring._SCREEN_PRIME
     verdicts, controls = Counter(), 0
@@ -868,6 +877,33 @@ def test_summand_screen_matches_the_row_screen(monkeypatch):
                 assert ring._summands_at(changed, den, live) != values
                 controls += 1
     assert verdicts[True] > 100 and verdicts[False] > 30 and controls > 100
+
+
+def test_row_sum_reduces_itself_and_hands_out_no_screen(monkeypatch):
+    # the sums igusa_zeta reduces on the `wide` and `deep` pools and 10
+    # corpus ideals, and a non-simplicial cone's interior: the sum's own
+    # reduced() is its rational() reduced, as trial division reduces it, and
+    # no function that comes out carries a screen
+    accs = []
+    reduced = RowSum.reduced
+    def recording(self):
+        accs.append(self)
+        return reduced(self)
+    monkeypatch.setattr(RowSum, "reduced", recording)
+    results = [igusa_zeta(ideal) for ideal in drawn_pool(2, 8, 3, 6, 20)
+               + drawn_pool(1, 3, 5, 4, 3) + corpus()[:10]]
+    monkeypatch.undo()
+    assert len(accs) == len(results) == 21
+    assert all(result.zeta._screen is None for result in results)
+    acc, square, grading = interior_row_sum()
+    accs.append(acc)
+    for acc in accs:
+        rf = acc.rational()
+        got, plain = acc.reduced(), rf.reduced()
+        assert got == plain == reduced_by_trial(rf)
+        assert rf._screen is None and got._screen is None and plain._screen is None
+    assert lattice_gf(square, grading)._screen is None
+    assert interior_lattice_gf(square, grading)._screen is None
 
 
 def edge_certified_by_terms(num, x, g):
