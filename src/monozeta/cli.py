@@ -50,7 +50,7 @@ def _load_ideal(args):
     else:
         text = args.ideal
     variables = None
-    if args.vars:
+    if args.vars is not None:
         variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
         if not variables:
             raise ValueError("--vars must list at least one variable name")

@@ -10,12 +10,11 @@ keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
 such fractions is accumulated in a `RowSum`, its numerator packed one int
 per P-degree, built from packed keys and decoded once, straight into rows.
-`reduced()` decides each denominator factor once: an edge certificate read
-off the ends of the numerator's rows keeps most factors, one modular screen
-pass keeps most of the rest, and exact division and chain sums decide the
-others.  The screen of a sum from a `RowSum` that kept its summands reads
-them, far fewer than the numerator's terms; any other function is screened
-over its terms, as one summand.
+`reduced()` decides each denominator factor once: one modular screen, read
+off the numerator's row values at a single point T0, keeps most factors,
+and exact division and chain sums decide the others.  A polynomial from a
+`RowSum` comes with those values, one remainder per packed row; any other
+computes them once from its terms.
 """
 
 from __future__ import annotations
@@ -25,17 +24,21 @@ import struct
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import partial
-from math import gcd, prod
+from math import gcd
 from operator import index, mul
 from typing import NamedTuple
 
 
 class BiPoly:
     """Sparse polynomial in T and P with integer coefficients, stored as
-    its P-degree rows."""
+    its P-degree rows.
 
-    __slots__ = ("_rows", "_hash")
+    `_values`, None until `_row_values` fills it (or `RowSum.rational` sets
+    it), caches the rows' values at one point T0 modulo the screen prime
+    for `reduced()`; like `_hash` it is not part of the value, so `==` and
+    `hash` do not read it."""
+
+    __slots__ = ("_rows", "_hash", "_values")
 
     def __init__(self, terms=None):
         clean = {}
@@ -53,6 +56,7 @@ class BiPoly:
                         del clean[key]
         self._rows = _by_p_degree(clean)
         self._hash = None
+        self._values = None
 
     @classmethod
     def _raw(cls, rows: dict) -> "BiPoly":
@@ -63,12 +67,26 @@ class BiPoly:
         out = object.__new__(cls)
         out._rows = rows
         out._hash = None
+        out._values = None
         return out
 
     @property
     def _terms(self):
         """The flat view {(t, p): c}, built on each read and never stored."""
         return {(t, p): c for p, row in self._rows.items() for t, c in row.items()}
+
+    def _row_values(self):
+        """(T0, {p: row p at T = T0, mod q}), q the screen prime: the cached
+        values, or else computed once from the terms at T0 = 2^64 mod q,
+        against T0 raised only to the T-degrees present (`_powers`)."""
+        if self._values is None:
+            q = _SCREEN_PRIME
+            t0 = pow(2, 64, q)
+            degrees = sorted(set().union(*self._rows.values()))
+            at = dict(zip(degrees, _powers(t0, degrees, q))).__getitem__
+            self._values = (t0, {p: sum(map(mul, row.values(), map(at, row))) % q
+                                 for p, row in self._rows.items()})
+        return self._values
 
     @classmethod
     def zero(cls):
@@ -360,21 +378,15 @@ def _as_factor(f):
 
 
 class BiRationalFunction:
-    """numerator / product of binomial factors, the denominator kept factored.
+    """numerator / product of binomial factors, the denominator kept factored."""
 
-    `_screen`, None unless `RowSum.reduced` set it on the sum it is about
-    to reduce, evaluates the numerator at screen points from the sum's
-    summands (`reduced()`); it is not part of the value, so `==` and `hash`
-    do not read it, and no function the package returns carries one."""
-
-    __slots__ = ("numerator", "denominator", "_screen")
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator, denominator=()):
         if not isinstance(numerator, BiPoly):
             raise TypeError("numerator must be a BiPoly")
         self.numerator = numerator
         self.denominator = tuple(sorted(_as_factor(f) for f in denominator))
-        self._screen = None
 
     @classmethod
     def zero(cls):
@@ -432,34 +444,22 @@ class BiRationalFunction:
         Write the factor as 1 - x^g, x = T^a0 P^b0 primitive.  Every step
         below (dividing by 1 - x^g, or exchanging it for 1 - x^m, m a proper
         divisor of g) needs the cyclotomic factor Phi_g(x) to divide the
-        numerator N.  Two tests that can prove it does not come first, both
+        numerator N.  One screen that can prove it does not comes first,
         against the numerator as it came in: each step replaces N by a
         divisor of N, so a proof there still holds.  A proven factor stays
         with nothing more built; an unproven one goes on to the exact
-        steps, so neither test can change an outcome.
+        steps, so the screen cannot change an outcome.
 
-        The edge certificate (`_edge_certified`): multiplying by a
-        polynomial in x keeps phi = b0*t - a0*p, so Phi_g(x) divides the
-        part of N on every line phi = const, the two extreme lines
-        included (Ostrowski: Newt(f g) = Newt(f) + Newt(g)).  An extreme
-        line with one term, or whose polynomial in x is nonzero mod q at
-        a primitive g-th root of unity (the screen prime q below, when
-        g | q - 1), proves the factor stays.  The extreme lines are read
-        off the ends of N's P-degree rows, O(rows) per direction.
-
-        The screen, for the factors left: N is evaluated modulo one fixed
-        prime q with g | q - 1 for every g <= 22, at a point where x is a
-        primitive g-th root of unity, a zero of Phi_g(x).  A nonzero value
-        proves Phi_g(x) does not divide N.  A zero value decides nothing,
-        and no other g is screened.  One call screens every factor left,
-        and there is none when none is.  A sum that `RowSum.reduced` hands
-        over is evaluated from its summands (`_summands_nonzero_at`): each
-        cell's counted keys, times the factors of the sum's denominator that
-        the cell lacks, times the `mul_binomial` factors after it, so the
-        1 - P lane of (1 - P)^n is 0 with no key read.  Any other numerator
-        is evaluated the same way as one summand, its terms (`_nonzero_at`).
-        Both give N's residue mod q at every point, so the decisions do not
-        depend on which summands are read.
+        The screen (`_folds_nonzero`), for b0 >= 1 and g | q - 1, q the
+        screen prime (g | q - 1 for every g <= 22): with N's P-degree rows
+        evaluated at T = T0 mod q (`BiPoly._row_values`), set c = z T0^-a0,
+        z of order g, and fold N(T0, P) modulo P^b0 - c.  In
+        F_q[P]/(P^b0 - c) the image of x is T0^a0 c = z, a zero of Phi_g,
+        so a nonzero fold proves Phi_g(x) does not divide N.  The fold is
+        sum over p of N_p(T0) c^(p // b0) P^(p % b0), one class sum per
+        residue of p mod b0: O(rows) per factor, and one call screens
+        every factor that qualifies.  A zero fold decides nothing; nor is a
+        factor with b0 = 0 or g not dividing q - 1 screened.
 
         The chain sums: one pass sums N per chain (monomials differing by a
         power of x^g), keyed by the line b0*t - a0*p and t mod a (p mod b
@@ -481,12 +481,12 @@ class BiRationalFunction:
         num, den = self.numerator, []
         lines = [((f.a // g, f.b // g), g)
                  for f in self.denominator for g in (gcd(f.a, f.b),)]
-        stays = _edge_certified(num._rows, lines)
-        left = [k for k, stay in enumerate(stays) if not stay]
-        if left:
-            screen = self._screen or partial(_nonzero_at, num._rows)
-            screened = screen([_screen_point(*lines[k]) for k in left])
-            for k, stay in zip(left, screened):
+        stays = [False] * len(lines)
+        screened = [k for k, ((_, b0), g) in enumerate(lines)
+                    if b0 and (_SCREEN_PRIME - 1) % g == 0]
+        if screened:
+            folds = _folds_nonzero(num, [lines[k] for k in screened])
+            for k, stay in zip(screened, folds):
                 stays[k] = stay
         for f, (x, g), stay in zip(self.denominator, lines, stays):
             if stay:
@@ -615,25 +615,18 @@ class RowSum:
     binomial at most doubles it.  W starts at 64 bits and doubles (one
     decode, one repack) before the bound can reach 2^(W-1).  A fraction's
     numerator comes in as packed keys t + (p << S), a cell's counted weight
-    keys, and goes into rows with no term built.
-
-    The summands are kept as well, in order: each fraction's keys, shift
-    and factors, and each `mul_binomial` factor.  `reduced()` screens the
-    sum's denominator factors from them (`_summands_nonzero_at`), which
-    reads each key at most once per screen point rather than every
-    numerator term.  The keys are kept as given, not copied, so a caller
-    must not change them; they live as long as the `RowSum`, and no
-    function it returns holds them.
+    keys, and goes into rows with no term built.  Since v is the row's
+    value at T = 2^W, v mod q is its value at T0 = 2^W mod q, which is what
+    the screen in `reduced()` reads.
     """
 
-    __slots__ = ("_rows", "_den", "_width", "_bound", "_summands")
+    __slots__ = ("_rows", "_den", "_width", "_bound")
 
     def __init__(self):
         self._rows: dict[int, tuple[int, int]] = {}
         self._den: Counter = Counter()
         self._width = 64
         self._bound = 0
-        self._summands: list[tuple[dict, int, Counter] | BinomialFactor] = []
 
     def add(self, keys, shift, factors):
         """Add N / prod of 1 - T^a P^b over factors (a, b).  The terms
@@ -654,7 +647,6 @@ class RowSum:
         _add_rows(self._rows, rows, 0, 0, 1, width)
         self._den += grow
         self._bound = bound
-        self._summands.append((keys, shift, factors))
 
     def mul_binomial(self, a, b):
         """Multiply the numerator by 1 - T^a P^b; the denominator stays."""
@@ -662,7 +654,6 @@ class RowSum:
         self._fit(2 * self._bound)
         self._rows = _times_binomial(self._rows, f, self._width)
         self._bound *= 2
-        self._summands.append(f)
 
     def _fit(self, bound):
         """Widen W, if need be, so that bound < 2^(W-1)."""
@@ -675,17 +666,13 @@ class RowSum:
 
     def rational(self):
         """The sum as a BiRationalFunction: each packed row decoded once,
-        straight into the numerator's row."""
-        return BiRationalFunction(BiPoly._raw(_unpack(self._rows, self._width)),
-                                  self._den.elements())
-
-    def reduced(self):
-        """`rational().reduced()`, its screen read from the summands: the
-        one place a function gets a `_screen`, set on the sum just before
-        `BiRationalFunction.reduced` takes it, so what comes back has none."""
-        out = self.rational()
-        out._screen = partial(_summands_nonzero_at, tuple(self._summands), Counter(self._den))
-        return out.reduced()
+        straight into the numerator's row, and its value at T0 = 2^W mod q,
+        T^t0 times v mod q, cached on the numerator for the screen."""
+        q = _SCREEN_PRIME
+        t0 = pow(2, self._width, q)
+        num = BiPoly._raw(_unpack(self._rows, self._width))
+        num._values = (t0, {p: pow(t0, t, q) * (v % q) % q for p, (t, v) in self._rows.items()})
+        return BiRationalFunction(num, self._den.elements())
 
 
 def _add_rows(target, rows, a, b, sign, width):
@@ -860,72 +847,17 @@ def _is_prime(p):
     return True
 
 
-# The screen prime q = 8 * lcm(1, ..., 22) + 1 and a generator of its units:
-# g | q - 1 for every g <= 22, and q < 2^31.
-_SCREEN_PRIME = 1862340481
-_SCREEN_GENERATOR = 61
-
-
-def _screen_point(x, g):
-    """(q, T0, P0) with x = T0^a0 P0^b0 a primitive g-th root of unity mod q:
-    T0 = z^u s^b0 and P0 = z^v s^-a0 with u*a0 + v*b0 = 1, z = s^((q-1)/g)
-    of order exactly g and s the generator.  None unless g divides q - 1."""
-    q, s = _SCREEN_PRIME, _SCREEN_GENERATOR
-    if (q - 1) % g:
-        return None
-    z = pow(s, (q - 1) // g, q)
-    a0, b0 = x
-    u = pow(a0, -1, b0) if b0 else 1
-    v = (1 - u * a0) // b0 if b0 else 0
-    return (q, pow(z, u, q) * pow(s, b0, q) % q, pow(z, v, q) * pow(s, -a0, q) % q)
-
-
-def _edge_certified(rows, lines):
-    """For each (x, g), x = (a0, b0) primitive, does an extreme line of the
-    polynomial with the P-degree rows {p: {t: c}} prove that Phi_g(x)
-    does not divide it, x = T^a0 P^b0?
-
-    Multiplying by a polynomial in x keeps each monomial on its line
-    phi = b0*t - a0*p = const, so in a multiple of Phi_g(x) the part on
-    every line is one too.  The part on a line is a monomial times h(x),
-    h a polynomial in one variable, and Phi_g(x) divides it only if h has
-    more than one term and, when g | q - 1 for the screen prime q, only if
-    h(z) = 0 mod q at z of order g (Phi_g(z) = 0 mod q).  Only the two
-    extreme lines, phi largest and smallest, are tested: for b0 > 0 a row
-    holds at most one term of a line, so they are made of row ends, each
-    row's least and greatest T-degree, read once per call; for b0 = 0
-    (x = T) the lines are the rows, and they are the lowest and highest."""
-    out = [False] * len(lines)
-    if not rows:
-        return out
-    q, ends, edges = _SCREEN_PRIME, None, {}
-    for k, (x, g) in enumerate(lines):
-        if x not in edges:
-            a0, b0 = x
-            if not b0:  # a0 = 1
-                edges[x] = [[(t - t0, c) for t, c in row.items()]
-                            for row in (rows[min(rows)], rows[max(rows)])
-                            for t0 in (min(row),)]
-            else:
-                if ends is None:
-                    ends = [(p, min(row), max(row)) for p, row in rows.items()]
-                edges[x] = []
-                for side, best in ((2, max), (1, min)):
-                    phi = [b0 * e[side] - a0 * e[0] for e in ends]
-                    top = best(phi)
-                    on = [e for e, v in zip(ends, phi) if v == top]
-                    p0 = min(e[0] for e in on)
-                    edges[x].append([((e[0] - p0) // b0, rows[e[0]][e[side]]) for e in on])
-        z = None if (q - 1) % g else pow(_SCREEN_GENERATOR, (q - 1) // g, q)
-        out[k] = any(len(h) == 1 or z is not None and sum(
-            c * pow(z, e, q) for e, c in h) % q != 0 for h in edges[x])
-    return out
+# The screen prime q = lcm(1, ..., 22) + 1 and a generator of its units:
+# g | q - 1 for every g <= 22, and q < 2^30, so a packed row mod q takes
+# CPython's one-digit remainder.
+_SCREEN_PRIME = 232792561
+_SCREEN_GENERATOR = 71
 
 
 def _powers(base, exponents, q):
-    """base^e mod q for the increasing exponents e, each one step from the
-    last: one multiply for a gap of 1, the most common, and the logarithm
-    of any other gap."""
+    """base^e mod q for the nondecreasing exponents e, each one step from
+    the last: one multiply for a gap of 1, the most common, and the
+    logarithm of any other gap."""
     out, w, prev = [], 1, 0
     for e in exponents:
         gap = e - prev
@@ -935,73 +867,29 @@ def _powers(base, exponents, q):
     return out
 
 
-def _nonzero_at(rows, points):
-    """For each point (q, T0, P0), or None, is the polynomial with the
-    P-degree rows {p: {t: c}} (a `BiPoly`'s `_rows`) nonzero at it modulo q?
-    False for None.  The screen of a function with no summands kept: its
-    terms are one summand with no factors, keyed t + (p << S) as
-    `RowSum.add` takes a cell."""
-    shift = max(map(max, rows.values()), default=0).bit_length()
-    keys = {t + (p << shift): c for p, row in rows.items() for t, c in row.items()}
-    return _summands_nonzero_at(((keys, shift, Counter()),), Counter(), points)
+def _folds_nonzero(poly, lines):
+    """For each (x, g), x = (a0, b0) primitive with b0 >= 1 and g | q - 1:
+    is the fold of the polynomial modulo (q, P^b0 - c) nonzero, a proof
+    that Phi_g(T^a0 P^b0) does not divide it (`BiRationalFunction.reduced`)?
 
-
-def _summands_nonzero_at(summands, den, points):
-    """For each point (q, T0, P0), or None, is the numerator of a `RowSum`,
-    given by its summands and denominator, nonzero at it modulo q?  False
-    for None (`_summands_at`)."""
-    values = _summands_at(summands, den, set(points) - {None})
-    return [bool(values.get(point)) for point in points]
-
-
-def _summands_at(summands, den, points):
-    """{(q, T0, P0): N(T0, P0) mod q} over the points, N the numerator of a
-    `RowSum` given by its summands, in order, and its denominator D: a cell
-    (keys, S, F) adds K * prod(D - F), a factor multiplies what came
-    before it.
-
-    K is the polynomial with the terms c T^t P^p given as keys
-    {t + (p << S): c}, and D - F, a multiset difference, the factors the
-    cell was lifted by.  Evaluation mod q is a ring map, so N(T0, P0) mod q
-    is the same expression in the factors' values at the point, each
-    computed once.  Walking the summands backwards, a cell is weighed by
-    the product of the factors after it, and once that product is 0, as
-    under (1 - P)^n at P0 = 1, no earlier key is read.  At a screen point
-    x is a root of unity of order g, so the factor screened, 1 - x^g, is 0
-    there, and so is every cell that lacks a copy of it; no key of such a
-    cell is read either.  The keys of the other cells are read once per
-    point, against T0 and P0 raised only to the degrees present
-    (`_powers`)."""
-    decoded = {}  # cell index: (T-degrees, P-degrees, coefficients)
-    factors_used = {*den, *(s for s in summands if isinstance(s, BinomialFactor))}
-
-    def value(q, t0, p0):
-        at = {f: (1 - pow(t0, f.a, q) * pow(p0, f.b, q)) % q for f in factors_used}
-        after, lifted = 1, []
-        for i in reversed(range(len(summands))):
-            if isinstance(summand := summands[i], BinomialFactor):
-                after = after * at[summand] % q
-                if not after:
-                    break
-                continue
-            keys, shift, factors = summand
-            m = after * prod(pow(at[f], c - factors[f], q) for f, c in den.items()) % q
-            if m:
-                if i not in decoded:
-                    mask = (1 << shift) - 1
-                    decoded[i] = ([u & mask for u in keys], [u >> shift for u in keys],
-                                  list(keys.values()))
-                lifted.append((m, *decoded[i]))
-        if not lifted:
-            return 0
-        t_degrees = sorted(set().union(*(ts for _, ts, _, _ in lifted)))
-        p_degrees = sorted(set().union(*(ps for _, _, ps, _ in lifted)))
-        t_at = dict(zip(t_degrees, _powers(t0, t_degrees, q))).__getitem__
-        p_at = dict(zip(p_degrees, _powers(p0, p_degrees, q))).__getitem__
-        return sum(m * sum(map(mul, cs, map(mul, map(t_at, ts), map(p_at, ps))))
-                   for m, ts, ps, cs in lifted) % q
-
-    return {point: value(*point) for point in points}
+    With the rows' values N_p at T0 (`BiPoly._row_values`), z = s^((q-1)/g)
+    of order g, s the generator, and c = z T0^-a0, the fold's class r is
+    the sum of N_p c^(p // b0) over p = r mod b0, and the fold is nonzero
+    iff some class is.  A line met twice is folded once."""
+    q = _SCREEN_PRIME
+    t0, values = poly._row_values()
+    degrees = sorted(values)
+    folds = {}
+    for x, g in lines:
+        if (x, g) in folds:
+            continue
+        (a0, b0), z = x, pow(_SCREEN_GENERATOR, (q - 1) // g, q)
+        c = z * pow(t0, -a0, q) % q
+        classes: dict[int, int] = {}
+        for p, w in zip(degrees, _powers(c, [p // b0 for p in degrees], q)):
+            classes[p % b0] = classes.get(p % b0, 0) + values[p] * w
+        folds[x, g] = any(s % q for s in classes.values())
+    return [folds[line] for line in lines]
 
 
 def _uni_trim(f):

@@ -116,11 +116,10 @@ def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
     """Exact Igusa zeta function of the ideal, reduced, with pole data.
 
     Every half-open cell of every maximal cone goes into one `RowSum`, whose
-    numerator is then multiplied by 1 - P n times.  The sum reduces itself
-    (`RowSum.reduced`): its packed rows are decoded once, straight into the
-    P-degree rows that `reduced()` reads, and its denominator factors are
-    screened from its cells, never from the expanded numerator's terms.
-    The (1 - P)^n that `reduced()` divides out again stays until the
+    numerator is then multiplied by 1 - P n times.  `rational()` decodes
+    its packed rows once, straight into the P-degree rows that `reduced()`
+    reads, with each row's value at the screen point T0 taken from the
+    packed row, so the screen reads no term.  The (1 - P)^n that `reduced()` divides out again stays until the
     benchmark harness no longer needs `ring.div_exact_calls` above 0
     (ROADMAP items 5, 15).
     """
@@ -132,7 +131,7 @@ def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
         add_half_open_cells(acc, sigma, ones, Grading(sigma.vertex, ones))
     for _ in range(n):
         acc.mul_binomial(0, 1)
-    zeta = acc.reduced()
+    zeta = acc.rational().reduced()
     divisors = _divisors_of_fan(fan, ideal)
     return ZetaResult(
         n=n,

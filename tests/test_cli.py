@@ -169,6 +169,12 @@ def test_vars_flag(capsys):
         code, out, err = run(capsys, "zeta", "--ideal", "x^2", "--vars", names)
         assert code == 2 and out == "" and message in err, names
 
+    # an empty or blank list is an error too, not the default order
+    for names in ("", " ", ",", " , "):
+        code, out, err = run(capsys, "zeta", "--ideal", "x^2", "--vars", names)
+        assert code == 2 and out == ""
+        assert "--vars must list at least one variable name" in err, repr(names)
+
 
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "ideal.txt"

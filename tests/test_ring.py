@@ -260,30 +260,31 @@ def test_row_sum_matches_the_pairwise_route():
     assert widened > 10
 
 
-def test_row_sum_summands_give_the_rows_values():
-    # signed coefficients up to 2^62, multipliers between the adds, and a
-    # function taken mid-way, next to the summands it was built from
+def test_row_sum_caches_its_rows_values():
+    # the values rational() reads off the packed rows, at T0 = 2^W mod q, are
+    # the rows evaluated there: a 64-bit sum of counts, and a sum widened to
+    # 128 bits with negative coefficients, multiplied between the adds
     rng, q = random.Random(1208), ring._SCREEN_PRIME
-    for _ in range(100):
-        acc, taken = RowSum(), []
+    widths = set()
+    for trial in range(100):
+        acc, signed = RowSum(), trial % 2
         for _ in range(rng.randint(1, 8)):
-            if rng.random() < 0.3:
+            if signed and rng.random() < 0.3:
                 acc.mul_binomial(*random_factor(rng))
-            else:
-                terms = {(rng.randint(0, 30), rng.randint(0, 5)):
-                         rng.choice((-1, 1)) * rng.randint(1, rng.choice((9, 2**62)))
-                         for _ in range(rng.randint(1, 12))}
-                factors = [random_factor(rng) for _ in range(rng.randint(0, 4))]
-                acc.add(keyed(terms), SHIFT, factors)
-            if rng.random() < 0.3:
-                taken.append((acc.rational(), tuple(acc._summands), Counter(acc._den)))
-        taken.append((acc.rational(), tuple(acc._summands), Counter(acc._den)))
-        for rf, summands, den in taken:
-            lines = factor_lines(rf)
-            points = {(q, rng.randrange(1, q), rng.randrange(1, q)), (q, rng.randrange(1, q), 1),
-                      *filter(None, (ring._screen_point(*line) for line in lines))}
-            assert ring._summands_at(summands, den, points) == {
-                point: value_by_rows(rf.numerator._rows, point) for point in points}
+                continue
+            terms = {(rng.randint(0, 30), rng.randint(0, 5)):
+                     rng.choice((-1, 1) if signed else (1,))
+                     * rng.randint(1, rng.choice((9, 2**62 if signed else 9)))
+                     for _ in range(rng.randint(1, 12))}
+            acc.add(keyed(terms), SHIFT, [random_factor(rng) for _ in range(rng.randint(0, 4))])
+        num = acc.rational().numerator
+        t0, values = num._values
+        assert t0 == pow(2, acc._width, q)
+        want = row_values(num._rows, t0)
+        assert {p: v for p, v in values.items() if v} == {p: v for p, v in want.items() if v}
+        assert num._row_values() is num._values  # read, not recomputed
+        widths.add((acc._width, signed and min((c for _, c in num.terms()), default=0) < 0))
+    assert {(64, False), (128, True)} <= widths
 
 
 def test_key_packing_add_matches_the_pairwise_route():
@@ -320,7 +321,6 @@ def test_row_sum_cancels_to_zero():
     assert got.numerator.is_zero()
     assert got.denominator == (BinomialFactor(0, 2), BinomialFactor(1, 0),
                                BinomialFactor(2, 1))
-    assert got._screen is None  # rational() hands out no screen
     assert RowSum().rational() == BiRationalFunction.zero()
 
 
@@ -354,12 +354,12 @@ def test_row_sum_rejects_bad_input():
         acc.add(keyed({(-1, 0): 1}), SHIFT, [])
     with pytest.raises(ValueError):  # a negative T-degree above P-degree 0
         acc.add(keyed({(3, 2): 1, (-1, 2): 1}), SHIFT, [])
-    # a rejected fraction leaves the sum as it was: rows, factors, summands
+    # a rejected fraction leaves the sum as it was: rows and factors
     acc.add(keyed({(0, 0): 1}), SHIFT, [(1, 1)])
     with pytest.raises(ValueError):
         acc.add(keyed({(-1, 0): 1}), SHIFT, [(2, 1)])
     got = acc.rational()
-    assert got == BiRationalFunction(ONE, [(1, 1)]) and len(acc._summands) == 1
+    assert got == BiRationalFunction(ONE, [(1, 1)])
 
 
 def assert_canonical(f):
@@ -575,9 +575,9 @@ def test_rf_reduce_is_canonical_under_a_common_factor():
 
 
 def test_rf_reduce_is_one_pass(monkeypatch):
-    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the edge certificate rules out
-    # 1 - T P without a division (its extreme lines, 1 and T P^2, hold one
-    # term each), so the one division made is the one that succeeds
+    # (1 - T P^2)/((1 - T P)(1 - T P^2)): the screen rules out 1 - T P
+    # without a division (its fold, 1 - T0^-1, is nonzero), so the one
+    # division made is the one that succeeds
     calls = []
     div_exact = BiPoly.div_exact
     def counting(self, divisor):
@@ -637,9 +637,8 @@ def test_rf_reduce_matches_trial_division():
     assert exchanged > 200
 
 
-def unreduced_sums(monkeypatch, ideals, row_sums=()):
-    """The sum that `igusa_zeta` hands to `reduced()`, one per ideal, then
-    the one each `RowSum` in row_sums hands over as it reduces itself."""
+def unreduced_sums(monkeypatch, ideals):
+    """The sum that `igusa_zeta` hands to `reduced()`, one per ideal."""
     sums = []
     reduced = BiRationalFunction.reduced
     def recording(self):
@@ -648,8 +647,6 @@ def unreduced_sums(monkeypatch, ideals, row_sums=()):
     monkeypatch.setattr(BiRationalFunction, "reduced", recording)
     for ideal in ideals:
         igusa_zeta(ideal)
-    for acc in row_sums:
-        acc.reduced()
     monkeypatch.setattr(BiRationalFunction, "reduced", reduced)
     return sums
 
@@ -677,7 +674,7 @@ def test_rf_reduce_matches_trial_division_off_the_screen():
 
 def test_screen_prime_is_certified():
     q, s = ring._SCREEN_PRIME, ring._SCREEN_GENERATOR
-    assert ring._is_prime(q) and (q - 1) % lcm(*range(1, 23)) == 0
+    assert ring._is_prime(q) and (q - 1) % lcm(*range(1, 23)) == 0 and q < 2**30
     n, primes = q - 1, set()
     for d in range(2, 100):
         while n % d == 0:
@@ -685,8 +682,7 @@ def test_screen_prime_is_certified():
             n //= d
     assert n == 1  # q - 1 factors over the primes below 100
     assert all(pow(s, (q - 1) // ell, q) != 1 for ell in primes)
-    for x in DIRECTIONS:
-        assert ring._screen_point(x, 23) is None
+    assert (q - 1) % 23
 
 
 def cyclotomic(x, g):
@@ -699,49 +695,95 @@ def cyclotomic(x, g):
 
 
 def screen_vanishes(num, x, g):
-    return not ring._nonzero_at(num._rows, [ring._screen_point(x, g)])[0]
+    return not ring._folds_nonzero(num, [(x, g)])[0]
 
 
-def test_screen_point_and_multiples_of_the_cyclotomic_factor():
+def fold_by_terms(num, t0, x, g):
+    """The screen's fold of num, term by term: num at T = t0 modulo
+    (q, P^b0 - c), c = z t0^-a0 with z of order g, as {p mod b0: c}."""
+    q, (a0, b0) = ring._SCREEN_PRIME, x
+    c = pow(ring._SCREEN_GENERATOR, (q - 1) // g, q) * pow(t0, -a0, q) % q
+    fold = Counter()
+    for (t, p), coeff in num.terms():
+        fold[p % b0] += coeff * pow(t0, t, q) * pow(c, p // b0, q)
+    return {r: v % q for r, v in fold.items() if v % q}
+
+
+def test_screen_never_keeps_a_multiple_of_the_cyclotomic_factor():
+    # soundness: a multiple of Phi_g(x), or of 1 - x^g, is never kept; and
+    # strength: a plain random polynomial is kept in over 90 % of cases
     rng = random.Random(208)
-    nonzero = 0
+    kept = tried = 0
     for x in DIRECTIONS:
+        if not x[1]:
+            continue
         for g in GCDS:
-            q, t0, p0 = ring._screen_point(x, g)
-            root = pow(t0, x[0], q) * pow(p0, x[1], q) % q
-            assert [m for m in range(1, g + 1) if pow(root, m, q) == 1] == [g]
-            phi = cyclotomic(x, g)
+            phi, full = cyclotomic(x, g), BiPoly.binomial(g * x[0], g * x[1])
             for _ in range(5):
                 m = random_poly(rng, max_deg=4, max_terms=8, max_coeff=50)
                 assert screen_vanishes(m * phi, x, g)
+                assert screen_vanishes(m * full, x, g)
                 assert screen_vanishes(m * phi * BiPoly.binomial(x[0], x[1]), x, g)
-                nonzero += not screen_vanishes(m, x, g)
-    assert nonzero > 150  # of 210: the screen does reject
+                kept += not screen_vanishes(m, x, g)
+                tried += 1
+    assert tried == 180 and kept > 0.9 * tried
     # 1 - T P does not divide T^31 - 1; a screen base of order 31 would miss it
     assert not screen_vanishes(T**31 - ONE, (1, 1), 1)
+    # 1 - T P^2 does not divide 1 - P, whose classes mod P^2 are 1 and -1: a
+    # fold that added its classes together would miss it
+    assert not screen_vanishes(ONE - P, (1, 2), 1)
 
 
-def test_screen_zero_falls_through_to_chain_sums():
-    # T - t0 vanishes at the screen point of 1 - T P, but 1 - T P does not
-    # divide it: the chain sums must still keep the factor.  Its extreme
-    # lines T and t0 hold one term each, so the edge certificate keeps it
-    # first; adding T^2 (1 - T P) + P (1 - T P) puts 1 - T P on both
-    # extreme lines, and the factor reaches the screen and the division
-    q, t0, p0 = ring._screen_point((1, 1), 1)
+def test_screen_abstains_where_it_has_no_root_of_unity(monkeypatch):
+    # b0 = 0 (x = T) and g = 23, which does not divide q - 1, go straight to
+    # the exact steps: no screen call names them
+    calls = []
+    folds_nonzero = ring._folds_nonzero
+    def recording(poly, lines):
+        calls.append(lines)
+        return folds_nonzero(poly, lines)
+    monkeypatch.setattr(ring, "_folds_nonzero", recording)
+    rng = random.Random(214)
+    for x in DIRECTIONS:
+        for g in GCDS + (23,):
+            calls.clear()
+            rf = BiRationalFunction(random_poly(rng) * BiPoly.binomial(x[0], x[1]),
+                                    [(g * x[0], g * x[1])])
+            assert rf.reduced() == reduced_by_trial(rf)
+            assert calls == ([[(x, g)]] if x[1] and g != 23 else [])
+
+
+def test_screen_zero_falls_through_to_chain_sums(monkeypatch):
+    # T - T0 is 0 at T = T0, so every fold of it is 0, but neither 1 - T P
+    # nor 1 - T^2 P^2 divides it: both must reach the exact steps and stay,
+    # 1 - T P through a division that fails.  Adding T^2 (1 - T P) +
+    # P (1 - T P) keeps the fold for 1 - T P at 0
+    t0 = pow(2, 64, ring._SCREEN_PRIME)  # a polynomial built from terms
     num = T - t0 * ONE
+    divided = []
+    div_exact = BiPoly.div_exact
+    def counting(self, divisor):
+        divided.append(divisor)
+        return div_exact(self, divisor)
     for num in (num, num + (T * T + P) * (ONE - TP)):
+        assert num._row_values()[0] == t0
         assert screen_vanishes(num, (1, 1), 1)
         rf = BiRationalFunction(num, [(1, 1), (2, 2)])
-        assert rf.reduced() == rf == reduced_by_trial(rf)
-    assert ring._edge_certified(num._rows, factor_lines(rf)) == [False, True]
+        monkeypatch.setattr(BiPoly, "div_exact", counting)
+        divided.clear()
+        got = rf.reduced()
+        monkeypatch.undo()
+        assert got == rf == reduced_by_trial(rf)
+        assert divided == [ONE - TP]
 
 
 def test_screen_one_pass_matches_one_point_evaluations():
-    # 17 or more points in one call; coefficients up to 2^200, so that a row's
-    # l1 norm times q - 1 needs 64, 128 or 256 bits; gaps up to 10^6 between
-    # T-degrees
-    rng = random.Random(210)
-    points = [ring._screen_point(x, g) for x in DIRECTIONS for g in GCDS + (23,)]
+    # the row values from the terms, in one pass, against each term
+    # evaluated on its own; coefficients up to 2^200 and gaps up to 10^6
+    # between T-degrees.  Then 17 or more factors screened in one call,
+    # against the fold computed term by term
+    rng, q = random.Random(210), ring._SCREEN_PRIME
+    lines = [(x, g) for x in DIRECTIONS for g in GCDS if x[1]]
     widths = set()
     vanished = cleared = 0
     for trial in range(60):
@@ -752,21 +794,20 @@ def test_screen_one_pass_matches_one_point_evaluations():
         for _ in range(rng.randint(0, 2)):
             x = rng.choice(DIRECTIONS)
             num = num * BiPoly.binomial(*(rng.choice(GCDS) * e for e in x))
-        rows = num._rows
-        chosen = rng.sample(points, rng.randint(17, len(points)))
-        got = ring._nonzero_at(rows, chosen)
-        assert got == [p is not None and ring._nonzero_at(rows, [p])[0] for p in chosen]
-        assert got == [p is not None and sum(
-            c * pow(p[1], t, p[0]) * pow(p[2], e, p[0]) for (t, e), c in num.terms()) % p[0] != 0
-            for p in chosen]
-        vanished += sum(not v for v, p in zip(got, chosen) if p is not None)
+        t0, values = num._row_values()
+        assert t0 == pow(2, 64, q) and num._values == (t0, values)
+        assert values == row_values(num._rows, t0)
+        chosen = rng.sample(lines, rng.randint(17, len(lines)))
+        got = ring._folds_nonzero(num, chosen)
+        assert got == [bool(fold_by_terms(num, t0, x, g)) for x, g in chosen]
+        vanished += got.count(False)
         cleared += sum(got)
         if num:
             l1 = max(sum(abs(c) for (_, e), c in num.terms() if e == p)
                      for p in range(num.p_degree() + 1))
             widths.add(min(w for w in range(64, 512, 64)
-                           if l1 * (ring._SCREEN_PRIME - 1) < 2**(w - 1)))
-    assert None in points and vanished > 100 and cleared > 100
+                           if l1 * (q - 1) < 2**(w - 1)))
+    assert vanished > 100 and cleared > 100
     assert {64, 128, 256} <= widths
 
 
@@ -776,13 +817,15 @@ def factor_lines(rf):
 
 
 def test_rf_reduce_screens_what_the_certificate_leaves_in_one_pass(monkeypatch):
-    screens = []  # the points of each screen pass
-    summands_nonzero_at = ring._summands_nonzero_at
-    def counting(summands, den, points):
-        screens.append(points)
-        return summands_nonzero_at(summands, den, points)
-    monkeypatch.setattr(ring, "_summands_nonzero_at", counting)
-    sums, passes = [], []  # each reduced() call's input and screen passes
+    # the screen is the one certificate: each reduced() makes at most one
+    # screen call, on exactly the factors with b0 >= 1 and g | q - 1
+    screens = []  # the lines of each screen call
+    folds_nonzero = ring._folds_nonzero
+    def counting(poly, lines):
+        screens.append(lines)
+        return folds_nonzero(poly, lines)
+    monkeypatch.setattr(ring, "_folds_nonzero", counting)
+    sums, passes = [], []  # each reduced() call's input and screen calls
     reduced = BiRationalFunction.reduced
     def recording(self):
         screens.clear()
@@ -793,41 +836,24 @@ def test_rf_reduce_screens_what_the_certificate_leaves_in_one_pass(monkeypatch):
     monkeypatch.setattr(BiRationalFunction, "reduced", recording)
     for ideal in corpus()[:10]:
         igusa_zeta(ideal)
+    rng = random.Random(215)
+    for _ in range(100):
+        planted_rf(rng, gcds=GCDS + (23,)).reduced()
     monkeypatch.undo()
-    assert len(sums) == 10
+    assert len(sums) == 110
     for rf, made in zip(sums, passes):
-        lines = factor_lines(rf)
-        left = [ring._screen_point(*line) for line, certified
-                in zip(lines, ring._edge_certified(rf.numerator._rows, lines)) if not certified]
-        assert made == ([left] if left else [])  # at most one pass, on the factors left
-    assert any(not made for made in passes)  # some sum needs no pass at all
+        left = [line for line in factor_lines(rf)
+                if line[0][1] and (ring._SCREEN_PRIME - 1) % line[1] == 0]
+        assert made == ([left] if left else [])
+    assert any(not made for made in passes)  # some function needs no call at all
     for rf in sums:
         assert rf.reduced() == reduced_by_trial(rf)
 
 
-def test_igusa_zeta_never_runs_the_row_screen(monkeypatch):
-    # every sum igusa_zeta reduces comes from a RowSum, so its screen reads
-    # the summands, never the expanded numerator's terms
-    def row_screen(rows, points):
-        raise AssertionError("the row screen ran over an igusa_zeta numerator")
-    screened = []
-    summands_nonzero_at = ring._summands_nonzero_at
-    def counting(summands, den, points):
-        screened.extend(points)
-        return summands_nonzero_at(summands, den, points)
-    monkeypatch.setattr(ring, "_nonzero_at", row_screen)
-    monkeypatch.setattr(ring, "_summands_nonzero_at", counting)
-    for ideal in corpus() + drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3):
-        igusa_zeta(ideal)
-    assert len(screened) > 50
-
-
-def value_by_rows(rows, point):
-    """The polynomial with the P-degree rows {p: {t: c}} at (q, T0, P0), mod q."""
-    q, t0, p0 = point
-    t_pow = {t: pow(t0, t, q) for t in set().union(*rows.values())}
-    return sum(pow(p0, p, q) * sum(c * t_pow[t] for t, c in row.items())
-               for p, row in rows.items()) % q
+def row_values(rows, t0):
+    """{p: row p at T = t0, mod q} for the P-degree rows {p: {t: c}}."""
+    q = ring._SCREEN_PRIME
+    return {p: sum(c * pow(t0, t, q) for t, c in row.items()) % q for p, row in rows.items()}
 
 
 def interior_row_sum():
@@ -840,87 +866,18 @@ def interior_row_sum():
     return acc, square, grading
 
 
-def test_summand_screen_matches_the_row_screen(monkeypatch):
-    # the unreduced sums of the `wide` and `deep` pools, of 10 corpus ideals
-    # and of a non-simplicial cone's interior: interior_lattice_gf returns
-    # no screen, and its cells, summed in a RowSum that reduces itself, give
-    # the same function with one
-    acc, square, grading = interior_row_sum()
-    interior = interior_lattice_gf(square, grading)
-    sums = unreduced_sums(monkeypatch, drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3)
-                          + corpus()[:10], [acc])
-    assert sums[-1] == interior and interior._screen is None
-    rng, q = random.Random(213), ring._SCREEN_PRIME
-    verdicts, controls = Counter(), 0
-    for rf in sums:
-        plain = BiRationalFunction(rf.numerator, rf.denominator)
-        assert rf == plain and hash(rf) == hash(plain) and plain._screen is None
-        # every factor's screen point, and random points, one with P0 = 1
-        points = [ring._screen_point(*line) for line in factor_lines(rf)]
-        points += [(q, rng.randrange(1, q), p0)
-                   for p0 in (1, rng.randrange(2, q), rng.randrange(2, q))]
-        want = ring._nonzero_at(rf.numerator._rows, points)
-        assert rf._screen(points) == want
-        verdicts.update(want)
-        summands, den = rf._screen.args
-        live = set(points) - {None}
-        values = ring._summands_at(summands, den, live)
-        assert values == {point: value_by_rows(rf.numerator._rows, point) for point in live}
-        # control: one count moved by 1 changes N by a monomial times the
-        # cell's multiplier, nonzero at a random point with P0 != 1
-        for i, summand in enumerate(summands):
-            if not isinstance(summand, BinomialFactor) and summand[0]:
-                keys, shift, factors = summand
-                moved = dict(keys)
-                moved[next(iter(moved))] += 1
-                changed = (*summands[:i], (moved, shift, factors), *summands[i + 1:])
-                assert ring._summands_at(changed, den, live) != values
-                controls += 1
-    assert verdicts[True] > 100 and verdicts[False] > 30 and controls > 100
-
-
 def test_row_sum_reduces_itself_and_hands_out_no_screen(monkeypatch):
     # the sums igusa_zeta reduces on the `wide` and `deep` pools and 10
-    # corpus ideals, and a non-simplicial cone's interior: the sum's own
-    # reduced() is its rational() reduced, as trial division reduces it, and
-    # no function that comes out carries a screen
-    accs = []
-    reduced = RowSum.reduced
-    def recording(self):
-        accs.append(self)
-        return reduced(self)
-    monkeypatch.setattr(RowSum, "reduced", recording)
-    results = [igusa_zeta(ideal) for ideal in drawn_pool(2, 8, 3, 6, 20)
-               + drawn_pool(1, 3, 5, 4, 3) + corpus()[:10]]
-    monkeypatch.undo()
-    assert len(accs) == len(results) == 21
-    assert all(result.zeta._screen is None for result in results)
+    # corpus ideals, and a non-simplicial cone's interior, summed in a
+    # RowSum: each reduces as trial division reduces it
+    sums = unreduced_sums(monkeypatch, drawn_pool(2, 8, 3, 6, 20)
+                          + drawn_pool(1, 3, 5, 4, 3) + corpus()[:10])
+    assert len(sums) == 21
     acc, square, grading = interior_row_sum()
-    accs.append(acc)
-    for acc in accs:
-        rf = acc.rational()
-        got, plain = acc.reduced(), rf.reduced()
-        assert got == plain == reduced_by_trial(rf)
-        assert rf._screen is None and got._screen is None and plain._screen is None
-    assert lattice_gf(square, grading)._screen is None
-    assert interior_lattice_gf(square, grading)._screen is None
-
-
-def edge_certified_by_terms(num, x, g):
-    """`ring._edge_certified` for one factor, from the flat terms: the lines
-    b0*t - a0*p of largest and smallest value, each a monomial times a
-    polynomial h in x = T^a0 P^b0, its exponents (t + p - least) / (a0 + b0)."""
-    q = ring._SCREEN_PRIME
-    z = None if (q - 1) % g else pow(ring._SCREEN_GENERATOR, (q - 1) // g, q)
-    terms = num.terms()
-    phi = [x[1] * t - x[0] * p for (t, p), _ in terms]
-    for top in {max(phi, default=0), min(phi, default=0)} if terms else ():
-        line = [(t + p, c) for ((t, p), c), v in zip(terms, phi) if v == top]
-        low = min(d for d, _ in line)
-        if len(line) == 1 or z is not None and sum(
-                c * pow(z, (d - low) // sum(x), q) for d, c in line) % q:
-            return True
-    return False
+    interior = acc.rational()
+    assert interior == interior_lattice_gf(square, grading)
+    for rf in sums + [interior]:
+        assert rf.reduced() == reduced_by_trial(rf)
 
 
 def drawn_pool(seed, size, n, gens, max_exp):
@@ -937,70 +894,35 @@ def drawn_pool(seed, size, n, gens, max_exp):
     return out
 
 
-def test_edge_certificate_only_keeps_what_trial_division_keeps(monkeypatch):
+def test_screen_only_keeps_what_trial_division_keeps(monkeypatch):
     # the unreduced sums of the acceptance corpus and of the benchmark's
-    # `wide` (n = 3, 6 generators, exponents <= 20) and `deep` pools
-    sums = unreduced_sums(monkeypatch, corpus() + drawn_pool(2, 8, 3, 6, 20)
-                          + drawn_pool(1, 3, 5, 4, 3))
-    certified = 0
-    for rf in sums:
-        flags = ring._edge_certified(rf.numerator._rows, factor_lines(rf))
-        kept = Counter(f for f, flag in zip(rf.denominator, flags) if flag)
+    # `wide` (n = 3, 6 generators, exponents <= 20) and `deep` pools: every
+    # factor the screen keeps, trial division keeps too, and no more
+    # factors reach an exact division than before the screen read row
+    # values (50, 4 and 10 calls on these pools)
+    pools = {"corpus": (corpus(), 50), "wide": (drawn_pool(2, 8, 3, 6, 20), 4),
+             "deep": (drawn_pool(1, 3, 5, 4, 3), 10)}
+    sums = {name: unreduced_sums(monkeypatch, ideals) for name, (ideals, _) in pools.items()}
+    kept_total = 0
+    for rf in (rf for pool in sums.values() for rf in pool):
+        lines = factor_lines(rf)
+        screened = [k for k, (x, g) in enumerate(lines) if x[1] and (ring._SCREEN_PRIME - 1) % g == 0]
+        flags = ring._folds_nonzero(rf.numerator, [lines[k] for k in screened])
+        kept = Counter(rf.denominator[k] for k, flag in zip(screened, flags) if flag)
         assert not kept - Counter(reduced_by_trial(rf).denominator), rf
-        certified += kept.total()
-    assert certified > 200
-
-
-def test_edge_certificate_matches_the_extreme_lines_of_the_terms():
-    rng = random.Random(211)
-    certified = 0
-    for _ in range(150):
-        num = random_poly(rng, max_deg=6, max_terms=10, max_coeff=4)
-        for _ in range(rng.randint(0, 2)):
-            x = rng.choice(DIRECTIONS)
-            num = num * BiPoly.binomial(*(rng.choice(GCDS) * e for e in x))
-        lines = [(x, g) for x in DIRECTIONS for g in GCDS + (23,)]
-        got = ring._edge_certified(num._rows, lines)
-        assert got == [edge_certified_by_terms(num, x, g) for x, g in lines]
-        for (x, g), flag in zip(lines, got):
-            if flag:  # a proof that Phi_g(x) does not divide num
-                assert num.div_exact(cyclotomic(x, g)) is None
-        certified += sum(got)
-    assert certified > 6000
-
-
-def test_edge_certificate_cases():
-    def certified(num, x, g):
-        return ring._edge_certified(num._rows, [(x, g)])[0]
-    # x = T P, g = 23, off the screen: the line T P^5 (b0*t - a0*p = -4) is
-    # one term, so the factor stays, though the other extreme line 1 + T P
-    # holds two
-    num = TP * P**4 + ONE + TP
-    assert ring._screen_point((1, 1), 23) is None and certified(num, (1, 1), 23)
-    rf = BiRationalFunction(num, [(23, 23)])
-    assert rf.reduced() == rf == reduced_by_trial(rf)
-    # one line 1 + 2 x: nonzero at x = 1, -1 and at a cube root of unity;
-    # 1 + x vanishes at x = -1, and 1 - x^2 is exchanged for 1 - x
-    for g in (1, 2, 3):
-        assert certified(ONE + 2 * TP, (1, 1), g)
-    assert not certified(ONE + TP, (1, 1), 2)
-    assert BiRationalFunction(ONE + TP, [(2, 2)]).reduced() == BiRationalFunction(ONE, [(1, 1)])
-    # x = T (b0 = 0): the lines are the rows, 1 + T and P (1 - T); x = P
-    # (a0 = 0): the lines are the columns, 1 + P and T (1 - P)
-    for x, y, z in ((1, 0), T, P), ((0, 1), P, T):
-        num = ONE + y + z * (ONE - y)
-        assert certified(num, x, 1) and certified(num, x, 2) and certified(num, x, 3)
-        assert not certified((ONE - y) * (ONE + z), x, 1)
-        assert not certified((ONE - y * y) * (ONE + z), x, 2)
-        assert certified(ONE + y * z, x, 5)  # each extreme line one term
-    # a multiple of Phi_g(x), or of 1 - x^g, is never certified
-    rng = random.Random(212)
-    for x in DIRECTIONS:
-        for g in GCDS + (23,):
-            phi, full = cyclotomic(x, g), BiPoly.binomial(g * x[0], g * x[1])
-            for _ in range(3):
-                num = random_poly(rng, max_deg=4, max_terms=8, max_coeff=50)
-                assert not certified(num * phi, x, g) and not certified(num * full, x, g)
+        kept_total += kept.total()
+    assert kept_total > 200
+    divided = []
+    div_exact = BiPoly.div_exact
+    def counting(self, divisor):
+        divided.append(divisor)
+        return div_exact(self, divisor)
+    monkeypatch.setattr(BiPoly, "div_exact", counting)
+    for name, (_, calls) in pools.items():
+        divided.clear()
+        for rf in sums[name]:
+            rf.reduced()
+        assert len(divided) <= calls, name
 
 
 def test_rf_reduce_is_fast_at_huge_degrees():
