@@ -6,12 +6,12 @@ sigma minus the origin) the closed generating function is
     sum over lattice points v of sigma of  T^{l1(v)} P^{l2(v)},
 
 a rational function whose denominator factors are 1 - T^{l1(r)} P^{l2(r)}
-over the rays r.  Every generating function here takes one route: triangulate
-sigma, make the cells half-open against a reference point q, and sum one
-fundamental parallelepiped per cell.  With q = sum of the rays the cells
-partition sigma (with one q shared by the maximal cones of a fan, their
-union); with q = -(sum of the rays), beyond every facet, they partition the
-relative interior (Koeppe & Verdoolaege 2008, Thm 3).
+over the rays r.  Every generating function here takes one route,
+`sum_half_open_cells`: triangulate sigma, make the cells half-open against
+a reference point q, plan them all, and sum one fundamental parallelepiped
+per cell.  With q = sum of the rays the cells partition sigma (one q shared
+by a fan's maximal cones: their union); with q = -(sum of the rays), beyond
+every facet, the relative interior (Koeppe & Verdoolaege 2008, Thm 3).
 
 A cell's parallelepiped is a finite group, enumerated as a mixed-radix
 residue system, a batch at a time (`parallelepiped_points`).  Under a
@@ -193,7 +193,7 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
     decoded with a rounding shift: p = (key + 2^(S-1)) >> S and
     t = key - (p << S).
 
-    `add_half_open_cells` calls this through the module global and counts
+    `sum_half_open_cells` calls this through the module global and counts
     on the graded call's flat list, one key per point: the benchmark's
     tracer wraps `conegf.parallelepiped_points` and counts `len` of what it
     returns as `conegf.points`.  The same tracer reads `conegf.solve`, which
@@ -282,14 +282,31 @@ def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
     return out
 
 
-def add_half_open_cells(acc: RowSum, cone: Cone, q: Vec, grading: Grading):
-    """Add the generating function of each of the cone's half-open cells for
-    the point q into the accumulator: its parallelepiped's weight keys,
-    counted, over one factor 1 - T^a P^b per ray, each ray weighed once."""
-    for cell in _half_open_cells(cone, q):
-        weights = [grading.weight(r) for r in cell.rays]
+def sum_half_open_cells(jobs, times=()) -> BiRationalFunction:
+    """The sum over the jobs (cone, q, grading) of the generating functions
+    of the cone's half-open cells for the point q, each its parallelepiped's
+    counted weight keys over one factor 1 - T^a P^b per ray, the numerator
+    then multiplied by 1 - T^a P^b for each (a, b) in times.
+
+    Every cone is triangulated first, each cell kept with its rays' weights.
+    This plan gives the least common multiset D of the cells' factors and
+    the l1 bound, sum over the cells of |det| 2^|D - den| (|det| a multiple
+    of the point count), doubled per factor in times, that fixes the slot
+    width of the one `RowSum` taking the cells."""
+    plan, den = [], Counter()
+    for cone, q, grading in jobs:
+        for cell in _half_open_cells(cone, q):
+            weights = [grading.weight(r) for r in cell.rays]
+            plan.append((cell, grading, weights))
+            den |= Counter(weights)
+    size = den.total()
+    acc = RowSum(sum(cell.group[0] << size - len(w) for cell, _, w in plan) << len(times))
+    for cell, grading, weights in plan:
         acc.add(Counter(parallelepiped_points(cell, grading, weights=weights)),
                 _key_shift(weights), weights)
+    for a, b in times:
+        acc.mul_binomial(a, b)
+    return acc.rational()
 
 
 def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
@@ -308,11 +325,8 @@ def interior_lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:
 
 
 def _cone_gf(cone: Cone, grading: Grading, side: int) -> BiRationalFunction:
-    """The half-open cells against side * (sum of the rays), side = +-1,
-    summed in one `RowSum`."""
+    """The half-open cells against side * (sum of the rays), side = +-1."""
     grading.validate_on(cone)
     if cone.dim == 0:
         return BiRationalFunction.one()
-    acc = RowSum()
-    add_half_open_cells(acc, cone, tuple(side * sum(col) for col in zip(*cone.rays)), grading)
-    return acc.rational()
+    return sum_half_open_cells([(cone, tuple(side * sum(col) for col in zip(*cone.rays)), grading)])

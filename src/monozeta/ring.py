@@ -9,7 +9,7 @@ and are never changed once a polynomial holds them.  A rational function
 keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
 such fractions is accumulated in a `RowSum`, its numerator packed one int
-per P-degree, built from packed keys and decoded once, straight into rows.
+per P-degree at a fixed width, built from keys and decoded once into rows.
 `reduced()` decides each denominator factor once: one modular screen, read
 off the numerator's row values at a single point T0, keeps most factors,
 and exact division and chain sums decide the others.  A polynomial from a
@@ -610,23 +610,26 @@ class RowSum:
     Adding aligns two offsets with one shift, and multiplying by
     1 - T^a P^b subtracts row p, its offset moved by a, from row p + b.
     These are ring operations, so v is exact whatever the coefficients; only
-    reading them back needs each below 2^(W-1) in absolute value.  An l1
-    bound on the numerator proves that: a fraction adds its own, and a
-    binomial at most doubles it.  W starts at 64 bits and doubles (one
-    decode, one repack) before the bound can reach 2^(W-1).  A fraction's
-    numerator comes in as packed keys t + (p << S), a cell's counted weight
-    keys, and goes into rows with no term built.  Since v is the row's
-    value at T = 2^W, v mod q is its value at T0 = 2^W mod q, which is what
-    the screen in `reduced()` reads.
+    reading them back needs each below 2^(W-1) in absolute value.  A sum is
+    made for an l1 bound on its numerator, W the least of 64, 128, ... with
+    the bound below 2^(W-1), and tracks the bound it reaches (a fraction
+    adds its own, a binomial at most doubles it): a step past the declared
+    one is a broken invariant, raises AssertionError and changes nothing.  A fraction's numerator
+    comes in as packed keys t + (p << S), a cell's counted weight keys, and
+    goes into rows with no term built.  Since v is the row's value at
+    T = 2^W, v mod q is its value at T0 = 2^W mod q, read by `reduced()`.
     """
 
-    __slots__ = ("_rows", "_den", "_width", "_bound")
+    __slots__ = ("_rows", "_den", "_width", "_bound", "_limit")
 
-    def __init__(self):
+    def __init__(self, bound):
         self._rows: dict[int, tuple[int, int]] = {}
         self._den: Counter = Counter()
         self._width = 64
+        while bound >> (self._width - 1):
+            self._width *= 2
         self._bound = 0
+        self._limit = bound
 
     def add(self, keys, shift, factors):
         """Add N / prod of 1 - T^a P^b over factors (a, b).  The terms
@@ -635,9 +638,8 @@ class RowSum:
         go into packed rows with no term built (`_pack_keys`)."""
         factors = Counter(map(_as_factor, factors))
         grow, lift = factors - self._den, self._den - factors
-        bound = ((self._bound << sum(grow.values()))
-                 + (sum(map(abs, keys.values())) << sum(lift.values())))
-        self._fit(bound)
+        bound = self._checked((self._bound << sum(grow.values()))
+                              + (sum(map(abs, keys.values())) << sum(lift.values())))
         width = self._width
         rows = _pack_keys(keys, shift, width)  # may reject the keys: nothing changed yet
         for f in grow.elements():
@@ -651,18 +653,13 @@ class RowSum:
     def mul_binomial(self, a, b):
         """Multiply the numerator by 1 - T^a P^b; the denominator stays."""
         f = _as_factor((a, b))
-        self._fit(2 * self._bound)
+        self._bound = self._checked(2 * self._bound)
         self._rows = _times_binomial(self._rows, f, self._width)
-        self._bound *= 2
 
-    def _fit(self, bound):
-        """Widen W, if need be, so that bound < 2^(W-1)."""
-        width = self._width
-        while bound >> (width - 1):
-            width *= 2
-        if width != self._width:
-            self._rows = _pack(_unpack(self._rows, self._width), width)
-            self._width = width
+    def _checked(self, bound):
+        if bound > self._limit:
+            raise AssertionError(f"the sum's l1 bound {bound} passes the declared {self._limit}")
+        return bound
 
     def rational(self):
         """The sum as a BiRationalFunction: each packed row decoded once,
@@ -730,15 +727,6 @@ def _by_p_degree(terms):
         else:
             row[t] = c
     return rows
-
-
-def _pack(rows, width):
-    """The packed rows {p: (t0, v)} of the rows {p: {t: c}}, each
-    |c| < 2^(width-1): keyed as `RowSum.add` takes a cell, and packed the
-    same way."""
-    shift = max(map(max, rows.values()), default=0).bit_length() + 2
-    return _pack_keys({t + (p << shift): c for p, row in rows.items() for t, c in row.items()},
-                      shift, width)
 
 
 def _pack_keys(keys, shift, width):

@@ -18,12 +18,12 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add
 
-from .conegf import Grading, add_half_open_cells
+from .conegf import Grading, sum_half_open_cells
 from .conegf import lattice_gf  # noqa: F401  re-exported: perfbench/tracer.py wraps it
 from .fan import Fan, normal_fan
 from .linalg import Vec
 from .polyhedra import MonomialIdeal, newton_polyhedron
-from .ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum
+from .ring import BinomialFactor, BiPoly, BiRationalFunction
 
 
 @dataclass(frozen=True)
@@ -115,23 +115,19 @@ def pole_report(zeta: BiRationalFunction, n: int):
 def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
     """Exact Igusa zeta function of the ideal, reduced, with pole data.
 
-    Every half-open cell of every maximal cone goes into one `RowSum`, whose
-    numerator is then multiplied by 1 - P n times.  `rational()` decodes
-    its packed rows once, straight into the P-degree rows that `reduced()`
-    reads, with each row's value at the screen point T0 taken from the
-    packed row, so the screen reads no term.  The (1 - P)^n that `reduced()` divides out again stays until the
-    benchmark harness no longer needs `ring.div_exact_calls` above 0
-    (ROADMAP items 5, 15).
+    Every maximal cone's half-open cells are planned, then summed in one
+    `RowSum` at a slot width fixed from the plan's bound, and the numerator
+    is multiplied by 1 - P n times (`sum_half_open_cells`).  Its rows are
+    decoded once into the P-degree rows `reduced()` reads, each row's value
+    at the screen point T0 taken from the packed row.  The (1 - P)^n that
+    `reduced()` divides out again stays until the benchmark harness no
+    longer needs `ring.div_exact_calls` above 0 (ROADMAP items 5, 15).
     """
     fan = normal_fan(newton_polyhedron(ideal))
     n = ideal.n
     ones = (1,) * n
-    acc = RowSum()
-    for sigma in fan.maximal_cones():
-        add_half_open_cells(acc, sigma, ones, Grading(sigma.vertex, ones))
-    for _ in range(n):
-        acc.mul_binomial(0, 1)
-    zeta = acc.rational().reduced()
+    jobs = [(sigma, ones, Grading(sigma.vertex, ones)) for sigma in fan.maximal_cones()]
+    zeta = sum_half_open_cells(jobs, [(0, 1)] * n).reduced()
     divisors = _divisors_of_fan(fan, ideal)
     return ZetaResult(
         n=n,

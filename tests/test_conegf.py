@@ -14,16 +14,16 @@ from monozeta.conegf import (
     Grading,
     HalfOpenSimplicialCone,
     _half_open_cells,
-    add_half_open_cells,
     interior_lattice_gf,
     lattice_gf,
     parallelepiped_points,
+    sum_half_open_cells,
     weight_shift,
 )
 from monozeta.fan import Cone, cone_from_rays, normal_fan, triangulate
 from monozeta.linalg import dot, solve
 from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
-from monozeta.ring import BinomialFactor, BiRationalFunction, RowSum
+from monozeta.ring import BinomialFactor, BiRationalFunction
 
 
 def test_parallelepiped_frozen_examples():
@@ -194,8 +194,7 @@ def test_one_elimination_per_cell(monkeypatch):
         monkeypatch.setattr(mod, "eliminate", eliminate)
     monkeypatch.setattr(linalg, "row_hnf", counted("row_hnf", linalg.row_hnf))
     ones = (1,) * ideal.n
-    for sigma in sigmas:
-        add_half_open_cells(RowSum(), sigma, ones, Grading(sigma.vertex, ones))
+    sum_half_open_cells([(sigma, ones, Grading(sigma.vertex, ones)) for sigma in sigmas])
     assert calls == Counter(eliminate=cells)
 
 

@@ -11,7 +11,7 @@ import pytest
 from oracles import reduced_by_trial, series_by_geometric, truncate_p, value_at
 from test_acceptance import corpus
 from monozeta import ring
-from monozeta.conegf import Grading, add_half_open_cells, interior_lattice_gf, lattice_gf
+from monozeta.conegf import Grading, interior_lattice_gf, lattice_gf, sum_half_open_cells
 from monozeta.fan import cone_from_rays
 from monozeta.polyhedra import MonomialIdeal
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum, UniRational
@@ -24,9 +24,25 @@ ONE = BiPoly.one()
 SHIFT = 40
 
 
+# the largest bound a sum with 64-bit slots is made for
+BOUND64 = 2**63 - 1
+
+
 def keyed(terms):
     """The terms {(t, p): c} as the keys t + (p << SHIFT) that `RowSum.add` reads."""
     return {t + (p << SHIFT): c for (t, p), c in terms.items()}
+
+
+def declared_bound(fractions, muls=0):
+    """The l1 bound a sum of the fractions (terms, factors) declares, then
+    multiplied by muls binomials, as `sum_half_open_cells` reads it off its
+    plan: sum of l1(terms) 2^|D - factors|, D the least common multiset of
+    the factors, times 2^muls."""
+    den = Counter()
+    for _, factors in fractions:
+        den |= Counter(factors)
+    return sum(sum(map(abs, terms.values())) << den.total() - len(factors)
+               for terms, factors in fractions) << muls
 
 
 def random_poly(rng, max_deg=3, max_terms=5, max_coeff=3):
@@ -233,50 +249,66 @@ def random_factor(rng):
                        (rng.randint(1, 3), rng.randint(1, 3))])
 
 
+def run_ops(ops):
+    """A `RowSum` made for the declared bound of the ops, each a fraction
+    (terms, factors) or a binomial (a, b) to multiply by, and the pairwise
+    `BiRationalFunction.__add__` reference, both fed the ops in order."""
+    fractions = [op for op in ops if isinstance(op[0], dict)]
+    acc = RowSum(declared_bound(fractions, len(ops) - len(fractions)))
+    ref = BiRationalFunction.zero()
+    for op in ops:
+        if isinstance(op[0], dict):
+            terms, factors = op
+            acc.add(keyed(terms), SHIFT, factors)
+            ref = ref + BiRationalFunction(BiPoly(terms), factors)
+        else:
+            acc.mul_binomial(*op)
+            ref = BiRationalFunction(ref.numerator._mul_binomial(*op), ref.denominator)
+    return acc, ref
+
+
 def test_row_sum_matches_the_pairwise_route():
     rng = random.Random(1207)
-    widened = 0
+    wide_sums = 0
     for _ in range(300):
-        acc, ref = RowSum(), BiRationalFunction.zero()
+        ops = []
         for _ in range(rng.randint(1, 8)):
             if rng.random() < 0.3:
-                a, b = random_factor(rng)
-                acc.mul_binomial(a, b)
-                ref = BiRationalFunction(ref.numerator._mul_binomial(a, b), ref.denominator)
+                ops.append(random_factor(rng))
                 continue
             # sparse rows that start away from T^0, signed coefficients, now
-            # and then one near 2^62 so that the bound forces a wider slot
+            # and then one near 2^62 so that the bound calls for a wider slot
             t0, big = rng.randint(0, 40), rng.random() < 0.1
             terms = {(t0 + rng.randint(0, 30), rng.randint(0, 5)):
                      rng.choice((-1, 1)) * rng.randint(1, 2**62 if big else 9)
                      for _ in range(rng.randint(1, 12))}
-            factors = [random_factor(rng) for _ in range(rng.randint(0, 4))]
-            acc.add(keyed(terms), SHIFT, factors)
-            ref = ref + BiRationalFunction(BiPoly(terms), factors)
-        widened += acc._width > 64
+            ops.append((terms, [random_factor(rng) for _ in range(rng.randint(0, 4))]))
+        acc, ref = run_ops(ops)
+        wide_sums += acc._width > 64
         got = acc.rational()
         assert got == ref
         assert sorted(got.denominator) == sorted(ref.denominator)
-    assert widened > 10
+    assert wide_sums > 10
 
 
 def test_row_sum_caches_its_rows_values():
     # the values rational() reads off the packed rows, at T0 = 2^W mod q, are
-    # the rows evaluated there: a 64-bit sum of counts, and a sum widened to
+    # the rows evaluated there: a 64-bit sum of counts, and a sum made for
     # 128 bits with negative coefficients, multiplied between the adds
     rng, q = random.Random(1208), ring._SCREEN_PRIME
     widths = set()
     for trial in range(100):
-        acc, signed = RowSum(), trial % 2
+        ops, signed = [], trial % 2
         for _ in range(rng.randint(1, 8)):
             if signed and rng.random() < 0.3:
-                acc.mul_binomial(*random_factor(rng))
+                ops.append(random_factor(rng))
                 continue
             terms = {(rng.randint(0, 30), rng.randint(0, 5)):
                      rng.choice((-1, 1) if signed else (1,))
                      * rng.randint(1, rng.choice((9, 2**62 if signed else 9)))
                      for _ in range(rng.randint(1, 12))}
-            acc.add(keyed(terms), SHIFT, [random_factor(rng) for _ in range(rng.randint(0, 4))])
+            ops.append((terms, [random_factor(rng) for _ in range(rng.randint(0, 4))]))
+        acc, _ = run_ops(ops)
         num = acc.rational().numerator
         t0, values = num._values
         assert t0 == pow(2, acc._width, q)
@@ -290,11 +322,11 @@ def test_row_sum_caches_its_rows_values():
 def test_key_packing_add_matches_the_pairwise_route():
     # keys t + (p << S) at shifts with more room than t needs, signed
     # coefficients or a cell's positive counts, and now and then a
-    # coefficient near 2^126, which widens the rows from 64 bits past 128
+    # coefficient near 2^126, for which the bound calls for 256-bit slots
     rng = random.Random(1901)
     widths = set()
     for _ in range(200):
-        acc, ref = RowSum(), BiRationalFunction.zero()
+        fractions = []
         for _ in range(rng.randint(1, 6)):
             big, signed = rng.random() < 0.1, rng.random() < 0.7
             terms = {(rng.randint(0, 60), rng.randint(0, 6)):
@@ -302,7 +334,9 @@ def test_key_packing_add_matches_the_pairwise_route():
                      * (rng.randint(2**125, 2**126) if big else rng.randint(1, 9))
                      for _ in range(rng.randint(1, 15))}
             shift = max(t for t, _ in terms).bit_length() + rng.randint(1, 9)
-            factors = [random_factor(rng) for _ in range(rng.randint(0, 3))]
+            fractions.append((terms, shift, [random_factor(rng) for _ in range(rng.randint(0, 3))]))
+        acc, ref = RowSum(declared_bound([(t, f) for t, _, f in fractions])), BiRationalFunction.zero()
+        for terms, shift, factors in fractions:
             acc.add({t + (p << shift): c for (t, p), c in terms.items()}, shift, factors)
             ref = ref + BiRationalFunction(BiPoly(terms), factors)
         widths.add(acc._width)
@@ -311,7 +345,7 @@ def test_key_packing_add_matches_the_pairwise_route():
 
 
 def test_row_sum_cancels_to_zero():
-    acc = RowSum()
+    acc = RowSum(BOUND64)
     terms = {(3, 0): 2, (5, 1): -7, (4, 4): 1}
     acc.add(keyed(terms), SHIFT, [(1, 0), (2, 1)])
     # the same fraction over a larger multiset, with the opposite sign
@@ -321,22 +355,30 @@ def test_row_sum_cancels_to_zero():
     assert got.numerator.is_zero()
     assert got.denominator == (BinomialFactor(0, 2), BinomialFactor(1, 0),
                                BinomialFactor(2, 1))
-    assert RowSum().rational() == BiRationalFunction.zero()
+    assert RowSum(0).rational() == BiRationalFunction.zero()
 
 
-def test_row_sum_widens_before_its_bound_reaches_the_slot():
+def test_row_sum_width_is_fixed_from_its_declared_bound():
     # (1 - T^3 P)^70 has coefficients up to C(70, 35) > 2^66: a 64-bit slot
-    # would wrap, so the l1 bound 2^70 must have widened the rows first
-    acc = RowSum()
-    acc.add(keyed({(2, 1): 1, (0, 0): -3}), SHIFT, [(1, 1)])
-    ref = BiPoly({(2, 1): 1, (0, 0): -3})
+    # would wrap, so the bound 4 * 2^70 must make the rows 128 bits wide
+    cell = {(2, 1): 1, (0, 0): -3}
+    ref = BiPoly(cell)
+    for _ in range(70):
+        ref = ref._mul_binomial(3, 1)
+    assert max(abs(c) for _, c in ref.terms()) > 2**66
+    for bound, width in ((4 << 70, 128), (2**127 - 1, 128), (2**127, 256)):
+        acc = RowSum(bound)
+        acc.add(keyed(cell), SHIFT, [(1, 1)])
+        for _ in range(70):
+            acc.mul_binomial(3, 1)
+        assert acc._width == width
+        assert acc.rational() == BiRationalFunction(ref, [(1, 1)])
+    # the width stays what the sum was made for: a cell lifted by factors
+    # the sum holds, with a bound declared for it from the start
+    acc = RowSum((4 << 70) + (2**126 << 1))
+    acc.add(keyed(cell), SHIFT, [(1, 1)])
     for _ in range(70):
         acc.mul_binomial(3, 1)
-        ref = ref._mul_binomial(3, 1)
-    assert acc._width == 128
-    assert max(abs(c) for _, c in ref.terms()) > 2**66
-    assert acc.rational() == BiRationalFunction(ref, [(1, 1)])
-    # a sum keeps widening: a cell lifted by factors the sum holds
     acc.add(keyed({(0, 0): 2**126}), SHIFT, [])
     ref = ref + BiPoly.term(0, 0, 2**126)._mul_binomial(1, 1)
     assert acc._width == 256
@@ -344,7 +386,7 @@ def test_row_sum_widens_before_its_bound_reaches_the_slot():
 
 
 def test_row_sum_rejects_bad_input():
-    acc = RowSum()
+    acc = RowSum(BOUND64)
     for bad in ([(0, 0)], [(-1, 2)]):
         with pytest.raises(ValueError):
             acc.add(keyed({(0, 0): 1}), SHIFT, bad)
@@ -360,6 +402,24 @@ def test_row_sum_rejects_bad_input():
         acc.add(keyed({(-1, 0): 1}), SHIFT, [(2, 1)])
     got = acc.rational()
     assert got == BiRationalFunction(ONE, [(1, 1)])
+    # a sum pushed past its declared bound, by an add or by a multiply,
+    # raises and is left as it was: (2 - T P) / (1 - T P), of l1 bound 3,
+    # fills the bound 6 once times 1 - P; another multiply would double it,
+    # 1 / (1 - T P^2) would lift the sum and add 1, and 7 T^5 / (1 - T P)
+    # would add 7
+    acc = RowSum(6)
+    acc.add(keyed({(0, 0): 2, (1, 1): -1}), SHIFT, [(1, 1)])
+    acc.mul_binomial(0, 1)
+    want = BiRationalFunction(BiPoly({(0, 0): 2, (1, 1): -1})._mul_binomial(0, 1), [(1, 1)])
+    for push in (lambda: acc.mul_binomial(2, 1), lambda: acc.add(keyed({(0, 0): 1}), SHIFT, [(1, 2)]),
+                 lambda: acc.add(keyed({(5, 0): 7}), SHIFT, [(1, 1)])):
+        with pytest.raises(AssertionError):
+            push()
+        got = acc.rational()
+        assert got == want and got.denominator == want.denominator
+    # a sum at its bound still takes what keeps it there
+    acc.add(keyed({}), SHIFT, [(1, 1)])
+    assert acc.rational() == want
 
 
 def assert_canonical(f):
@@ -416,7 +476,7 @@ def test_poly_rows_stay_canonical():
         BiPoly.binomial(1.5, 1)
     for rf in (planted_rf(rng) for _ in range(200)):
         assert_same(rf.reduced().numerator, reduced_by_trial(rf).numerator)
-    acc, ref = RowSum(), BiRationalFunction.zero()
+    acc, ref = RowSum(BOUND64), BiRationalFunction.zero()
     for _ in range(30):
         terms = {(rng.randint(0, 9), rng.randint(0, 4)): rng.randint(-3, 3) for _ in range(6)}
         factors = [random_factor(rng) for _ in range(rng.randint(0, 2))]
@@ -459,8 +519,8 @@ def test_operations_leave_their_operands_unchanged():
                 h._mul_binomial(0, 1).div_exact(ONE - P)
         assert [h.to_json() for h in results if h is not None] == snapshot
     # the sum's rows are decoded once; adding to the sum later leaves the
-    # polynomial already read
-    acc = RowSum()
+    # polynomial already read; the sum is made for 128-bit slots
+    acc = RowSum(2**73)
     acc.add(keyed({(0, 0): 1, (3, 2): -2}), SHIFT, [(1, 1)])
     got = acc.rational()
     json_before = got.to_json()
@@ -471,7 +531,7 @@ def test_operations_leave_their_operands_unchanged():
 
 
 def packed_row(slots, width):
-    """A `RowSum` row's int, sum of c_i 2^(width i), built without `_pack`."""
+    """A `RowSum` row's int, sum of c_i 2^(width i), built without `_pack_keys`."""
     return sum(c << width * i for i, c in enumerate(slots))
 
 
@@ -495,27 +555,29 @@ def test_signed_slot_decode_at_its_edges():
         assert 6 not in want._rows and want._rows[2] == {1: top, 4: -top}
         rows = ring._unpack(packed, width)
         assert rows == want._rows
-        assert ring._unpack(ring._pack(rows, width), width) == rows
-        # the sum of one fraction per slot, pairwise and in a RowSum whose
-        # rows and width are set to the packed rows above
+        repacked = {p: (min(row), packed_row([row.get(t, 0) for t in range(min(row), max(row) + 1)],
+                                            width)) for p, row in rows.items()}
+        assert ring._unpack(repacked, width) == rows
+        # the sum of one fraction per slot, pairwise and in a RowSum made
+        # for the width, its rows set to the packed rows above
         den = [(1, 1), (0, 2)]
         ref = BiRationalFunction.zero()
         for p, (t0, slots) in cases.items():
             for i, c in enumerate(slots):
                 ref = ref + BiRationalFunction(BiPoly.term(t0 + i, p, c), den)
-        acc = RowSum()
-        acc._fit(2**(width - 2))
+        acc = RowSum(2**(width - 2))
         assert acc._width == width
         acc.add(keyed({}), SHIFT, den)
         acc._rows = packed
         got = acc.rational()
         assert got == ref and assert_canonical(got.numerator)
-        # and built by adding, each slot a cell: the bound widens the rows
-        # past width, and the decode still reads them back
-        acc = RowSum()
-        for p, (t0, slots) in cases.items():
-            for i, c in enumerate(slots):
-                acc.add(keyed({(t0 + i, p): c}), SHIFT, den)
+        # and built by adding, each slot a cell: their bound calls for
+        # slots wider than width, and the decode still reads them back
+        cells = [({(t0 + i, p): c}, den) for p, (t0, slots) in cases.items()
+                 for i, c in enumerate(slots)]
+        acc = RowSum(declared_bound(cells))
+        for terms, factors in cells:
+            acc.add(keyed(terms), SHIFT, factors)
         assert acc._width > width and acc.rational() == ref
 
 
@@ -861,9 +923,8 @@ def interior_row_sum():
     the cone and grading: the sum `interior_lattice_gf` returns."""
     square = cone_from_rays([(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)], 5)
     grading = Grading((0, 1, 2, 3, 4), (1,) * 5)
-    acc = RowSum()
-    add_half_open_cells(acc, square, tuple(-sum(col) for col in zip(*square.rays)), grading)
-    return acc, square, grading
+    interior = sum_half_open_cells([(square, tuple(-sum(col) for col in zip(*square.rays)), grading)])
+    return interior, square, grading
 
 
 def test_row_sum_reduces_itself_and_hands_out_no_screen(monkeypatch):
@@ -873,8 +934,10 @@ def test_row_sum_reduces_itself_and_hands_out_no_screen(monkeypatch):
     sums = unreduced_sums(monkeypatch, drawn_pool(2, 8, 3, 6, 20)
                           + drawn_pool(1, 3, 5, 4, 3) + corpus()[:10])
     assert len(sums) == 21
-    acc, square, grading = interior_row_sum()
-    interior = acc.rational()
+    # every plan's bound, (1 - P)^n included, fits 64-bit slots: the screen
+    # point of each sum is 2^64 mod q
+    assert {rf.numerator._values[0] for rf in sums} == {pow(2, 64, ring._SCREEN_PRIME)}
+    interior, square, grading = interior_row_sum()
     assert interior == interior_lattice_gf(square, grading)
     for rf in sums + [interior]:
         assert rf.reduced() == reduced_by_trial(rf)
