@@ -19,10 +19,11 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .fan import normal_fan
-from .parse import ParseError, parse_ideal
+from .parse import parse_ideal
 from .polyhedra import MonomialIdeal, newton_polyhedron
 from .ring import BiPoly
 from .roots import log_canonical_threshold, verify_pole_roots
@@ -57,15 +58,13 @@ def _load_ideal(args):
     return parse_ideal(text, variables)
 
 
-def _emit_json(record) -> None:
-    print(json.dumps(record, sort_keys=True, indent=2))
-
-
-def _ideal_json(ideal, names):
-    return {
+def _emit_json(record, ideal, names) -> None:
+    """Print the record, with the ideal and its variable names attached."""
+    record["ideal"] = {
         "variables": list(names),
         "generators": [list(g) for g in ideal.generators],
     }
+    print(json.dumps(record, sort_keys=True, indent=2))
 
 
 def random_ideal(
@@ -87,11 +86,10 @@ def _cmd_zeta(args) -> int:
     spec = res.zeta.specialize(args.prime) if args.prime is not None else None
     if args.json:
         record = res.to_json()
-        record["ideal"] = _ideal_json(ideal, names)
         record["latex"] = latex_zeta(res.zeta)
         if spec is not None:
             record["specialized"] = {"p": args.prime, **spec.to_json()}
-        _emit_json(record)
+        _emit_json(record, ideal, names)
         return 0
     print(f"ideal ({_fmt_ideal(ideal, names)}) in variables {', '.join(names)}")
     print(f"Z(T, P) = {res.zeta!r}")
@@ -111,9 +109,7 @@ def _cmd_newton(args) -> int:
     ideal, names = _load_ideal(args)
     poly = newton_polyhedron(ideal)
     if args.json:
-        record = poly.to_json()
-        record["ideal"] = _ideal_json(ideal, names)
-        _emit_json(record)
+        _emit_json(poly.to_json(), ideal, names)
         return 0
     print(f"Newton polyhedron in R^{poly.n}")
     print("vertices:")
@@ -129,9 +125,7 @@ def _cmd_fan(args) -> int:
     ideal, names = _load_ideal(args)
     fan = normal_fan(newton_polyhedron(ideal))
     if args.json:
-        record = fan.to_json()
-        record["ideal"] = _ideal_json(ideal, names)
-        _emit_json(record)
+        _emit_json(fan.to_json(), ideal, names)
         return 0
     by_dim: dict[int, int] = {}
     for c in fan.cones:
@@ -148,11 +142,7 @@ def _cmd_divisors(args) -> int:
     ideal, names = _load_ideal(args)
     data = divisor_data(ideal)
     if args.json:
-        record = {
-            "ideal": _ideal_json(ideal, names),
-            "divisors": [d.to_json() for d in data],
-        }
-        _emit_json(record)
+        _emit_json({"divisors": [d.to_json() for d in data]}, ideal, names)
         return 0
     print("ray, k = coord sum - 1, a = vanishing order, candidate real part")
     for d in data:
@@ -169,9 +159,8 @@ def _cmd_bsroots(args) -> int:
     lct = log_canonical_threshold(poly)
     if args.json:
         record = check.to_json()
-        record["ideal"] = _ideal_json(ideal, names)
         record["lct"] = str(lct)
-        _emit_json(record)
+        _emit_json(record, ideal, names)
         return 0 if check.all_verified else 1
     print("facet roots:")
     for fr in check.roots:
@@ -268,16 +257,10 @@ def _cmd_corpus(args) -> int:
                          "--max-gens, --max-exp must be >= 1")
     _check_series_bound(args.bound, args.max_vars)
     rng = random.Random(args.seed)
-    close_out = False
-    if args.out in (None, "-"):
-        out = sys.stdout
-    else:
-        out = open(args.out, "w", encoding="utf-8")
-        close_out = True
-
     failures = 0
     attained = 0
-    try:
+    with (nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", encoding="utf-8")) as out:
         for i in range(args.count):
             n = rng.randint(1, args.max_vars)
             ideal = random_ideal(rng, n, args.max_gens, args.max_exp)
@@ -303,9 +286,6 @@ def _cmd_corpus(args) -> int:
                 "checks": checks,
             }
             out.write(json.dumps(record, sort_keys=True) + "\n")
-    finally:
-        if close_out:
-            out.close()
     print(
         f"{args.count} ideals: {failures} failed checks, "
         f"largest pole equals -lct in {attained}/{args.count}",
@@ -369,9 +349,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # exact coefficients can run past the interpreter's int-to-str digit
+    # limit (4,300 digits by default): lift it for the command, and restore it
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, RecursionError) as exc:
@@ -379,6 +364,9 @@ def main(argv=None) -> int:
         # a traceback
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

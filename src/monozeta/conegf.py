@@ -73,7 +73,7 @@ class HalfOpenSimplicialCone:
         n, r = len(rays[0]), len(rays)
         if any(len(v) != n for v in rays):
             raise ValueError(f"rays of unequal lengths {sorted({len(v) for v in rays})}")
-        kernel = left_kernel_basis(list(zip(*rays)), nrows=n)
+        kernel = left_kernel_basis(list(zip(*rays)))
         if len(kernel) != n - r:
             raise ValueError("rays must be linearly independent")
         open_facets = frozenset(open_facets)
@@ -158,12 +158,10 @@ def _group_basis(d, rows, r):
     return steps, radices
 
 
-def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None = None,
-                          *, weights=None):
+def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None = None):
     """Lattice points of the half-open fundamental parallelepiped, sorted;
     with a grading, their packed weight keys instead, a flat list with one
-    key per point, in no set order.  A caller that has the rays' weights
-    under the grading passes them as weights.
+    key per point, in no set order.
 
     These are the points sum(lam_i * ray_i) with lam_i in [0,1) on closed
     facets and (0,1] on open ones.  The admissible lam form a lattice
@@ -206,8 +204,7 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
     d, rows = cell.group
     steps, radix = _group_basis(d, rows, r)
     if grading:
-        if weights is None:
-            weights = [grading.weight(v) for v in rays]
+        weights = [grading.weight(v) for v in rays]
         shift = _key_shift(weights)
         keys = [a + (b << shift) for a, b in weights]
     else:
@@ -302,7 +299,7 @@ def sum_half_open_cells(jobs, times=()) -> BiRationalFunction:
     size = den.total()
     acc = RowSum(sum(cell.group[0] << size - len(w) for cell, _, w in plan) << len(times))
     for cell, grading, weights in plan:
-        acc.add(Counter(parallelepiped_points(cell, grading, weights=weights)),
+        acc.add(Counter(parallelepiped_points(cell, grading)),
                 _key_shift(weights), weights)
     for a, b in times:
         acc.mul_binomial(a, b)

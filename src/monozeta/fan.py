@@ -85,7 +85,7 @@ def cone_from_rays(generators, n, vertex=None) -> Cone:
     for h in facets_small:
         sol = solve(basis, h)
         lifted.append(scale_to_int(sol))
-    kernel = left_kernel_basis([tuple(g[i] for g in gens) for i in range(n)], nrows=n)
+    kernel = left_kernel_basis([tuple(g[i] for g in gens) for i in range(n)])
     ineqs = sorted(lifted) + sorted(
         h for k in kernel for h in (tuple(k), tuple(-x for x in k)))
     return Cone(n, rays, tuple(ineqs), r, vertex)
@@ -120,19 +120,13 @@ class Fan:
             if set(ci.rays) <= set(cj.rays)
         )
 
-    @cached_property
-    def _by_rayset(self):
-        return {frozenset(c.rays): i for i, c in enumerate(self.cones)}
-
-    def index_of(self, cone: Cone) -> int:
-        return self._by_rayset[frozenset(cone.rays)]
-
     def maximal_cones(self):
         return self.maximal
 
     def faces_of(self, cone: Cone):
-        """Fan cones that are faces of the given fan cone (itself included)."""
-        j = self.index_of(cone)
+        """Fan cones that are faces of the given fan cone (itself included);
+        a cone outside the fan raises ValueError."""
+        j = self.cones.index(cone)
         return tuple(self.cones[i] for i, jj in sorted(self.relation) if jj == j)
 
     def locate(self, a) -> Cone:

@@ -118,32 +118,29 @@ def solve(rows, rhs):
     return tuple(Fraction(a, d) for a in y)
 
 
-def row_hnf(mat, transform=False):
+def row_hnf(mat):
     """Row Hermite normal form of an integer matrix.
 
-    Returns H (list of row lists, zero rows at the bottom) and, when
-    transform is set, a unimodular U with U*mat == H.
+    Returns H (list of row lists, zero rows at the bottom) and a unimodular
+    U with U*mat == H.
     """
     h = [list(row) for row in mat]
     nrows = len(h)
     ncols = len(h[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else None
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
 
     def swap(i, j):
         h[i], h[j] = h[j], h[i]
-        if u:
-            u[i], u[j] = u[j], u[i]
+        u[i], u[j] = u[j], u[i]
 
     def addmul(i, j, q):
         # row_i -= q * row_j
         h[i] = [a - q * b for a, b in zip(h[i], h[j])]
-        if u:
-            u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
     def negate(i):
         h[i] = [-a for a in h[i]]
-        if u:
-            u[i] = [-a for a in u[i]]
+        u[i] = [-a for a in u[i]]
 
     pr = 0
     for col in range(ncols):
@@ -171,22 +168,15 @@ def row_hnf(mat, transform=False):
             pr += 1
             if pr == nrows:
                 break
-    return (h, u) if transform else h
+    return h, u
 
 
-def left_kernel_basis(mat, nrows=None):
-    """Basis of the lattice {u in Z^k : u * mat == 0} for an integer matrix.
-
-    mat is given as k rows; pass nrows explicitly when mat has no rows to
-    disambiguate the ambient rank.
-    """
-    k = len(mat) if nrows is None else nrows
-    if k == 0:
-        return []
-    if not mat or not mat[0]:
-        return [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    h, u = row_hnf(mat, transform=True)
-    return [tuple(u[i]) for i in range(k) if all(a == 0 for a in h[i])]
+def left_kernel_basis(mat):
+    """Basis of the lattice {u in Z^k : u * mat == 0} for an integer matrix
+    given as its k rows: the rows of U that `row_hnf` zeroes, all of them
+    for a matrix with no columns."""
+    h, u = row_hnf(mat)
+    return [tuple(ui) for hi, ui in zip(h, u) if not any(hi)]
 
 
 def saturation_basis(vectors, n):
@@ -198,9 +188,9 @@ def saturation_basis(vectors, n):
     if not vecs:
         return []
     # covectors vanishing on the span
-    perp = left_kernel_basis([tuple(v[i] for v in vecs) for i in range(n)], nrows=n)
+    perp = left_kernel_basis([tuple(v[i] for v in vecs) for i in range(n)])
     if not perp:
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     # vectors orthogonal to every such covector
-    back = left_kernel_basis([tuple(p[i] for p in perp) for i in range(n)], nrows=n)
+    back = left_kernel_basis([tuple(p[i] for p in perp) for i in range(n)])
     return [tuple(row) for row in back]

@@ -35,10 +35,10 @@ class BiPoly:
 
     `_values`, None until `_row_values` fills it (or `RowSum.rational` sets
     it), caches the rows' values at one point T0 modulo the screen prime
-    for `reduced()`; like `_hash` it is not part of the value, so `==` and
-    `hash` do not read it."""
+    for `reduced()`; it is not part of the value, so `==` and `hash` do not
+    read it."""
 
-    __slots__ = ("_rows", "_hash", "_values")
+    __slots__ = ("_rows", "_values")
 
     def __init__(self, terms=None):
         clean = {}
@@ -55,7 +55,6 @@ class BiPoly:
                     elif key in clean:
                         del clean[key]
         self._rows = _by_p_degree(clean)
-        self._hash = None
         self._values = None
 
     @classmethod
@@ -66,7 +65,6 @@ class BiPoly:
         adopted.  Internal fast path; no validation."""
         out = object.__new__(cls)
         out._rows = rows
-        out._hash = None
         out._values = None
         return out
 
@@ -127,9 +125,7 @@ class BiPoly:
         return isinstance(other, BiPoly) and self._rows == other._rows
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.terms())
-        return self._hash
+        return hash(self.terms())
 
     def __neg__(self):
         return BiPoly._raw({p: {t: -c for t, c in row.items()}
@@ -326,23 +322,11 @@ class BiPoly:
         return out
 
     def __repr__(self):
-        if not self._rows:
-            return "0"
-        chunks = []
-        for (t, p), c in self.terms():
-            mono = "*".join(
-                ([] if t == 0 else [f"T^{t}" if t > 1 else "T"])
-                + ([] if p == 0 else [f"P^{p}" if p > 1 else "P"])
-            )
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            chunks.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(chunks)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        def power(x, e):
+            return [] if e == 0 else [x if e == 1 else f"{x}^{e}"]
+
+        return _signed_sum((c, "*".join(power("T", t) + power("P", p)))
+                           for (t, p), c in self.terms())
 
     def to_json(self):
         return [{"t": t, "p": p, "coeff": str(c)} for (t, p), c in self.terms()]
@@ -713,6 +697,23 @@ def _row_sum(row, src, shift, sign):
     return out
 
 
+def _signed_sum(pieces, times="*"):
+    """Print the pieces (c, m), each a coefficient c on the monomial text m
+    ("" for 1), as "x + y - z": a term is |c| joined to m by times (c alone
+    when m is "", m alone when |c| = 1), a negative first term takes a
+    leading "-", and no pieces print "0"."""
+
+    def term(c, m):
+        if not m:
+            return str(c)
+        return m if c == 1 else f"{c}{times}{m}"
+
+    text = "".join(f" {'-' if c < 0 else '+'} {term(abs(c), m)}" for c, m in pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def _by_p_degree(terms):
     """The rows {p: {t: c}} of the terms {(t, p): c}, one per P-degree, each
     in the order of the terms: the layout `BiPoly` stores.  Only input that
@@ -961,22 +962,8 @@ class UniRational:
 
     @staticmethod
     def _poly_str(coeffs):
-        if not coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(c)
-            else:
-                var = "T" if i == 1 else f"T^{i}"
-                body = var if c == 1 else (f"-{var}" if c == -1 else f"{c}*{var}")
-            parts.append(body)
-        text = parts[0]
-        for part in parts[1:]:
-            text += (" - " + part[1:]) if part.startswith("-") else (" + " + part)
-        return text
+        return _signed_sum((c, "" if i == 0 else "T" if i == 1 else f"T^{i}")
+                           for i, c in enumerate(coeffs) if c)
 
     def __repr__(self):
         num = self._poly_str(self.num)

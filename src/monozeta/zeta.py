@@ -23,7 +23,7 @@ from .conegf import lattice_gf  # noqa: F401  re-exported: perfbench/tracer.py w
 from .fan import Fan, normal_fan
 from .linalg import Vec
 from .polyhedra import MonomialIdeal, newton_polyhedron
-from .ring import BinomialFactor, BiPoly, BiRationalFunction
+from .ring import BinomialFactor, BiPoly, BiRationalFunction, _signed_sum
 
 
 @dataclass(frozen=True)
@@ -201,29 +201,12 @@ def latex_zeta(rf: BiRationalFunction) -> str:
 
     def power(t, j):
         if t == 0 and j == 0:
-            return "1"
+            return ""
         s_part = "" if t == 0 else ("-s" if t == 1 else f"-{t}s")
         j_part = "" if j == 0 else f"-{j}"
         return "p^{" + s_part + j_part + "}"
 
-    def poly(poly_):
-        parts = []
-        for (t, j), c in poly_.terms():
-            body = power(t, j)
-            if body == "1":
-                body = str(abs(c))
-            elif abs(c) != 1:
-                body = f"{abs(c)} {body}"
-            parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    num = poly(rf.numerator)
+    num = _signed_sum(((c, power(t, j)) for (t, j), c in rf.numerator.terms()), " ")
     if not rf.denominator:
         return num
     den = "".join(

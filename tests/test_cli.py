@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -56,6 +57,25 @@ def test_zeta_prime_specialization(capsys):
     code, out, _ = run(capsys, "zeta", "--ideal", "x, y", "--prime", "2", "--json")
     record = json.loads(out)
     assert record["specialized"] == {"p": 2, "num": ["3/4"], "den": ["1", "-1/4"]}
+
+
+def test_exact_coefficients_past_the_digit_limit(capsys):
+    # a denominator coefficient of this specialization is 5,439 characters
+    # long, past the interpreter's default int-to-str limit of 4,300 digits;
+    # main lifts the limit for the command and puts it back after
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    argv = ("zeta", "--ideal", "x^300*y, y^2", "--prime", "1000000000000000003")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert "Z at p = 1000000000000000003: (" in out
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert max(map(len, json.loads(out)["specialized"]["den"])) > 4300
+    assert get_limit() == limit
+    code, _, _ = run(capsys, "zeta", "--ideal", "x", "--prime", "4")
+    assert code == 2
+    assert get_limit() == limit
 
 
 def test_zeta_rejects_composite_prime(capsys):
@@ -133,6 +153,30 @@ def test_readme_python_api_example():
     assert scope["result"].poles == ((Fraction(-5, 6), 1),)
     assert log_canonical_threshold(scope["poly"]) == Fraction(5, 6)
     assert verify_pole_roots(scope["result"], scope["poly"]).all_verified
+
+
+FROZEN_CLI_IDEALS = (
+    "x^3, x*y, y^3",
+    "x^2, y^3, z^4",
+    "x1*x2^4*x3*x4^5, x1^3*x3*x4, x1^4*x3^2, x1^5*x2^3*x3^3*x4^5",
+)
+FROZEN_CLI_FLAGS = (
+    ("zeta",), ("zeta", "--latex"), ("zeta", "--json"), ("zeta", "--prime", "2"),
+    ("newton",), ("newton", "--json"), ("fan",), ("fan", "--json"),
+    ("divisors",), ("divisors", "--json"), ("bsroots",), ("bsroots", "--json"),
+)
+
+
+def test_cli_text_and_json_frozen(capsys):
+    # one digest over the exit code and stdout of every printer and JSON
+    # emitter, for 3 ideals x 12 command lines
+    digest = hashlib.sha256()
+    for ideal in FROZEN_CLI_IDEALS:
+        for command, *flags in FROZEN_CLI_FLAGS:
+            code, out, _ = run(capsys, command, "--ideal", ideal, *flags)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "6588ac358f5d753d15bc16a4ac0d5ea706402b04550406b0afeda42f9713cc3d")
 
 
 def test_parse_error_exit_code(capsys):

@@ -151,7 +151,7 @@ def test_row_hnf_properties():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = random_matrix(rng, m, n)
-        h, u = row_hnf(a, transform=True)
+        h, u = row_hnf(a)
         assert abs(det_int(u)) == 1
         for i in range(m):
             for j in range(n):
