@@ -27,6 +27,10 @@ class ParseError(ValueError):
         self.column = column
 
 
+# the interpreter's default int-to-str limit, which the CLI lifts for its
+# output: reading an exponent takes time quadratic in its length
+_MAX_EXPONENT_DIGITS = 4300
+
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN = re.compile(rf"(?P<name>{_NAME})|(?P<int>\d+)|(?P<op>[\^*,])|(?P<ws>[ \t]+)")
 
@@ -77,6 +81,9 @@ def parse_ideal(
         if expecting_exponent:
             if kind != "int":
                 raise ParseError("expected an integer exponent after '^'", line, col)
+            if len(value) > _MAX_EXPONENT_DIGITS:
+                raise ParseError(f"an exponent of {len(value)} digits; the limit "
+                                 f"is {_MAX_EXPONENT_DIGITS}", line, col)
             current[pending_name] += int(value) - 1
             expecting_exponent = False
             pending_name = None

@@ -9,10 +9,12 @@ and are never changed once a polynomial holds them.  A rational function
 keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
 such fractions is accumulated in a `RowSum`, its numerator packed one int
-per P-degree at a fixed width, built from keys and decoded once into rows.
-`reduced()` decides each denominator factor once: one modular screen, read
-off the numerator's row values at a single point T0, keeps most factors,
-and exact division and chain sums decide the others.  A polynomial from a
+per P-degree at a fixed width and built from keys.  The packed rows go on
+to `reduced()` as they are: its binomial divisions run on them, and they
+are decoded once into rows, after the divisions.  `reduced()` decides each
+denominator factor once: one modular screen, read off the numerator's row
+values at a single point T0, keeps most factors, and exact division and
+chain sums decide the others.  A polynomial from a
 `RowSum` comes with those values, one remainder per packed row; any other
 computes them once from its terms.
 """
@@ -33,12 +35,17 @@ class BiPoly:
     """Sparse polynomial in T and P with integer coefficients, stored as
     its P-degree rows.
 
+    A polynomial from `RowSum.rational` holds packed rows instead,
+    `_packed` = ({p: (t0, v)}, W, B) in `RowSum`'s layout, B an l1 bound
+    below 2^(W-1).  Binomial division (`_div_packed`) reads them as they
+    are; the first read of `_rows` decodes them, once, and drops them.
+
     `_values`, None until `_row_values` fills it (or `RowSum.rational` sets
     it), caches the rows' values at one point T0 modulo the screen prime
     for `reduced()`; it is not part of the value, so `==` and `hash` do not
     read it."""
 
-    __slots__ = ("_rows", "_values")
+    __slots__ = ("_dict", "_packed", "_values")
 
     def __init__(self, terms=None):
         clean = {}
@@ -54,8 +61,8 @@ class BiPoly:
                         clean[key] = c0
                     elif key in clean:
                         del clean[key]
-        self._rows = _by_p_degree(clean)
-        self._values = None
+        self._dict = _by_p_degree(clean)
+        self._packed = self._values = None
 
     @classmethod
     def _raw(cls, rows: dict) -> "BiPoly":
@@ -64,9 +71,31 @@ class BiPoly:
         may be shared with other polynomials, so none is ever changed once
         adopted.  Internal fast path; no validation."""
         out = object.__new__(cls)
-        out._rows = rows
-        out._values = None
+        out._dict = rows
+        out._packed = out._values = None
         return out
+
+    @classmethod
+    def _of_packed(cls, rows, width, bound):
+        """Adopt packed rows {p: (t0, v)} of slot width W whose coefficients
+        have l1 norm at most bound < 2^(W-1), to be decoded on first read.
+        The dict is owned from here on; the ints are never changed."""
+        out = object.__new__(cls)
+        out._dict = out._values = None
+        out._packed = (rows, width, bound)
+        return out
+
+    def _decode(self):
+        """Decode the packed rows, if any: the one place they become rows."""
+        if self._packed is not None:
+            rows, width, _ = self._packed
+            self._dict, self._packed = _unpack(rows, width), None
+
+    @property
+    def _rows(self):
+        """The rows {p: {t: c}}, decoded from the packed rows on first read."""
+        self._decode()
+        return self._dict
 
     @property
     def _terms(self):
@@ -233,7 +262,8 @@ class BiPoly:
         row of every chain is 0; a nonzero one would repeat past the top.
         A P-free factor 1 - T^a never comes here: `div_exact` divides the
         polynomial with T and P swapped by 1 - P^a and swaps the quotient
-        back.
+        back.  A polynomial still packed comes here only when
+        `_div_packed` cannot bound its quotient, and is decoded first.
         """
         rows = self._rows
         runs = []  # (row, offset, quotient row, next numerator row of its chain)
@@ -257,25 +287,79 @@ class BiPoly:
                 off += a
         return BiPoly._raw(out)
 
+    def _div_packed(self, a, b):
+        """Exact quotient by 1 - T^a P^b, b > 0, or None, on the packed
+        rows, as a packed polynomial.
+
+        The recurrence of `_div_binomial` on packed rows: along a chain,
+        quotient row e is numerator row e plus quotient row e - b with its
+        offset moved by a, one shift and one add of ints, and a row between
+        two numerator rows is the same int under a moved offset.  Each
+        quotient coefficient is a sum of distinct numerator coefficients, so
+        at most the numerator's l1 bound B < 2^(W-1) in absolute value:
+        every slot decodes, and v == 0 iff the row is 0.  Exact iff the last
+        quotient row of every chain is 0.  Each numerator coefficient feeds
+        at most one coefficient per quotient row of its chain, so B times
+        the most rows a chain of the quotient has bounds the quotient's l1
+        norm; when that reaches 2^(W-1), the polynomial is decoded and
+        `_div_binomial` divides it instead.
+        """
+        rows, width, bound = self._packed
+        chains: dict[int, list[int]] = {}
+        for e in sorted(e for e, (_, v) in rows.items() if v):
+            chains.setdefault(e % b, []).append(e)
+        height = max(((c[-1] - c[0]) // b for c in chains.values()), default=0)
+        if (bound * height) >> (width - 1):
+            return self._div_binomial(a, b)
+        out = {}
+        for chain in chains.values():
+            last = None  # the latest nonzero quotient row, as (row, offset, v)
+            for e in chain:
+                t, v = rows[e]
+                if last is not None:
+                    e0, t0, v0 = last
+                    k = (e - e0) // b
+                    for j in range(1, k):
+                        out[e0 + j * b] = (t0 + j * a, v0)
+                    t0 += k * a
+                    if t0 <= t:
+                        t, v = t0, v0 + (v << width * (t - t0))
+                    else:
+                        v += v0 << width * (t0 - t)
+                if v:
+                    t, v = _trimmed(t, v, width)
+                    out[e] = (t, v)
+                    last = (e, t, v)
+                else:
+                    last = None
+            if last is not None:
+                return None
+        return BiPoly._of_packed(out, width, bound * height)
+
     def div_exact(self, divisor):
         """Quotient self/divisor if the division is exact, else None.
 
-        Single-divisor multivariate division in graded-lex order.  Lead
+        By a binomial 1 - T^a P^b: the row recurrence, on the packed rows
+        (`_div_packed`) while the polynomial has them, else on its rows
+        (`_div_binomial`), with T and P swapped when b = 0.  Otherwise
+        single-divisor multivariate division in graded-lex order.  Lead
         monomials come off a heap (stale entries are skipped), so the cost
         is near linear in the monomials touched; the remainder is discarded
         as soon as it is known to be nonzero.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return BiPoly.zero()
         dterms = divisor.terms()
         if len(dterms) == 2 and dterms[0] == ((0, 0), 1) and dterms[1][1] == -1:
             ea, eb = dterms[1][0]
             if eb:
+                if self._packed is not None:
+                    return self._div_packed(ea, eb)
                 return self._div_binomial(ea, eb)
             q = self._swapped()._div_binomial(eb, ea)
             return None if q is None else q._swapped()
+        if self.is_zero():
+            return BiPoly.zero()
 
         def key(m):
             # negated graded-lex so heapq's min-heap pops the largest
@@ -460,6 +544,9 @@ class BiRationalFunction:
         N; factors along different x share no cyclotomic factor; and after
         the least exchange neither 1 - x^m nor a smaller exchange divides
         N/S, or 1 - x^g or a smaller S would divide N.
+        A numerator still packed (`RowSum.rational`) is divided on its packed
+        rows until a step reads its rows (chain sums, an exchange); the
+        numerator returned is decoded.
         Not canonical: equal functions can reduce to different shapes.
         """
         num, den = self.numerator, []
@@ -508,6 +595,7 @@ class BiRationalFunction:
             num = num.div_exact(f.poly())
             if num is None:
                 raise AssertionError(f"chain sums promised an exact division by {f}")
+        num._decode()  # the function returned holds rows, not packed ints
         return BiRationalFunction(num, den)
 
     def series(self, bound):
@@ -602,6 +690,8 @@ class RowSum:
     comes in as packed keys t + (p << S), a cell's counted weight keys, and
     goes into rows with no term built.  Since v is the row's value at
     T = 2^W, v mod q is its value at T0 = 2^W mod q, read by `reduced()`.
+    The rows leave the sum packed (`rational`): `reduced()` divides on them
+    and decodes them once, after its divisions.
     """
 
     __slots__ = ("_rows", "_den", "_width", "_bound", "_limit")
@@ -646,12 +736,14 @@ class RowSum:
         return bound
 
     def rational(self):
-        """The sum as a BiRationalFunction: each packed row decoded once,
-        straight into the numerator's row, and its value at T0 = 2^W mod q,
-        T^t0 times v mod q, cached on the numerator for the screen."""
+        """The sum as a BiRationalFunction whose numerator keeps a copy of
+        the packed rows, with the width and the l1 bound the sum reached,
+        for `reduced()` to divide on (`BiPoly._div_packed`); each row is
+        decoded once, on first read.  Each row's value at T0 = 2^W mod q,
+        T^t0 times v mod q, is cached on the numerator for the screen."""
         q = _SCREEN_PRIME
         t0 = pow(2, self._width, q)
-        num = BiPoly._raw(_unpack(self._rows, self._width))
+        num = BiPoly._of_packed(dict(self._rows), self._width, self._bound)
         num._values = (t0, {p: pow(t0, t, q) * (v % q) % q for p, (t, v) in self._rows.items()})
         return BiRationalFunction(num, self._den.elements())
 
@@ -779,9 +871,18 @@ def _pack_keys(keys, shift, width):
 _WORD = (1 << 64) - 1
 
 
+def _trimmed(t0, v, width):
+    """The packed row (t0, v), v != 0, with its all-zero low slots shifted
+    off: a cancellation leaves them, and every add or decode would carry
+    them."""
+    low = ((v & -v).bit_length() - 1) // width
+    return t0 + low, v >> width * low
+
+
 def _unpack(packed, width):
     """The rows {p: {t: c}} of the packed rows, each |c| < 2^(width-1), with
     no empty row and no zero coefficient: the layout `BiPoly` stores.
+    A row's all-zero low slots are shifted off first (`_trimmed`).
     With L = 2^(width-1) in every slot, v + L has every slot in
     [0, 2^width), so no slot borrows, and (v + L) ^ L holds each slot's c
     in two's complement: its bytes read as 64-bit words, width/64 to a
@@ -791,6 +892,7 @@ def _unpack(packed, width):
     for p, (t0, v) in packed.items():
         if not v:
             continue
+        t0, v = _trimmed(t0, v, width)
         n = abs(v).bit_length() // width + 1
         lift = int.from_bytes(_slot_lift(width, n), "little")
         slots = struct.unpack("<" + f"{k - 1}Qq" * n if k > 1 else f"<{n}q",

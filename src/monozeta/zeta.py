@@ -117,11 +117,13 @@ def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
 
     Every maximal cone's half-open cells are planned, then summed in one
     `RowSum` at a slot width fixed from the plan's bound, and the numerator
-    is multiplied by 1 - P n times (`sum_half_open_cells`).  Its rows are
-    decoded once into the P-degree rows `reduced()` reads, each row's value
-    at the screen point T0 taken from the packed row.  The (1 - P)^n that
-    `reduced()` divides out again stays until the benchmark harness no
-    longer needs `ring.div_exact_calls` above 0 (ROADMAP items 5, 15).
+    is multiplied by 1 - P n times (`sum_half_open_cells`).  The numerator
+    reaches `reduced()` still packed, each row's value at the screen point
+    T0 taken from the packed row; its 1 - P divisions run on the packed
+    rows, and `reduced()` decodes the result once, before it returns, so the
+    numerator returned holds rows.  The (1 - P)^n that `reduced()` divides
+    out again stays until the benchmark harness no longer needs
+    `ring.div_exact_calls` above 0 (ROADMAP items 5, 15).
     """
     fan = normal_fan(newton_polyhedron(ideal))
     n = ideal.n

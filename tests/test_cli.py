@@ -120,6 +120,17 @@ def test_series_bound_is_refused_before_expansion(capsys):
     cli._check_series_bound(6, 26)
 
 
+def test_cell_points_are_refused_before_enumeration(capsys):
+    # a cyclic cell of 10^9 points would exhaust memory: the plan's sum of
+    # |det| is refused before any point is counted
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zeta", "--ideal", "x^1000000000, y")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: the half-open cells hold 1000000001 lattice points "
+                   "(the sum of |det|); the limit is 1000000\n")
+
+
 def test_readme_command_line_examples(capsys):
     # each `$ monozeta ...` example in the README's "Command line" block
     # prints exactly the lines shown under it

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from oracles import cone_faces, det_int, gf_series_brute, naive_parallelepiped, orthant_points
-from monozeta import fan, linalg
+from monozeta import conegf, fan, linalg
 from monozeta.conegf import (
     Grading,
     HalfOpenSimplicialCone,
@@ -172,6 +172,28 @@ def test_pipeline_cells_match_public_cells():
         g = Grading(*(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(2)))
         assert (Counter(parallelepiped_points(piped, g))
                 == Counter(parallelepiped_points(cell, g))), (cell, g)
+
+
+def test_cell_points_are_refused_before_counting(monkeypatch):
+    # x^k, y: two cells with |det| 1 and k, so the plan sums to k + 1 points;
+    # at the limit the cells are summed, past it no point is counted
+    sigmas = normal_fan(newton_polyhedron(MonomialIdeal(2, [(9, 0), (0, 1)]))).maximal_cones()
+    jobs = [(sigma, (1, 1), Grading(sigma.vertex, (1, 1))) for sigma in sigmas]
+    counted = []
+
+    def counting(cell, grading):
+        keys = parallelepiped_points(cell, grading)
+        counted.extend(keys)
+        return keys
+
+    monkeypatch.setattr(conegf, "parallelepiped_points", counting)
+    monkeypatch.setattr(conegf, "_MAX_CELL_POINTS", 10)
+    sum_half_open_cells(jobs)
+    assert len(counted) == 10
+    monkeypatch.setattr(conegf, "_MAX_CELL_POINTS", 9)
+    monkeypatch.setattr(conegf, "parallelepiped_points", None)
+    with pytest.raises(ValueError, match=r"hold 10 lattice points .*; the limit is 9$"):
+        sum_half_open_cells(jobs)
 
 
 def test_one_elimination_per_cell(monkeypatch):

@@ -72,6 +72,7 @@ def test_unknown_variable_with_explicit_order():
 
 
 ERROR_CASES = [
+    ("x^" + "9" * 4301 + ", y", "exponent of 4301 digits; the limit is 4300", 1, 3),
     ("x^", "expected an integer exponent", 1, 3),
     ("x^y", "expected an integer exponent", 1, 3),
     ("2x", "integers may only appear as exponents", 1, 1),
@@ -90,6 +91,8 @@ def test_error_positions():
             parse_ideal(text)
         assert (info.value.line, info.value.column) == (line, column), text
         assert f"line {line}, column {column}" in str(info.value)
+    # the longest exponent read, at the interpreter's default digit limit
+    assert parse_ideal("x^" + "9" * 4300)[0].generators == ((10**4300 - 1,),)
 
 
 def test_unit_monomial_is_rejected_as_improper():

@@ -15,7 +15,7 @@ from monozeta.conegf import Grading, lattice_gf, sum_half_open_cells
 from monozeta.fan import cone_from_rays
 from monozeta.polyhedra import MonomialIdeal
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum, UniRational
-from monozeta.zeta import igusa_zeta
+from monozeta.zeta import igusa_zeta, latex_zeta
 
 P = BiPoly.term(0, 1)
 T = BiPoly.term(1, 0)
@@ -159,6 +159,75 @@ def test_binomial_division_matches_the_heap_route():
     assert time.perf_counter() - start < 0.1
 
 
+def packed(poly, bound=BOUND64):
+    """The polynomial as `RowSum.rational` hands it to `reduced()`: packed
+    rows, made for the bound, decoded on first read."""
+    acc = RowSum(bound)
+    acc.add(keyed(poly._terms), SHIFT, [])
+    num = acc.rational().numerator
+    assert num._packed is not None
+    return num
+
+
+def test_packed_division_matches_the_row_route():
+    # the row route `_div_binomial` is the reference: a packed numerator's
+    # quotient is packed, equal to it, or None with it
+    def check(n, a, b):
+        want = n._div_binomial(a, b)
+        got = packed(n).div_exact(BiPoly.binomial(a, b))
+        assert (got is None) == (want is None), (n, a, b)
+        if got is not None:
+            assert got._packed is not None, (n, a, b)
+            assert got == want, (n, a, b)
+        return got
+
+    rng = random.Random(2801)
+    exact = 0
+    for i in range(1200):
+        a, b = rng.randint(0, 3), rng.randint(1, 3)
+        q = random_poly(rng, max_deg=7, max_terms=10, max_coeff=2**40)
+        n = q._mul_binomial(a, b)  # several chains once b > 1
+        if i % 2:
+            n = n + BiPoly.term(rng.randint(0, 9), rng.randint(0, 9), rng.choice((-1, 1)))
+        exact += check(n, a, b) is not None
+    assert 600 <= exact <= 700
+    # the running quotient row is 0 midway along a chain, and restarts
+    for a, b in ((0, 1), (2, 1), (1, 3)):
+        q = ONE + BiPoly.term(5, 3 * b, -4) + BiPoly.term(1, 4 * b)
+        n = q._mul_binomial(a, b)
+        assert check(n, a, b) == q
+        assert check(n + BiPoly.term(7, 5 * b), a, b) is None
+    # a quotient divided again stays packed while its bound allows
+    n = (ONE - TP * 3)._mul_binomial(0, 1)._mul_binomial(0, 1)._mul_binomial(2, 1)
+    q = packed(n)
+    for a, b in ((0, 1), (2, 1), (0, 1)):
+        q = q.div_exact(BiPoly.binomial(a, b))
+        assert q._packed is not None
+    assert q == ONE - TP * 3
+    assert q.div_exact(ONE - P) is None
+
+
+def test_packed_division_decodes_where_its_bound_runs_out():
+    # N = c (1 - P^2) = c (1 + P)(1 - P) with l1 bound 2c in 64-bit slots:
+    # the quotient's chain has 2 rows, so its bound is 4c, which must stay
+    # below 2^63; at c = 2^61 it does not, and the division decodes first
+    for c, stays_packed in ((2**61 - 1, True), (2**61, False)):
+        n = packed(BiPoly({(0, 0): c, (0, 2): -c}), 2**62)
+        assert n._packed[1:] == (64, 2 * c)
+        q = n.div_exact(ONE - P)
+        assert q._packed == (({0: (0, c), 1: (0, c)}, 64, 4 * c) if stays_packed else None)
+        assert q == BiPoly({(0, 0): c, (0, 1): c})
+    # the bound carries over: c (1 - P)(1 - P^2) has bound 4c and a 3-row
+    # chain, so its quotient c (1 - P^2) has bound 12c < 2^63, and then a
+    # 2-row chain: 24c reaches 2^63 at c = 2^59, and the second division
+    # decodes first
+    c = 2**59
+    q = packed(BiPoly({(0, 0): c, (0, 1): -c, (0, 2): -c, (0, 3): c}), 2**62).div_exact(ONE - P)
+    assert q._packed[2] == 12 * c
+    q = q.div_exact(ONE - P)
+    assert q._packed is None and q == BiPoly({(0, 0): c, (0, 1): c})
+
+
 def test_poly_truncation():
     rng = random.Random(201)
     for _ in range(30):
@@ -183,6 +252,12 @@ def test_poly_repr():
     assert repr(BiPoly.binomial(1, 1)) == "1 - T*P"
     assert repr(BiPoly.zero()) == "0"
     assert repr(BiPoly({(0, 2): -1, (0, 0): 1})) == "1 - P^2"
+    # a negative first term prints a leading minus, in all three printers
+    assert repr(BiPoly({(0, 0): -1, (2, 1): 1})) == "-1 + T^2*P"
+    assert repr(UniRational((Fraction(-1), 0, Fraction(3)), (Fraction(1), Fraction(-1, 2)))) \
+        == "(-1 + 3*T^2)/(1 - 1/2*T)"
+    assert latex_zeta(BiRationalFunction(BiPoly({(0, 0): -1, (1, 1): 2}), [(1, 1)])) \
+        == r"\frac{-1 + 2 p^{-s-1}}{\left(1 - p^{-s-1}\right)}"
 
 
 def test_poly_json_roundtrip():
@@ -518,15 +593,17 @@ def test_operations_leave_their_operands_unchanged():
                 BiRationalFunction(h, [(1, 1), (0, 1)]).reduced()
                 h._mul_binomial(0, 1).div_exact(ONE - P)
         assert [h.to_json() for h in results if h is not None] == snapshot
-    # the sum's rows are decoded once; adding to the sum later leaves the
-    # polynomial already read; the sum is made for 128-bit slots
+    # the sum hands out a copy of its packed rows: adding to the sum later
+    # leaves a polynomial already read and one not yet decoded; the sum is
+    # made for 128-bit slots
     acc = RowSum(2**73)
     acc.add(keyed({(0, 0): 1, (3, 2): -2}), SHIFT, [(1, 1)])
-    got = acc.rational()
+    got, unread = acc.rational(), acc.rational()
     json_before = got.to_json()
+    acc.add(keyed({(0, 0): 5, (1, 2): 3}), SHIFT, [(1, 1)])  # into the sum's rows
     acc.add(keyed({(0, 0): 5, (1, 2): 2**70}), SHIFT, [(1, 2)])
     acc.mul_binomial(0, 1)
-    assert got.to_json() == json_before
+    assert got.to_json() == json_before == unread.to_json()
     assert acc.rational() != got
 
 
@@ -548,6 +625,7 @@ def test_signed_slot_decode_at_its_edges():
             6: (0, [0, 0, 0]),  # a row that cancels to 0 is dropped
             7: (9, [-top, 1]),
             8: (4, [top - 1, -(top - 1), 1, -1, top]),
+            9: (1, [0] * 7 + [-top, 0, 1]),  # low zero slots, as a cancellation leaves
         }
         packed = {p: (t0, packed_row(slots, width)) for p, (t0, slots) in cases.items()}
         want = BiPoly({(t0 + i, p): c for p, (t0, slots) in cases.items()
@@ -649,6 +727,23 @@ def test_rf_reduce_is_one_pass(monkeypatch):
     rf = BiRationalFunction(ONE - T * P * P, [(1, 1), (1, 2)])
     assert rf.reduced() == BiRationalFunction(ONE, [(1, 1)])
     assert calls == [ONE - T * P * P]
+
+
+def test_igusa_zeta_divides_packed_and_returns_rows(monkeypatch):
+    # the assembled sum reaches reduced() packed, and its 1 - P divisions run
+    # on the packed rows, the second on the first one's quotient; the
+    # numerator igusa_zeta returns is decoded before it is returned
+    divisions = {"_div_packed": [], "_div_binomial": []}
+    for name, calls in divisions.items():
+        def counting(self, a, b, calls=calls, divide=getattr(BiPoly, name)):
+            calls.append((a, b))
+            return divide(self, a, b)
+        monkeypatch.setattr(BiPoly, name, counting)
+    res = igusa_zeta(MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))
+    assert divisions == {"_div_packed": [(0, 1), (0, 1)], "_div_binomial": []}
+    num = res.zeta.numerator
+    assert num._packed is None and num._dict == {0: {0: 1}, 3: {0: -1}}
+    assert res.zeta == BiRationalFunction(ONE - P**3, [(2, 3)])
 
 
 def test_rf_reduce_rejects_foreign_operands():
