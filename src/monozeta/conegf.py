@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from operator import add, mul
 
 from .fan import Cone, _scaled_inverse, triangulate
@@ -285,32 +286,41 @@ def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
 _MAX_CELL_POINTS = 10**6
 
 
+def _cell_points(cell: HalfOpenSimplicialCone) -> int:
+    """The cell's parallelepiped point count: |det| for a full cell (every
+    cell of `igusa_zeta`), else the product of the radices of its ray
+    coordinates (`_group_basis`), of which |det| is a multiple."""
+    d, rows = cell.group
+    r = len(cell.rays)
+    return d if r == len(rows[0]) else prod(_group_basis(d, rows, r)[1])
+
+
 def sum_half_open_cells(jobs, times=()) -> BiRationalFunction:
     """The sum over the jobs (cone, q, grading) of the generating functions
     of the cone's half-open cells for the point q, each its parallelepiped's
     counted weight keys over one factor 1 - T^a P^b per ray, the numerator
     then multiplied by 1 - T^a P^b for each (a, b) in times.
 
-    Every cone is triangulated first, each cell kept with its rays' weights.
-    This plan gives the least common multiset D of the cells' factors and
-    the l1 bound, sum over the cells of |det| 2^|D - den| (|det| a multiple
-    of the point count), doubled per factor in times, that fixes the slot
-    width of the one `RowSum` taking the cells.  A plan whose sum of |det|
+    Every cone is triangulated first, each cell kept with its rays' weights
+    and its point count (`_cell_points`).  This plan gives the least common
+    multiset D of the cells' factors and the l1 bound, sum over the cells of
+    points 2^|D - den|, doubled per factor in times, that fixes the slot
+    width of the one `RowSum` taking the cells.  A plan whose point count
     passes `_MAX_CELL_POINTS` is a ValueError, raised before any point is
     counted."""
     plan, den = [], Counter()
     for cone, q, grading in jobs:
         for cell in _half_open_cells(cone, q):
             weights = [grading.weight(r) for r in cell.rays]
-            plan.append((cell, grading, weights))
+            plan.append((cell, grading, weights, _cell_points(cell)))
             den |= Counter(weights)
-    points = sum(cell.group[0] for cell, _, _ in plan)
+    points = sum(count for *_, count in plan)
     if points > _MAX_CELL_POINTS:
         raise ValueError(f"the half-open cells hold {points} lattice points "
                          f"(the sum of |det|); the limit is {_MAX_CELL_POINTS}")
     size = den.total()
-    acc = RowSum(sum(cell.group[0] << size - len(w) for cell, _, w in plan) << len(times))
-    for cell, grading, weights in plan:
+    acc = RowSum(sum(count << size - len(w) for _, _, w, count in plan) << len(times))
+    for cell, grading, weights, _ in plan:
         acc.add(Counter(parallelepiped_points(cell, grading)),
                 _key_shift(weights), weights)
     for a, b in times:

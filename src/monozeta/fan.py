@@ -2,9 +2,10 @@
 
 Cones are pointed rational cones inside the nonnegative orthant.  Each one
 stores its extreme rays together with an exact inequality description
-(facet covectors lifted from the span, plus a +/- pair for every covector
-vanishing on the span), so membership and relative-interior tests are pure
-integer arithmetic.  A fan is built from its maximal cones only.
+(primitive facet covectors in the span, plus a +/- pair for every covector
+of a basis of those vanishing on the span), so membership and
+relative-interior tests are pure integer arithmetic.  A fan is built from
+its maximal cones only.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .dd import extreme_rays
-from .linalg import (Vec, dot, eliminate, left_kernel_basis, primitive, rank,
-                     saturation_basis, scale_to_int, solve, unit)
+from .linalg import Vec, dot, eliminate, left_kernel_basis, primitive, rank
 from .polyhedra import NewtonPolyhedron
 
 
@@ -54,41 +54,26 @@ class Cone:
 
 
 def cone_from_rays(generators, n, vertex=None) -> Cone:
-    """Canonical Cone spanned by the given nonzero generators.
+    """Canonical Cone spanned by the given generators; zero, duplicate and
+    non-extreme ones are dropped.  The cone must be pointed (always true
+    inside the orthant).
 
-    Non-extreme and duplicate generators are filtered out.  The cone must be
-    pointed (always true inside the orthant).
+    With K the Hermite basis of the covectors vanishing on the span
+    (`left_kernel_basis`) and its +/- pairs as equalities, one double
+    description gives the facets, primitive covectors in the span, and a
+    second one the rays (Fukuda & Prodon 1996).  K, and so the Cone, depends
+    on the cone alone, not on the generators that spanned it.
     """
     generators = [tuple(g) for g in generators]
     for g in generators:
         if len(g) != n:
             raise ValueError(f"generator {g} has length {len(g)}, not n = {n}")
     gens = sorted({primitive(g) for g in generators if any(g)})
-    if not gens:
-        ineqs = tuple(h for i in range(n) for h in (unit(i, n), tuple(-x for x in unit(i, n))))
-        return Cone(n, (), ineqs, 0, vertex)
-    basis = saturation_basis(gens, n)
-    r = len(basis)
-    coords = []
-    transpose = [tuple(b[i] for b in basis) for i in range(n)]
-    for g in gens:
-        c = solve(transpose, g)
-        if any(x.denominator != 1 for x in c):
-            raise AssertionError("generator lies outside its saturated span lattice")
-        coords.append(tuple(int(x) for x in c))
-    facets_small = extreme_rays(coords, r)
-    rays_small = extreme_rays(facets_small, r)
-    rays = tuple(sorted(primitive(tuple(dot(y, col) for col in zip(*basis)))
-                        for y in rays_small))
-
-    lifted = []
-    for h in facets_small:
-        sol = solve(basis, h)
-        lifted.append(scale_to_int(sol))
     kernel = left_kernel_basis([tuple(g[i] for g in gens) for i in range(n)])
-    ineqs = sorted(lifted) + sorted(
-        h for k in kernel for h in (tuple(k), tuple(-x for x in k)))
-    return Cone(n, rays, tuple(ineqs), r, vertex)
+    pairs = sorted(h for k in kernel for h in (k, tuple(-x for x in k)))
+    facets = extreme_rays(gens + pairs, n)
+    rays = extreme_rays(facets + pairs, n)
+    return Cone(n, tuple(rays), tuple(facets + pairs), n - len(kernel), vertex)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Exact linear algebra over integer matrices and lattices.
 
 Matrices are sequences of rows of Python ints; no floats are ever
-introduced.  One fraction-free elimination serves rank and solve, and
-gives each triangulation cell its d * [rays; K]^-1 (`fan.triangulate`),
-whose columns are the cell's walls and whose rows generate its
-parallelepiped group (`conegf`).  Fractions appear only in what solve
-returns and in scale_to_int, which clears them.
+introduced.  One fraction-free elimination serves rank and gives each
+triangulation cell its d * [rays; K]^-1 (`fan.triangulate`), whose columns
+are the cell's walls and whose rows generate its parallelepiped group
+(`conegf`); Hermite forms give the lattice of covectors vanishing on a span
+(`left_kernel_basis`).  No package algorithm uses fractions: `solve`, the
+one function that returns them, stays for the tests and the benchmark
+harness, which read it as `conegf.solve`.
 """
 
 from __future__ import annotations
@@ -42,16 +44,6 @@ def primitive(v) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(a // g for a in v)
-
-
-def scale_to_int(v) -> Vec:
-    """Clear denominators of a rational vector and make it primitive."""
-    mult = 1
-    for a in v:
-        d = Fraction(a).denominator
-        mult = mult * d // gcd(mult, d)
-    w = tuple(int(a * mult) for a in v)
-    return primitive(w)
 
 
 def eliminate(rows):
@@ -172,25 +164,10 @@ def row_hnf(mat):
 
 
 def left_kernel_basis(mat):
-    """Basis of the lattice {u in Z^k : u * mat == 0} for an integer matrix
-    given as its k rows: the rows of U that `row_hnf` zeroes, all of them
-    for a matrix with no columns."""
+    """The Hermite basis of the lattice {u in Z^k : u * mat == 0} for an
+    integer matrix given as its k rows: the rows of U that `row_hnf` zeroes
+    (all of them for a matrix with no columns), put in row Hermite normal
+    form, so that the basis depends on the lattice alone."""
     h, u = row_hnf(mat)
-    return [tuple(ui) for hi, ui in zip(h, u) if not any(hi)]
-
-
-def saturation_basis(vectors, n):
-    """Basis (rows) of span_Q(vectors) ∩ Z^n, the saturated sublattice.
-
-    Returns r rows for a rank-r span; the empty list when all vectors vanish.
-    """
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return []
-    # covectors vanishing on the span
-    perp = left_kernel_basis([tuple(v[i] for v in vecs) for i in range(n)])
-    if not perp:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    # vectors orthogonal to every such covector
-    back = left_kernel_basis([tuple(p[i] for p in perp) for i in range(n)])
-    return [tuple(row) for row in back]
+    kernel = [ui for hi, ui in zip(h, u) if not any(hi)]
+    return [tuple(row) for row in row_hnf(kernel)[0]]

@@ -38,14 +38,9 @@ class BiPoly:
     A polynomial from `RowSum.rational` holds packed rows instead,
     `_packed` = ({p: (t0, v)}, W, B) in `RowSum`'s layout, B an l1 bound
     below 2^(W-1).  Binomial division (`_div_packed`) reads them as they
-    are; the first read of `_rows` decodes them, once, and drops them.
+    are; the first read of `_rows` decodes them, once, and drops them."""
 
-    `_values`, None until `_row_values` fills it (or `RowSum.rational` sets
-    it), caches the rows' values at one point T0 modulo the screen prime
-    for `reduced()`; it is not part of the value, so `==` and `hash` do not
-    read it."""
-
-    __slots__ = ("_dict", "_packed", "_values")
+    __slots__ = ("_dict", "_packed")
 
     def __init__(self, terms=None):
         clean = {}
@@ -62,7 +57,7 @@ class BiPoly:
                     elif key in clean:
                         del clean[key]
         self._dict = _by_p_degree(clean)
-        self._packed = self._values = None
+        self._packed = None
 
     @classmethod
     def _raw(cls, rows: dict) -> "BiPoly":
@@ -72,7 +67,7 @@ class BiPoly:
         adopted.  Internal fast path; no validation."""
         out = object.__new__(cls)
         out._dict = rows
-        out._packed = out._values = None
+        out._packed = None
         return out
 
     @classmethod
@@ -81,7 +76,7 @@ class BiPoly:
         have l1 norm at most bound < 2^(W-1), to be decoded on first read.
         The dict is owned from here on; the ints are never changed."""
         out = object.__new__(cls)
-        out._dict = out._values = None
+        out._dict = None
         out._packed = (rows, width, bound)
         return out
 
@@ -103,17 +98,21 @@ class BiPoly:
         return {(t, p): c for p, row in self._rows.items() for t, c in row.items()}
 
     def _row_values(self):
-        """(T0, {p: row p at T = T0, mod q}), q the screen prime: the cached
-        values, or else computed once from the terms at T0 = 2^64 mod q,
-        against T0 raised only to the T-degrees present (`_powers`)."""
-        if self._values is None:
-            q = _SCREEN_PRIME
-            t0 = pow(2, 64, q)
-            degrees = sorted(set().union(*self._rows.values()))
-            at = dict(zip(degrees, _powers(t0, degrees, q))).__getitem__
-            self._values = (t0, {p: sum(map(mul, row.values(), map(at, row))) % q
-                                 for p, row in self._rows.items()})
-        return self._values
+        """(T0, {p: row p at T = T0, mod q}), q the screen prime.  Packed
+        rows are read as they are, at T0 = 2^W mod q: row p is T^t0 times
+        v(2^W), so its value is T0^t0 v mod q, and no row is decoded.  Else
+        the terms are read at T0 = 2^64 mod q, against T0 raised only to the
+        T-degrees present (`_powers`)."""
+        q = _SCREEN_PRIME
+        if self._packed is not None:
+            rows, width, _ = self._packed
+            t0 = pow(2, width, q)
+            return t0, {p: pow(t0, t, q) * (v % q) % q for p, (t, v) in rows.items()}
+        t0 = pow(2, 64, q)
+        degrees = sorted(set().union(*self._rows.values()))
+        at = dict(zip(degrees, _powers(t0, degrees, q))).__getitem__
+        return t0, {p: sum(map(mul, row.values(), map(at, row))) % q
+                    for p, row in self._rows.items()}
 
     @classmethod
     def zero(cls):
@@ -738,13 +737,9 @@ class RowSum:
     def rational(self):
         """The sum as a BiRationalFunction whose numerator keeps a copy of
         the packed rows, with the width and the l1 bound the sum reached,
-        for `reduced()` to divide on (`BiPoly._div_packed`); each row is
-        decoded once, on first read.  Each row's value at T0 = 2^W mod q,
-        T^t0 times v mod q, is cached on the numerator for the screen."""
-        q = _SCREEN_PRIME
-        t0 = pow(2, self._width, q)
+        for `reduced()` to divide on (`BiPoly._div_packed`) and screen on
+        (`BiPoly._row_values`); each row is decoded once, on first read."""
         num = BiPoly._of_packed(dict(self._rows), self._width, self._bound)
-        num._values = (t0, {p: pow(t0, t, q) * (v % q) % q for p, (t, v) in self._rows.items()})
         return BiRationalFunction(num, self._den.elements())
 
 

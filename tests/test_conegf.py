@@ -196,6 +196,28 @@ def test_cell_points_are_refused_before_counting(monkeypatch):
         sum_half_open_cells(jobs)
 
 
+def test_lower_dimensional_cell_points_are_counted_exactly(monkeypatch):
+    # a simplicial cone of codimension 1 whose |det [rays; C]| is 1,115,642
+    # and whose parallelepiped holds 2 points: the cap and the plan's bound
+    # read the 2, so the sums run even with the limit at 2.  The interior's
+    # first point has P-degree 63, past any brute-force bound this test can
+    # afford, so the open faces are also checked to sum to the closed cone
+    cone = cone_from_rays([(1, 6, 1, 0, 2), (2, 2, 7, 9, 2), (3, 6, 5, 8, 0), (7, 6, 8, 4, 0)], 5)
+    grading = Grading((1, 0, 2, 1, 0), (1, 1, 1, 1, 1))
+    (cell,) = _half_open_cells(cone, tuple(sum(col) for col in zip(*cone.rays)))
+    assert cone.dim == 4 and cell.group[0] == 1115642
+    assert len(parallelepiped_points(cell)) == conegf._cell_points(cell) == 2
+    monkeypatch.setattr(conegf, "_MAX_CELL_POINTS", 2)
+    closed, interior = lattice_gf(cone, grading), interior_lattice_gf(cone, grading)
+    assert len(closed.numerator.terms()) == 2
+    assert closed.series(20) == gf_series_brute(cone, grading, 20)
+    assert interior.series(20) == gf_series_brute(cone, grading, 20, interior=True)
+    total = BiRationalFunction.zero()
+    for face, _ in cone_faces(cone):
+        total = total + interior_lattice_gf(face, grading)
+    assert total.reduced() == closed.reduced()
+
+
 def test_one_elimination_per_cell(monkeypatch):
     # the pipeline's cell route over maximal cones simplicial and not: each
     # cell costs one elimination, in any module, and no Hermite form

@@ -1,13 +1,16 @@
 """Normal fans: completeness, face lattice, triangulation, vertex labels."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from oracles import cone_faces, in_cone, orthant_points
+from test_acceptance import corpus
 from monozeta.fan import Cone, cone_from_rays, normal_fan, triangulate
-from monozeta.linalg import dot
+from monozeta.linalg import dot, rank, vec_gcd
 from monozeta.polyhedra import Facet, MonomialIdeal, NewtonPolyhedron, newton_polyhedron
 
 
@@ -48,6 +51,45 @@ def test_cone_from_rays_rejects_a_generator_of_the_wrong_length():
     for gens, n in (([(1, 0)], 3), ([(1, 0, 0), (0, 1)], 3), ([(0, 0, 0)], 2)):
         with pytest.raises(ValueError, match=f"not n = {n}"):
             cone_from_rays(gens, n)
+
+
+def test_cone_from_rays_is_canonical_in_codimension_two():
+    # the same rays, once with the non-extreme sum of the last three: the
+    # span's kernel basis must not depend on the generating set
+    gens = [(10, 2, 0, 6, 7, 0), (0, 2, 6, 0, 3, 3), (7, 4, 3, 2, 3, 0), (8, 4, 3, 6, 5, 3)]
+    cone = cone_from_rays(gens, 6)
+    assert cone.dim == 4 and len(cone.rays) == 4
+    assert cone_from_rays(gens + [(18, 6, 3, 12, 12, 3)], 6) == cone
+
+
+def test_lower_dimensional_cones_keep_their_facets_in_the_span():
+    # generators drawn from a random subspace of dimension below n: each
+    # facet covector is primitive, orthogonal to the span's kernel pairs and
+    # tight on rays of rank dim - 1, and the Cone depends on the cone alone
+    rng = random.Random(505)
+    cones = 0
+    while cones < 200:
+        n = rng.randint(2, 6)
+        base = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
+        combos = [[rng.randint(0, 2) for _ in base] for _ in range(rng.randint(1, 6))]
+        gens = [g for c in combos if any(g := tuple(dot(c, col) for col in zip(*base)))]
+        cone = cone_from_rays(gens, n)
+        if not gens or cone.dim == n:
+            continue
+        cones += 1
+        pairs = [h for h in cone.ineqs if not any(dot(h, r) for r in cone.rays)]
+        facets = [h for h in cone.ineqs if h not in pairs]
+        assert len(pairs) == 2 * (n - cone.dim)
+        for h in facets:
+            assert vec_gcd(h) == 1
+            assert not any(dot(h, k) for k in pairs)
+            assert rank([r for r in cone.rays if not dot(h, r)]) == cone.dim - 1
+        coeffs = [rng.randint(1, 3) for _ in cone.rays]
+        inner = tuple(dot(coeffs, col) for col in zip(*cone.rays))
+        k, factor = rng.randrange(len(gens)), rng.randint(2, 5)
+        scaled = gens[:k] + [tuple(factor * x for x in gens[k])] + gens[k + 1:]
+        for other in (gens + [inner], scaled, rng.sample(gens, len(gens))):
+            assert cone_from_rays(other, n) == cone, (gens, other)
 
 
 def test_cone_relint_vs_boundary():
@@ -210,8 +252,7 @@ def test_triangulation_covers_cone():
         cells = triangulate(cone)
         for cell in cells:
             assert cell.is_simplicial() and cell.dim == cone.dim
-            if cone.dim == n:
-                assert cell == cone_from_rays(cell.rays, n)
+            assert cell == cone_from_rays(cell.rays, n)
         points = list(orthant_points(n, 5))
         if cone.dim < n:
             # orthant points rarely lie in a lower-dimensional span
@@ -248,3 +289,15 @@ def test_fan_json_shape():
     for c in data["cones"]:
         assert set(c) == {"rays", "dim", "vertex"}
         assert all(0 <= i < len(data["rays"]) for i in c["rays"])
+
+
+def test_acceptance_corpus_fans_frozen():
+    # one digest over the face lattices of the acceptance corpus's 50 ideals,
+    # recorded before cone_from_rays moved to one double description in Z^n
+    digest = hashlib.sha256()
+    for ideal in corpus():
+        fan = normal_fan(newton_polyhedron(ideal))
+        digest.update(json.dumps(fan.to_json(), sort_keys=True).encode() + b"\n")
+    assert len(corpus()) == 50
+    assert digest.hexdigest() == (
+        "3818d9d6010ea5ada3abbe11e2b4bc6b5a4ae3edd7d4a59a36c127ab7c450d03")

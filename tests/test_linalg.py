@@ -14,8 +14,6 @@ from monozeta.linalg import (
     primitive,
     rank,
     row_hnf,
-    saturation_basis,
-    scale_to_int,
     solve,
     vec_gcd,
 )
@@ -68,11 +66,6 @@ def test_primitive_and_gcd():
     assert primitive((-2, -4)) == (-1, -2)
     with pytest.raises(ValueError):
         primitive((0, 0))
-
-
-def test_scale_to_int_clears_denominators():
-    assert scale_to_int((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
-    assert scale_to_int((Fraction(-2), Fraction(4))) == (-1, 2)
 
 
 def test_det_matches_permutation_expansion():
@@ -189,29 +182,17 @@ def test_left_kernel():
                 assert sum(u[i] * a[i][j] for i in range(m)) == 0
 
 
-def test_saturation_basis_known_cases():
-    assert len(saturation_basis([(2, 0), (0, 2)], 2)) == 2
-    b = saturation_basis([(2, 2)], 2)
-    assert len(b) == 1 and primitive(b[0]) in ((1, 1), (-1, -1))
-    b = saturation_basis([(1, 1, 0), (0, 0, 3)], 3)
-    assert len(b) == 2
-
-
-def test_saturation_basis_contains_lattice_span():
-    # integer points of the rational span must be integer combinations
-    rng = random.Random(105)
-    for _ in range(30):
+def test_left_kernel_basis_depends_on_the_lattice_alone():
+    # the kernel of a matrix is unchanged by appending integer combinations
+    # of its columns and by permuting them, and so is its Hermite basis
+    rng = random.Random(106)
+    for _ in range(60):
+        m = rng.randint(1, 6)
         n = rng.randint(1, 4)
-        k = rng.randint(1, n)
-        vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
-        if all(not any(v) for v in vecs):
-            continue
-        basis = saturation_basis(vecs, n)
-        # the original vectors are integer combinations of the basis
-        cols = [[bv[j] for bv in basis] for j in range(n)]
-        for v in vecs:
-            if not any(v):
-                continue
-            coeffs = solve(cols, v)
-            assert coeffs is not None
-            assert all(c.denominator == 1 for c in coeffs)
+        a = random_matrix(rng, m, n, -3, 3)
+        basis = left_kernel_basis(a)
+        assert [list(u) for u in basis] == row_hnf(basis)[0]
+        extra = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        wider = [list(row) + [dot(row, c) for c in extra] for row in a]
+        order = rng.sample(range(len(wider[0])), len(wider[0]))
+        assert left_kernel_basis([[row[j] for j in order] for row in wider]) == basis

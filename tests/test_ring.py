@@ -366,8 +366,8 @@ def test_row_sum_matches_the_pairwise_route():
     assert wide_sums > 10
 
 
-def test_row_sum_caches_its_rows_values():
-    # the values rational() reads off the packed rows, at T0 = 2^W mod q, are
+def test_row_sum_row_values_read_its_packed_rows():
+    # the values _row_values reads off the packed rows, at T0 = 2^W mod q, are
     # the rows evaluated there: a 64-bit sum of counts, and a sum made for
     # 128 bits with negative coefficients, multiplied between the adds
     rng, q = random.Random(1208), ring._SCREEN_PRIME
@@ -385,11 +385,10 @@ def test_row_sum_caches_its_rows_values():
             ops.append((terms, [random_factor(rng) for _ in range(rng.randint(0, 4))]))
         acc, _ = run_ops(ops)
         num = acc.rational().numerator
-        t0, values = num._values
+        t0, values = num._row_values()
         assert t0 == pow(2, acc._width, q)
         want = row_values(num._rows, t0)
         assert {p: v for p, v in values.items() if v} == {p: v for p, v in want.items() if v}
-        assert num._row_values() is num._values  # read, not recomputed
         widths.add((acc._width, signed and min((c for _, c in num.terms()), default=0) < 0))
     assert {(64, False), (128, True)} <= widths
 
@@ -952,7 +951,7 @@ def test_screen_one_pass_matches_one_point_evaluations():
             x = rng.choice(DIRECTIONS)
             num = num * BiPoly.binomial(*(rng.choice(GCDS) * e for e in x))
         t0, values = num._row_values()
-        assert t0 == pow(2, 64, q) and num._values == (t0, values)
+        assert t0 == pow(2, 64, q) and num._row_values() == (t0, values)
         assert values == row_values(num._rows, t0)
         chosen = rng.sample(lines, rng.randint(17, len(lines)))
         got = ring._folds_nonzero(num, chosen)
@@ -1031,7 +1030,7 @@ def test_summed_cells_reduce_as_trial_division_does(monkeypatch):
     assert len(sums) == 21
     # every plan's bound, (1 - P)^n included, fits 64-bit slots: the screen
     # point of each sum is 2^64 mod q
-    assert {rf.numerator._values[0] for rf in sums} == {pow(2, 64, ring._SCREEN_PRIME)}
+    assert {rf.numerator._row_values()[0] for rf in sums} == {pow(2, 64, ring._SCREEN_PRIME)}
     interior, square, grading = interior_row_sum()
     assert interior.series(16) == gf_series_brute(square, grading, 16, interior=True)
     for rf in sums + [interior]:
