@@ -96,14 +96,18 @@ class Fan:
         return tuple(sorted(cones, key=lambda c: (c.dim, c.rays)))
 
     @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Each cone's rays as a bitmask over `rays`, in `cones` order: a
+        cone is a face of another iff its rays are among the other's."""
+        bit = {r: 1 << i for i, r in enumerate(self.rays)}
+        return tuple(sum(bit[r] for r in c.rays) for c in self.cones)
+
+    @cached_property
     def relation(self) -> frozenset[tuple[int, int]]:
         """The face relation as (face index, cone index) pairs."""
-        return frozenset(
-            (i, j)
-            for i, ci in enumerate(self.cones)
-            for j, cj in enumerate(self.cones)
-            if set(ci.rays) <= set(cj.rays)
-        )
+        masks = self._masks
+        return frozenset((i, j) for i, mi in enumerate(masks)
+                         for j, mj in enumerate(masks) if mi & mj == mi)
 
     def maximal_cones(self):
         return self.maximal
@@ -111,8 +115,8 @@ class Fan:
     def faces_of(self, cone: Cone):
         """Fan cones that are faces of the given fan cone (itself included);
         a cone outside the fan raises ValueError."""
-        j = self.cones.index(cone)
-        return tuple(self.cones[i] for i, jj in sorted(self.relation) if jj == j)
+        mask = self._masks[self.cones.index(cone)]
+        return tuple(c for c, m in zip(self.cones, self._masks) if m & mask == m)
 
     def locate(self, a) -> Cone:
         """The unique fan cone whose relative interior contains a (a >= 0)."""

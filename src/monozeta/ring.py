@@ -10,18 +10,19 @@ keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
 such fractions is accumulated in a `RowSum`, its numerator packed one int
 per P-degree at a fixed width and built from keys.  The packed rows go on
-to `reduced()` as they are: its binomial divisions run on them, and they
-are decoded once into rows, after the divisions.  `reduced()` decides each
-denominator factor once: one modular screen, read off the numerator's row
-values at a single point T0, keeps most factors, and exact division and
-chain sums decide the others.  A polynomial from a
-`RowSum` comes with those values, one remainder per packed row; any other
-computes them once from its terms.
+to `reduced()` as they are: its divisions run on them, and they are decoded
+once into rows, after the divisions or with the quotient whose l1 bound
+passes the slot width.  The only division is exact division by a binomial
+1 - T^a P^b, one chain recurrence (`_chain_quotient`) over packed or
+decoded rows.  `reduced()` decides each denominator factor once: one
+modular screen, read off the numerator's row values at a single point T0,
+keeps most factors, and exact division and chain sums decide the others.
+A polynomial from a `RowSum` comes with those values, one remainder per
+packed row; any other computes them once from its terms.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 from bisect import bisect_left
 from collections import Counter
@@ -38,7 +39,8 @@ class BiPoly:
     A polynomial from `RowSum.rational` holds packed rows instead,
     `_packed` = ({p: (t0, v)}, W, B) in `RowSum`'s layout, B an l1 bound
     below 2^(W-1).  Binomial division (`_div_packed`) reads them as they
-    are; the first read of `_rows` decodes them, once, and drops them."""
+    are, and leaves them; the first read of `_rows` decodes them, once, and
+    drops them."""
 
     __slots__ = ("_dict", "_packed")
 
@@ -248,148 +250,72 @@ class BiPoly:
         return BiPoly._raw(out)
 
     def _div_binomial(self, a, b):
-        """Exact quotient by 1 - T^a P^b, b > 0, or None.
-
-        Q = N + T^a P^b Q, solved one row at a time on the P-degree rows:
-        quotient row e is numerator row e plus quotient row e - b moved by
-        T^a.  Rows b apart form a chain.  A row is kept as (offset,
+        """Exact quotient by 1 - T^a P^b, b > 0, or None, on the decoded
+        rows: `_chain_quotient` with each row held as (offset,
         {T-degree - offset: c}), so a move changes the offset and an add
-        starts from a C-level dict copy.  Between two numerator rows of a
-        chain the quotient row only moves, so it is computed once per
-        numerator row and written once per row it covers: a gap costs
-        nothing unless the quotient fills it.  Exact iff the last quotient
-        row of every chain is 0; a nonzero one would repeat past the top.
-        A P-free factor 1 - T^a never comes here: `div_exact` divides the
-        polynomial with T and P swapped by 1 - P^a and swaps the quotient
-        back.  A polynomial still packed comes here only when
-        `_div_packed` cannot bound its quotient, and is decoded first.
-        """
-        rows = self._rows
-        runs = []  # (row, offset, quotient row, next numerator row of its chain)
-        last = None  # the latest nonzero quotient row, as (row, offset, terms)
-        for e in sorted(rows, key=lambda e: (e % b, e)):
-            if last is None:
-                off, q = 0, rows[e]
-            elif (e - last[0]) % b:
-                return None
-            else:
-                runs.append((*last, e))
-                off = last[1] + (e - last[0]) // b * a
-                q = _row_sum(last[2], rows[e], -off, 1)
-            last = (e, off, q) if q else None
-        if last is not None:
+        starts from a C-level dict copy.  A quotient row that needs no add
+        and no move is the numerator's row, shared.  A P-free factor 1 - T^a
+        never comes here: `div_exact` divides the polynomial with T and P
+        swapped by 1 - P^a and swaps the quotient back."""
+        out = _chain_quotient({e: (0, row) for e, row in self._rows.items()}, a, b,
+                              lambda off, q, n: (off, _row_sum(q, n[1], n[0] - off, 1)))
+        if out is None:
             return None
-        out: dict[int, dict[int, int]] = {}
-        for e0, off, q, end in runs:
-            for e in range(e0, end, b):
-                out[e] = dict(zip(map(off.__add__, q), q.values())) if off else q
-                off += a
-        return BiPoly._raw(out)
+        return BiPoly._raw({e: dict(zip(map(off.__add__, q), q.values())) if off else q
+                            for e, (off, q) in out.items()})
 
     def _div_packed(self, a, b):
         """Exact quotient by 1 - T^a P^b, b > 0, or None, on the packed
-        rows, as a packed polynomial.
+        rows: `_chain_quotient` with each row held as (t0, v), so a move
+        changes t0 and an add is one shift and one add of ints.
 
-        The recurrence of `_div_binomial` on packed rows: along a chain,
-        quotient row e is numerator row e plus quotient row e - b with its
-        offset moved by a, one shift and one add of ints, and a row between
-        two numerator rows is the same int under a moved offset.  Each
-        quotient coefficient is a sum of distinct numerator coefficients, so
-        at most the numerator's l1 bound B < 2^(W-1) in absolute value:
-        every slot decodes, and v == 0 iff the row is 0.  Exact iff the last
-        quotient row of every chain is 0.  Each numerator coefficient feeds
-        at most one coefficient per quotient row of its chain, so B times
-        the most rows a chain of the quotient has bounds the quotient's l1
-        norm; when that reaches 2^(W-1), the polynomial is decoded and
-        `_div_binomial` divides it instead.
+        Each quotient coefficient is a sum of distinct numerator
+        coefficients, so at most the numerator's l1 bound B < 2^(W-1) in
+        absolute value: every slot decodes, and v == 0 iff the row is 0.
+        Each numerator coefficient feeds at most one coefficient per
+        quotient row of its chain, so B times the most rows a chain of the
+        quotient has bounds the quotient's l1 norm.  Below 2^(W-1) the
+        quotient stays packed under that bound; else it is returned
+        decoded, and the numerator keeps its packed rows either way.
         """
         rows, width, bound = self._packed
-        chains: dict[int, list[int]] = {}
-        for e in sorted(e for e, (_, v) in rows.items() if v):
-            chains.setdefault(e % b, []).append(e)
-        height = max(((c[-1] - c[0]) // b for c in chains.values()), default=0)
+        order = sorted(e for e, (_, v) in rows.items() if v)
+        low, high = {e % b: e for e in reversed(order)}, {e % b: e for e in order}
+        height = max(((high[r] - e) // b for r, e in low.items()), default=0)
+
+        def add(t0, v0, n):
+            t, v = n
+            if t0 <= t:
+                t, v = t0, v0 + (v << width * (t - t0))
+            else:
+                v += v0 << width * (t0 - t)
+            return _trimmed(t, v, width) if v else (t, 0)
+
+        out = _chain_quotient(rows, a, b, add)
+        if out is None:
+            return None
         if (bound * height) >> (width - 1):
-            return self._div_binomial(a, b)
-        out = {}
-        for chain in chains.values():
-            last = None  # the latest nonzero quotient row, as (row, offset, v)
-            for e in chain:
-                t, v = rows[e]
-                if last is not None:
-                    e0, t0, v0 = last
-                    k = (e - e0) // b
-                    for j in range(1, k):
-                        out[e0 + j * b] = (t0 + j * a, v0)
-                    t0 += k * a
-                    if t0 <= t:
-                        t, v = t0, v0 + (v << width * (t - t0))
-                    else:
-                        v += v0 << width * (t0 - t)
-                if v:
-                    t, v = _trimmed(t, v, width)
-                    out[e] = (t, v)
-                    last = (e, t, v)
-                else:
-                    last = None
-            if last is not None:
-                return None
+            return BiPoly._raw(_unpack(out, width))
         return BiPoly._of_packed(out, width, bound * height)
 
     def div_exact(self, divisor):
-        """Quotient self/divisor if the division is exact, else None.
-
-        By a binomial 1 - T^a P^b: the row recurrence, on the packed rows
-        (`_div_packed`) while the polynomial has them, else on its rows
-        (`_div_binomial`), with T and P swapped when b = 0.  Otherwise
-        single-divisor multivariate division in graded-lex order.  Lead
-        monomials come off a heap (stale entries are skipped), so the cost
-        is near linear in the monomials touched; the remainder is discarded
-        as soon as it is known to be nonzero.
-        """
+        """Quotient self / (1 - T^a P^b) if the division is exact, else
+        None: on the packed rows (`_div_packed`) while the polynomial has
+        them, else on its rows (`_div_binomial`), with T and P swapped when
+        b = 0.  `reduced()` divides by nothing else; any other divisor is a
+        ValueError."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         dterms = divisor.terms()
-        if len(dterms) == 2 and dterms[0] == ((0, 0), 1) and dterms[1][1] == -1:
-            ea, eb = dterms[1][0]
-            if eb:
-                if self._packed is not None:
-                    return self._div_packed(ea, eb)
-                return self._div_binomial(ea, eb)
+        if not (len(dterms) == 2 and dterms[0] == ((0, 0), 1) and dterms[1][1] == -1):
+            raise ValueError(f"div_exact divides by 1 - T^a P^b only, not by {divisor!r}")
+        ea, eb = dterms[1][0]
+        if not eb:
             q = self._swapped()._div_binomial(eb, ea)
             return None if q is None else q._swapped()
-        if self.is_zero():
-            return BiPoly.zero()
-
-        def key(m):
-            # negated graded-lex so heapq's min-heap pops the largest
-            return (-(m[0] + m[1]), -m[0], -m[1])
-
-        dlead, dc = max(dterms, key=lambda mc: (mc[0][0] + mc[0][1], *mc[0]))
-        rest = [(m, c) for m, c in dterms if m != dlead]
-        work = self._terms
-        heap = [(key(m), m) for m in work]
-        heapq.heapify(heap)
-        quot = {}
-        while heap:
-            _, m = heapq.heappop(heap)
-            c = work.pop(m, 0)
-            if not c:
-                continue
-            dt, dp = m[0] - dlead[0], m[1] - dlead[1]
-            if dt < 0 or dp < 0 or c % dc != 0:
-                return None
-            q = c // dc
-            quot[(dt, dp)] = q
-            for (rt, rp), rc in rest:
-                k = (dt + rt, dp + rp)
-                s = work.get(k, 0) - q * rc
-                if s:
-                    if k not in work:
-                        heapq.heappush(heap, (key(k), k))
-                    work[k] = s
-                else:
-                    work.pop(k, None)
-        return BiPoly._raw(_by_p_degree(quot)) if not work else None
+        if self._packed is not None:
+            return self._div_packed(ea, eb)
+        return self._div_binomial(ea, eb)
 
     def subs_inverse_prime(self, p):
         """Coefficients of the T-polynomial obtained by setting P = 1/p.
@@ -531,7 +457,7 @@ class BiRationalFunction:
         The chain sums: one pass sums N per chain (monomials differing by a
         power of x^g), keyed by the line b0*t - a0*p and t mod a (p mod b
         when a = 0).  All sums 0: the factor divides N (as in
-        `_div_binomial`) and is divided out.  Else it becomes 1 - x^m for
+        `_chain_quotient`) and is divided out.  Else it becomes 1 - x^m for
         the least proper divisor m of g whose shift x^m keeps every sum: the
         sums of N*(1 - x^m) are the differences, so that is when
         S = (1 - x^g)/(1 - x^m) divides N.  Such a shift maps one live sum
@@ -544,8 +470,9 @@ class BiRationalFunction:
         the least exchange neither 1 - x^m nor a smaller exchange divides
         N/S, or 1 - x^g or a smaller S would divide N.
         A numerator still packed (`RowSum.rational`) is divided on its packed
-        rows until a step reads its rows (chain sums, an exchange); the
-        numerator returned is decoded.
+        rows until a step reads its rows (chain sums, an exchange) or a
+        quotient's l1 bound passes the slot width, and that quotient comes
+        back decoded; the numerator returned is decoded.
         Not canonical: equal functions can reduce to different shapes.
         """
         num, den = self.numerator, []
@@ -603,10 +530,11 @@ class BiRationalFunction:
         Every denominator factor must carry a positive P-exponent, otherwise
         the truncation by P-degree would keep infinitely many terms.  The
         expansion Q of N / (1 - T^a P^b) solves Q = N + T^a P^b Q, the
-        recurrence of `_div_binomial` without its exactness test: on a copy
-        of the numerator's P-degree rows, for e = b, ..., bound in increasing
-        order, row e - b moved by T^a is added into row e.  Each factor
-        costs one sweep over the rows it produces.
+        recurrence of `_chain_quotient` truncated at the bound instead of
+        tested for exactness: on a copy of the numerator's P-degree rows,
+        for e = b, ..., bound in increasing order, row e - b moved by T^a is
+        added into row e.  Each factor costs one sweep over the rows it
+        produces.
         """
         if bound < 0:
             return BiPoly.zero()
@@ -765,6 +693,46 @@ def _times_binomial(rows, f, width):
     return out
 
 
+def _chain_quotient(rows, a, b, add):
+    """The exact quotient by 1 - T^a P^b, b > 0, of the rows
+    {e: (offset, payload)}, as rows {e: (offset, payload)}, or None.
+
+    Q = N + T^a P^b Q, solved one row at a time: quotient row e is
+    numerator row e plus quotient row e - b moved by T^a, that is with its
+    offset plus a.  add(offset, payload, row) is the sum of a quotient row
+    and a numerator row in the caller's layout, its payload 0 or empty iff
+    the sum is 0.  Rows b apart form a chain.  Between two numerator rows
+    of a chain the quotient row only moves, so it is computed once per
+    numerator row; the rows of a gap it covers are written only after the
+    division is known to be exact, so a gap costs nothing unless the
+    quotient fills it.  Exact iff the last quotient row of every chain is
+    0; a nonzero one would repeat past the top."""
+    out = {}
+    gaps = []  # (row, offset, payload, next numerator row) where a row only moves
+    last = None  # the latest nonzero quotient row, as (row, offset, payload)
+    for e in sorted(rows, key=lambda e: (e % b, e)):
+        if last is None:
+            off, q = rows[e]
+        elif (e - last[0]) % b:
+            return None
+        else:
+            if e - last[0] > b:
+                gaps.append((*last, e))
+            off, q = add(last[1] + (e - last[0]) // b * a, last[2], rows[e])
+        if q:
+            out[e] = (off, q)
+            last = (e, off, q)
+        else:
+            last = None
+    if last is not None:
+        return None
+    for e0, off, q, end in gaps:
+        for e in range(e0 + b, end, b):
+            off += a
+            out[e] = (off, q)
+    return out
+
+
 def _slot_lift(width, n):
     """2^(width-1) in each of n slots of width bits, little-endian bytes."""
     return (bytes(width // 8 - 1) + b"\x80") * n
@@ -804,9 +772,9 @@ def _signed_sum(pieces, times="*"):
 def _by_p_degree(terms):
     """The rows {p: {t: c}} of the terms {(t, p): c}, one per P-degree, each
     in the order of the terms: the layout `BiPoly` stores.  Only input that
-    arrives as terms is grouped here: the `BiPoly` constructor (so
-    `from_json` too) and the general division's quotient.  A cell comes
-    into `RowSum.add` as packed keys, never as terms."""
+    arrives as terms is grouped here: the `BiPoly` constructor, so
+    `from_json` too.  A cell comes into `RowSum.add` as packed keys, never
+    as terms."""
     rows: dict[int, dict[int, int]] = {}
     for (t, p), c in terms.items():
         row = rows.get(p)

@@ -4,9 +4,10 @@ Deliberately naive: feasibility by textbook two-phase simplex over
 Fractions, lattice enumeration by bounding boxes, generating functions by
 direct summation.  Slow but transparently correct.  Reference code that
 the package no longer needs lives here too (`det_int`, `det`, `invert`,
-`cone_faces`, `value_at`, `truncate_p`).
+`cone_faces`, `value_at`, `truncate_p`, `div_exact_general`).
 """
 
+import heapq
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -55,6 +56,50 @@ def value_at(r, t):
 def truncate_p(poly, bound):
     """The `BiPoly` poly with every term of P-degree above bound dropped."""
     return BiPoly._raw({p: row for p, row in poly._rows.items() if p <= bound})
+
+
+def div_exact_general(poly, divisor):
+    """The `BiPoly` poly / divisor if the division is exact, else None, for
+    any nonzero divisor: single-divisor multivariate division in graded-lex
+    order.  Lead monomials come off a heap (stale entries are skipped), so
+    the cost is near linear in the monomials touched; the remainder is
+    discarded as soon as it is known to be nonzero."""
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if poly.is_zero():
+        return BiPoly.zero()
+
+    def key(m):
+        # negated graded-lex so heapq's min-heap pops the largest
+        return (-(m[0] + m[1]), -m[0], -m[1])
+
+    dterms = divisor.terms()
+    dlead, dc = max(dterms, key=lambda mc: (mc[0][0] + mc[0][1], *mc[0]))
+    rest = [(m, c) for m, c in dterms if m != dlead]
+    work = poly._terms
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        dt, dp = m[0] - dlead[0], m[1] - dlead[1]
+        if dt < 0 or dp < 0 or c % dc != 0:
+            return None
+        q = c // dc
+        quot[(dt, dp)] = q
+        for (rt, rp), rc in rest:
+            k = (dt + rt, dp + rp)
+            s = work.get(k, 0) - q * rc
+            if s:
+                if k not in work:
+                    heapq.heappush(heap, (key(k), k))
+                work[k] = s
+            else:
+                work.pop(k, None)
+    return BiPoly(quot) if not work else None
 
 
 def lp_feasible(A, b) -> bool:

@@ -203,6 +203,20 @@ def test_face_relation_is_a_partial_order():
     assert len(fan.faces_of(zero)) == 1  # only itself
 
 
+def test_face_relation_is_ray_inclusion():
+    # ROADMAP's n = 5 ideal of CI: the relation read off ray bitmasks is the
+    # set-inclusion definition, and faces_of(c) is every cone whose rays
+    # lie in c's, in cone order
+    fan = fan_of([(4, 3, 0, 4, 0), (1, 4, 0, 4, 4), (3, 0, 1, 0, 4),
+                  (1, 2, 3, 1, 4), (0, 4, 2, 4, 1)], 5)
+    rays = [set(c.rays) for c in fan.cones]
+    assert fan.relation == {(i, j) for i, ri in enumerate(rays)
+                            for j, rj in enumerate(rays) if ri <= rj}
+    for c, rc in zip(fan.cones, rays):
+        assert fan.faces_of(c) == tuple(f for f, rf in zip(fan.cones, rays) if rf <= rc)
+    assert len(fan.cones) == 206
+
+
 def test_triangulate_simplicial_identity():
     c = cone_from_rays([(1, 0), (1, 1)], 2)
     assert triangulate(c) == [c]

@@ -8,7 +8,8 @@ from math import gcd, lcm
 
 import pytest
 
-from oracles import gf_series_brute, reduced_by_trial, series_by_geometric, truncate_p, value_at
+from oracles import (div_exact_general, gf_series_brute, reduced_by_trial, series_by_geometric,
+                     truncate_p, value_at)
 from test_acceptance import corpus
 from monozeta import ring
 from monozeta.conegf import Grading, lattice_gf, sum_half_open_cells
@@ -107,7 +108,7 @@ def test_poly_division_roundtrip():
         g = random_poly(rng)
         if g.is_zero():
             continue
-        assert (f * g).div_exact(g) == f
+        assert div_exact_general(f * g, g) == f
     # the one-pass product with 1 - T^a P^b, T-free and P-free ones too, on
     # sums that telescope: (1 + x + ... + x^(k-1))(1 - x) cancels all but 1 - x^k
     for _ in range(60):
@@ -120,16 +121,16 @@ def test_poly_division_roundtrip():
         for h in (f, f * geo, f * geo * 3 - geo):
             assert h._mul_binomial(a, b) == h * BiPoly.binomial(a, b)
             assert h._mul_binomial(a, b).div_exact(BiPoly.binomial(a, b)) == h
-    assert T.div_exact(ONE + T) is None
+    assert div_exact_general(T, ONE + T) is None
     assert (ONE - P).div_exact(ONE - TP) is None
 
 
 def test_binomial_division_matches_the_heap_route():
-    # T^a P^b - 1 is not of the form 1 - x, so div_exact divides by it on the
-    # heap: the quotient by 1 - T^a P^b must be its negative, or both None
+    # the heap route, `oracles.div_exact_general`, divides by T^a P^b - 1:
+    # the quotient by 1 - T^a P^b must be its negative, or both None
     def check(n, a, b):
         f = BiPoly.binomial(a, b)
-        q, heap = n.div_exact(f), n.div_exact(-f)
+        q, heap = n.div_exact(f), div_exact_general(n, -f)
         assert (q is None) == (heap is None), (n, a, b)
         assert q is None or (q == -heap and q._mul_binomial(a, b) == n), (n, a, b)
         return q is not None
@@ -171,11 +172,13 @@ def packed(poly, bound=BOUND64):
 
 def test_packed_division_matches_the_row_route():
     # the row route `_div_binomial` is the reference: a packed numerator's
-    # quotient is packed, equal to it, or None with it
+    # quotient is packed, equal to it, or None with it; the two routes share
+    # one recurrence, so both must also agree with the heap route
     def check(n, a, b):
         want = n._div_binomial(a, b)
         got = packed(n).div_exact(BiPoly.binomial(a, b))
         assert (got is None) == (want is None), (n, a, b)
+        assert want == div_exact_general(n, BiPoly.binomial(a, b)), (n, a, b)
         if got is not None:
             assert got._packed is not None, (n, a, b)
             assert got == want, (n, a, b)
@@ -207,25 +210,49 @@ def test_packed_division_matches_the_row_route():
     assert q.div_exact(ONE - P) is None
 
 
-def test_packed_division_decodes_where_its_bound_runs_out():
+def test_packed_division_decodes_where_its_bound_runs_out(monkeypatch):
     # N = c (1 - P^2) = c (1 + P)(1 - P) with l1 bound 2c in 64-bit slots:
     # the quotient's chain has 2 rows, so its bound is 4c, which must stay
-    # below 2^63; at c = 2^61 it does not, and the division decodes first
+    # below 2^63; at c = 2^61 it does not, and the quotient comes back
+    # decoded, divided on the packed rows all the same: the row route is
+    # never called, and the numerator keeps its packed rows
+    rows_route = []
+    divide = BiPoly._div_binomial
+    def counting(self, a, b):
+        rows_route.append((a, b))
+        return divide(self, a, b)
+    monkeypatch.setattr(BiPoly, "_div_binomial", counting)
     for c, stays_packed in ((2**61 - 1, True), (2**61, False)):
         n = packed(BiPoly({(0, 0): c, (0, 2): -c}), 2**62)
         assert n._packed[1:] == (64, 2 * c)
         q = n.div_exact(ONE - P)
+        assert n._packed is not None
         assert q._packed == (({0: (0, c), 1: (0, c)}, 64, 4 * c) if stays_packed else None)
         assert q == BiPoly({(0, 0): c, (0, 1): c})
     # the bound carries over: c (1 - P)(1 - P^2) has bound 4c and a 3-row
     # chain, so its quotient c (1 - P^2) has bound 12c < 2^63, and then a
-    # 2-row chain: 24c reaches 2^63 at c = 2^59, and the second division
-    # decodes first
+    # 2-row chain: 24c reaches 2^63 at c = 2^59, and the second quotient
+    # comes back decoded
     c = 2**59
     q = packed(BiPoly({(0, 0): c, (0, 1): -c, (0, 2): -c, (0, 3): c}), 2**62).div_exact(ONE - P)
     assert q._packed[2] == 12 * c
-    q = q.div_exact(ONE - P)
+    n, q = q, q.div_exact(ONE - P)
+    assert n._packed is not None
     assert q._packed is None and q == BiPoly({(0, 0): c, (0, 1): c})
+    assert rows_route == []
+
+
+def test_div_exact_divides_by_binomials_only():
+    # reduced() divides by 1 - T^a P^b alone, so div_exact takes nothing
+    # else; the general division is the test oracle `div_exact_general`
+    n = (ONE + T) * (ONE - P)
+    for bad in (ONE + T, P, ONE - 2 * P, -(ONE - P)):
+        for m in (n, packed(n)):
+            with pytest.raises(ValueError):
+                m.div_exact(bad)
+    with pytest.raises(ZeroDivisionError):
+        n.div_exact(BiPoly.zero())
+    assert n.div_exact(ONE - P) == ONE + T
 
 
 def test_poly_truncation():
@@ -535,8 +562,8 @@ def test_poly_rows_stay_canonical():
         # the row sweep, the swapped sweep (b = 0) and the heap route
         assert_same(fb.div_exact(BiPoly.binomial(a, b)), f)
         if g:
-            assert_same((f * g).div_exact(g), f)
-        for q in (fb.div_exact(-BiPoly.binomial(a, b)), (fb + ONE).div_exact(ONE - P),
+            assert_same(div_exact_general(f * g, g), f)
+        for q in (div_exact_general(fb, -BiPoly.binomial(a, b)), (fb + ONE).div_exact(ONE - P),
                   (fb + ONE).div_exact(ONE - T)):
             assert q is None or assert_canonical(q) is q
         rf = BiRationalFunction(f, [random_factor(rng) for _ in range(rng.randint(0, 3))])
@@ -846,7 +873,7 @@ def cyclotomic(x, g):
     out = BiPoly.binomial(g * x[0], g * x[1])
     for d in range(1, g):
         if g % d == 0:
-            out = out.div_exact(cyclotomic(x, d))
+            out = div_exact_general(out, cyclotomic(x, d))
     return out
 
 
