@@ -175,9 +175,10 @@ def _cmd_bsroots(args) -> int:
     return 0 if check.all_verified else 1
 
 
-# the direct expansion walks every lattice point of coordinate sum <= bound:
-# --ideal x,y,z --bound 150 (585,276 points) took ~0.4 s, the whole verify
-# ~0.8 s (2 vCPU, Python 3.11)
+# the direct expansion counts every lattice point of coordinate sum <= bound:
+# --ideal x,y,z --bound 150 (585,276 points) took 0.15-0.23 s, the whole
+# verify 0.3-0.5 s; the n = 5 ideal of CI at --bound 38 (962,598 points)
+# 0.31-0.53 s, the whole verify 1.05-1.35 s (2 vCPU, Python 3.11)
 _MAX_SERIES_POINTS = 10**6
 
 

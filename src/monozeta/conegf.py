@@ -27,7 +27,8 @@ from itertools import product
 from math import prod
 from operator import add, mul
 
-from .fan import Cone, _scaled_inverse, triangulate
+from .fan import Cone, _cells, _scaled_inverse
+from .fan import triangulate  # noqa: F401  kept: perfbench/tracer.py wraps conegf.triangulate
 from .linalg import Vec, dot, left_kernel_basis
 from .linalg import solve  # noqa: F401  kept: perfbench/test_harness.py reads conegf.solve
 from .ring import BiRationalFunction, RowSum
@@ -59,7 +60,7 @@ class HalfOpenSimplicialCone:
     group is (D, rows): rows of D [rays; C]^-1, C a basis of the covectors
     vanishing on the rays' span and D = |det [rays; C]|, ray coordinates
     first.  They generate the parallelepiped group (`parallelepiped_points`).
-    A cell from `_half_open_cells` takes them from `triangulate`; a cell
+    A cell from `_half_open_cells` takes them from `fan._cells`; a cell
     built here takes them from the same `_scaled_inverse`, with C from
     `left_kernel_basis`, whose size is the rank check."""
 
@@ -255,8 +256,9 @@ def _digits(key, shift, count):
         key = (key - digit) >> shift
 
 
-def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
-    """Triangulate; a cell wall is open iff q lies strictly on its far side.
+def _half_open_cells(cone: Cone, q: Vec):
+    """The cells of the cone's triangulation (`fan._cells`), yielded one at
+    a time; a cell wall is open iff q lies strictly on its far side.
 
     Ties are broken by perturbing q lexicographically along e_1, ..., e_n.
     Cones dissecting a region and sharing a q that stays in the region under
@@ -266,18 +268,16 @@ def _half_open_cells(cone: Cone, q: Vec) -> list[HalfOpenSimplicialCone]:
     relative interior (Koeppe & Verdoolaege 2008, Thm 3).
 
     The wall opposite ray j is column j of the cell's D [rays; C]^-1 from
-    `triangulate`, up to a positive factor that changes no sign.  The unit
+    `fan._cells`, up to a positive factor that changes no sign.  The unit
     vectors serve every cone: the walls are orthogonal to the span-kernel
     rows C, so they lie in the span, where a push along e_i acts as one
     along its projection.  The cell keeps the same matrix as its group rows.
     """
-    out = []
-    for cell in triangulate(cone):
+    for cell in _cells(cone):
         walls = list(zip(*cell.inverse[1]))[:len(cell.rays)]
         open_idx = frozenset(j for j, h in enumerate(walls)
                              if next(s for s in (dot(h, q), *h) if s) < 0)
-        out.append(HalfOpenSimplicialCone._of_cell(cell.rays, open_idx, cell.inverse))
-    return out
+        yield HalfOpenSimplicialCone._of_cell(cell.rays, open_idx, cell.inverse)
 
 
 # every point is counted and kept until its cell is summed: the cyclic cell
@@ -306,18 +306,21 @@ def sum_half_open_cells(jobs, times=()) -> BiRationalFunction:
     multiset D of the cells' factors and the l1 bound, sum over the cells of
     points 2^|D - den|, doubled per factor in times, that fixes the slot
     width of the one `RowSum` taking the cells.  A plan whose point count
-    passes `_MAX_CELL_POINTS` is a ValueError, raised before any point is
-    counted."""
-    plan, den = [], Counter()
+    passes `_MAX_CELL_POINTS` is a ValueError, raised at the first cell
+    that takes the running count past it, before any point is counted and
+    before the cells after it are eliminated."""
+    plan, den, points = [], Counter(), 0
     for cone, q, grading in jobs:
         for cell in _half_open_cells(cone, q):
+            count = _cell_points(cell)
+            points += count
+            if points > _MAX_CELL_POINTS:
+                raise ValueError(f"the half-open cells hold at least {points} lattice "
+                                 f"points (the sum of |det|); the limit is "
+                                 f"{_MAX_CELL_POINTS}")
             weights = [grading.weight(r) for r in cell.rays]
-            plan.append((cell, grading, weights, _cell_points(cell)))
+            plan.append((cell, grading, weights, count))
             den |= Counter(weights)
-    points = sum(count for *_, count in plan)
-    if points > _MAX_CELL_POINTS:
-        raise ValueError(f"the half-open cells hold {points} lattice points "
-                         f"(the sum of |det|); the limit is {_MAX_CELL_POINTS}")
     size = den.total()
     acc = RowSum(sum(count << size - len(w) for _, _, w, count in plan) << len(times))
     for cell, grading, weights, _ in plan:

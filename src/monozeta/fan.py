@@ -175,7 +175,14 @@ def normal_fan(poly: NewtonPolyhedron) -> Fan:
 
 
 def triangulate(cone: Cone) -> list[Cone]:
-    """Pulling triangulation of the cone using only its own rays.
+    """Pulling triangulation of the cone using only its own rays: the cells
+    of `_cells`, listed."""
+    return list(_cells(cone))
+
+
+def _cells(cone: Cone):
+    """The cells of the pulling triangulation, each eliminated as it is
+    yielded, so a caller can stop before the rest are built.
 
     Recurses over ray sets as bitmasks, never building a Cone for a face:
     every face of a face F is a face of the cone, so the facets of F are
@@ -201,7 +208,8 @@ def triangulate(cone: Cone) -> list[Cone]:
     pairs = [h for h, z in zip(cone.ineqs, zeros) if z == full]
     kernel = tuple(h for h in pairs if h > tuple(-x for x in h))  # one of each pair
     if cone.is_simplicial():
-        return [replace(cone, inverse=_scaled_inverse(rays + kernel, n))]
+        yield replace(cone, inverse=_scaled_inverse(rays + kernel, n))
+        return
 
     def ray_tuple(mask):
         return tuple(r for i, r in enumerate(rays) if mask >> i & 1)
@@ -217,13 +225,11 @@ def triangulate(cone: Cone) -> list[Cone]:
                 cells.extend(sub | apex for sub in pull(facet, dim - 1))
         return cells
 
-    out = []
     for cell in pull(full, cone.dim):
         cell_rays = tuple(sorted(ray_tuple(cell)))
         inverse = _scaled_inverse(cell_rays + kernel, n)
         walls = sorted(primitive([row[j] for row in inverse[1]]) for j in range(cone.dim))
-        out.append(Cone(n, cell_rays, tuple(walls + pairs), cone.dim, inverse=inverse))
-    return out
+        yield Cone(n, cell_rays, tuple(walls + pairs), cone.dim, inverse=inverse)
 
 
 def _scaled_inverse(rows, n):

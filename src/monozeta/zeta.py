@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from math import comb
 from operator import add
 
 from .conegf import Grading, sum_half_open_cells
@@ -162,40 +162,64 @@ def divisor_data(ideal: MonomialIdeal) -> tuple[DivisorData, ...]:
     return _divisors_of_fan(fan, ideal)
 
 
+# entries (points times generators) of the per-degree tables; past it the
+# leading variables are walked depth first instead.  On the n = 10 ideal of
+# 20 generators at bound 12 (646,646 points) the tables then cover six
+# variables and the peak RSS grows by 2.7 MB in 0.7-0.9 s; at 3 * 10^6 they
+# cover eight and it grows by 27 MB, and tables of all nine by 63 MB
+# (2 vCPU, Python 3.11)
+_MAX_TABLE_ENTRIES = 10**6
+
+
 def zeta_series(ideal: MonomialIdeal, bound: int) -> BiPoly:
     """Direct truncation of the defining sum, independent of the fan route.
 
     (1 - P)^n times the sum of T^{ord(a)} P^{|a|} over lattice points a with
-    |a| <= bound, truncated to P-degree <= bound.  ord(a) = min_g <g, a> is
-    carried, not recomputed: one depth-first walk of the orthant on an
-    explicit stack (O(n * bound) entries), each node holding the next
-    variable, |a| so far and the partial orders <g, a_0...a_{i-1}>, one per
-    generator.  A step along variable i adds the generators' column i.  At
-    the last variable the k = bound - |a| + 1 leaves are taken at once:
-    generator g's orders along it run in a lane p, p + c, ..., c its last
-    entry, and the leaves' orders are the lanes' elementwise minimum.
+    |a| <= bound, truncated to P-degree <= bound, read off the generators
+    alone.  ord(a) = min_g <g, a> is built one total degree at a time.  For
+    the trailing variables a table holds, per degree s <= bound and per
+    generator g, the orders <g, a> over the points a with |a| = s: the
+    degree-s lane of a variable is its successor's lanes of degree s - x
+    shifted by x g_i, for x = 0..s, so the whole simplex shares them.  The
+    table covers the longest suffix of at most max(n - 1, 1) variables
+    whose points times generators stay within `_MAX_TABLE_ENTRIES`; the
+    leading variables are walked depth first on an explicit stack, each
+    node holding |a| so far and its partial orders, one per generator.  A leaf
+    at |a| = u merges with each degree s of the table: the lanes shifted by
+    its partial orders, their elementwise minimum counted into P-degree row
+    u + s.  (1 - P)^n is then n sweeps of `_mul_binomial(0, 1)`, each cut
+    at the bound.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    n = ideal.n
+    n, gens = ideal.n, len(ideal.generators)
     cols = list(zip(*ideal.generators))
-    last = cols.pop()
-    counts: Counter = Counter()
-    stack = [(0, 0, (0,) * len(last))]
+    k = max(1, n - 1)
+    while k > 1 and gens * comb(bound + k, k) > _MAX_TABLE_ENTRIES:
+        k -= 1
+    table = [[[s * c] for c in cols[-1]] for s in range(bound + 1)]
+    for col in reversed(cols[n - k:-1]):
+        table = [[[v + x * c for x in range(s + 1) for v in table[s - x][g]]
+                  for g, c in enumerate(col)] for s in range(bound + 1)]
+    rows = [Counter() for _ in range(bound + 1)]
+    stack = [(0, 0, (0,) * gens)]
     while stack:
         i, used, part = stack.pop()
-        if i < n - 1:
+        if i < n - k:
             col = cols[i]
             for v in range(used, bound + 1):
                 stack.append((i + 1, v, part))
                 part = tuple(map(add, part, col))
             continue
-        k = bound - used + 1
-        lanes = [range(p, p + c * k, c) if c else repeat(p, k)
-                 for p, c in zip(part, last)]
-        orders = lanes[0] if len(lanes) == 1 else map(min, *lanes)
-        counts.update(zip(orders, range(used, bound + 1)))
-    return BiPoly(counts).mul_truncated(BiPoly.binomial(0, 1) ** n, bound)
+        for s in range(bound - used + 1):
+            lanes = [[v + p for v in lane] if p else lane
+                     for p, lane in zip(part, table[s])]
+            rows[used + s].update(lanes[0] if gens == 1 else map(min, *lanes))
+    series = BiPoly._raw({p: dict(row) for p, row in enumerate(rows)})
+    for _ in range(n):
+        series = series._mul_binomial(0, 1)
+        series._rows.pop(bound + 1, None)
+    return series
 
 
 def latex_zeta(rf: BiRationalFunction) -> str:

@@ -127,7 +127,7 @@ def test_cell_points_are_refused_before_enumeration(capsys):
     code, out, err = run(capsys, "zeta", "--ideal", "x^1000000000, y")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("error: the half-open cells hold 1000000001 lattice points "
+    assert err == ("error: the half-open cells hold at least 1000000001 lattice points "
                    "(the sum of |det|); the limit is 1000000\n")
 
 

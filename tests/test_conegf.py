@@ -192,8 +192,31 @@ def test_cell_points_are_refused_before_counting(monkeypatch):
     assert len(counted) == 10
     monkeypatch.setattr(conegf, "_MAX_CELL_POINTS", 9)
     monkeypatch.setattr(conegf, "parallelepiped_points", None)
-    with pytest.raises(ValueError, match=r"hold 10 lattice points .*; the limit is 9$"):
+    with pytest.raises(ValueError, match=r"hold at least 10 lattice points .*; the limit is 9$"):
         sum_half_open_cells(jobs)
+
+
+def test_cell_points_are_refused_at_the_first_cell_past_the_limit(monkeypatch):
+    # the n = 6 ideal that CI verifies: 197 cells, 5 of its maximal cones
+    # non-simplicial.  With the limit low, the plan stops at the first cell
+    # that passes it, so most cells are never eliminated
+    ideal = MonomialIdeal(6, [(3, 1, 1, 1, 0, 1), (1, 0, 2, 2, 2, 3), (3, 2, 1, 3, 0, 1),
+                              (3, 3, 0, 3, 1, 0), (3, 3, 3, 0, 3, 3), (2, 3, 0, 1, 2, 3),
+                              (3, 1, 0, 0, 0, 2), (2, 1, 2, 3, 2, 2)])
+    sigmas = normal_fan(newton_polyhedron(ideal)).maximal_cones()
+    assert sum(len(triangulate(sigma)) for sigma in sigmas) == 197
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return linalg.eliminate(*args)
+
+    monkeypatch.setattr(fan, "eliminate", counted)
+    monkeypatch.setattr(conegf, "_MAX_CELL_POINTS", 20)
+    ones = (1,) * ideal.n
+    with pytest.raises(ValueError, match=r"hold at least 2\d lattice points .*; the limit is 20$"):
+        sum_half_open_cells([(sigma, ones, Grading(sigma.vertex, ones)) for sigma in sigmas])
+    assert 0 < len(calls) < 197
 
 
 def test_lower_dimensional_cell_points_are_counted_exactly(monkeypatch):
@@ -290,11 +313,11 @@ def test_half_open_cells_partition_cone():
             # orthant points rarely lie in a lower-dimensional span
             points += [tuple(dot(c, col) for col in zip(*cone.rays))
                        for c in itertools.product(range(3), repeat=len(cone.rays))]
-        cases.append((_half_open_cells(cone, interior), cone.contains, points))
+        cases.append((list(_half_open_cells(cone, interior)), cone.contains, points))
         # the reference point reflected beyond every facet: the cells
         # partition the relative interior (the interior generating function)
         outside = tuple(-x for x in interior)
-        cases.append((_half_open_cells(cone, outside), cone.contains_relint, points))
+        cases.append((list(_half_open_cells(cone, outside)), cone.contains_relint, points))
     # the pipeline's decomposition of the orthant: the maximal cones of the
     # fan, some non-simplicial here, all against the reference point (1, ..., 1)
     for n, gens, bound in [

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from monozeta.fan import normal_fan
 from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
 from monozeta.ring import BiPoly, BiRationalFunction
 from monozeta.zeta import (
+    _MAX_TABLE_ENTRIES,
     divisor_data,
     igusa_zeta,
     latex_zeta,
@@ -189,9 +194,12 @@ def test_series_frozen_values():
         zeta_series(plane, -1)
 
 
-def test_zeta_series_matches_the_definition():
+def test_zeta_series_matches_the_definition(monkeypatch):
     # (1 - P)^n * sum of T^ord(a) P^|a| over |a| <= bound, ord read off
-    # vanishing_order point by point
+    # vanishing_order point by point; n = 5 and 6 merge tables of up to five
+    # variables.  A second pass with the table limit at 40 entries walks
+    # some leading variables depth first, and every one but the last at
+    # the larger bounds
     rng = random.Random(731)
     planted = [
         MonomialIdeal(1, [(3,)]),
@@ -200,15 +208,24 @@ def test_zeta_series_matches_the_definition():
         MonomialIdeal(2, [(1, 0), (0, 2), (1, 0)]),  # a duplicate
         MonomialIdeal(3, [(1, 1, 0), (2, 1, 0), (1, 1, 3)]),  # dominated
         MonomialIdeal(4, [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 3, 0)]),
+        MonomialIdeal(5, [(1, 2, 0, 3, 1), (0, 1, 2, 0, 2), (2, 0, 1, 1, 0)]),
+        MonomialIdeal(5, [(0, 0, 0, 0, 1), (1, 0, 0, 0, 0)]),  # zero columns
+        MonomialIdeal(6, [(1, 0, 2, 0, 1, 1), (0, 2, 1, 1, 0, 0), (3, 1, 0, 0, 2, 1),
+                          (1, 1, 1, 1, 1, 1)]),
+        MonomialIdeal(6, [(0, 0, 1, 0, 0, 0)]),
     ]
     ideals = planted + [random_ideal(rng, rng.randint(1, 4), 5, 3)
                         for _ in range(40 - len(planted))]
+    wants = []
     for i, ideal in enumerate(ideals):
         bound = i % 10
         raw = BiPoly(Counter((ideal.vanishing_order(a), sum(a))
                              for a in orthant_points(ideal.n, bound)))
-        want = raw.mul_truncated(BiPoly.binomial(0, 1) ** ideal.n, bound)
-        assert zeta_series(ideal, bound) == want, (ideal.generators, bound)
+        wants.append(raw.mul_truncated(BiPoly.binomial(0, 1) ** ideal.n, bound))
+    for limit in (_MAX_TABLE_ENTRIES, 40):
+        monkeypatch.setattr("monozeta.zeta._MAX_TABLE_ENTRIES", limit)
+        for i, (ideal, want) in enumerate(zip(ideals, wants)):
+            assert zeta_series(ideal, i % 10) == want, (ideal.generators, i % 10, limit)
 
 
 def test_zeta_series_at_scale():
@@ -218,6 +235,37 @@ def test_zeta_series_at_scale():
     direct = zeta_series(ideal, 150)
     assert time.perf_counter() - start < 2.0
     assert direct == igusa_zeta(ideal).zeta.series(150)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_zeta_series_memory_stays_bounded():
+    # n = 10 at bound 12: 646,646 points and 20 generators.  Tables of all
+    # nine variables after the first would hold 5.9 M orders and grow the
+    # peak RSS by about 63 MB; the limit keeps them to six variables, a
+    # growth of about 3 MB.  The child's peak is read as VmHWM, which starts
+    # afresh at exec: ru_maxrss keeps the parent's peak across fork and
+    # exec, so under pytest its growth reads ~20 MB low.  Growth, not the
+    # absolute peak, is compared
+    child = """
+import random
+from monozeta.polyhedra import MonomialIdeal
+from monozeta.zeta import zeta_series
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+rng = random.Random(5)
+ideal = MonomialIdeal(10, [tuple(rng.randint(0, 9) for _ in range(10)) for _ in range(20)])
+before = peak_kib()
+zeta_series(ideal, 12)
+print(peak_kib() - before)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50 * 1024
 
 
 def test_series_agrees_with_closed_form():
