@@ -16,8 +16,8 @@ every facet, the relative interior (Koeppe & Verdoolaege 2008, Thm 3).
 A cell's parallelepiped is a finite group, enumerated as a mixed-radix
 residue system, a batch at a time (`parallelepiped_points`).  Under a
 grading each point comes out as one int, the key t + (p << S) of its weight
-(t, p), and a cell's counted keys go into a `RowSum` as they are, with no
-tuple and no term built."""
+(t, p), and the cells' counted keys go to `ring.packed_sum` as they are,
+with no tuple and no term built, to be summed with a factor tree."""
 
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .fan import Cone, _cells, _scaled_inverse
 from .fan import triangulate  # noqa: F401  kept: perfbench/tracer.py wraps conegf.triangulate
 from .linalg import Vec, dot, left_kernel_basis
 from .linalg import solve  # noqa: F401  kept: perfbench/test_harness.py reads conegf.solve
-from .ring import BiRationalFunction, RowSum
+from .ring import BiRationalFunction, packed_sum
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
     packed into one int by signed digits S bits apart.  With a grading,
     K_i = a_i + (b_i << S), (a_i, b_i) the ray's weight and S =
     `weight_shift(cell, grading)`: the key t + (p << S) of the point's
-    weight (t, p), which `RowSum.add` reads.  Without one, K_i packs the
+    weight (t, p), which `ring.packed_sum` reads.  Without one, K_i packs the
     ray's n coordinates, and the keys are decoded into the sorted points.
     A digit can be negative (a ray or a grading can be), so a key is
     decoded with a rounding shift: p = (key + 2^(S-1)) >> S and
@@ -301,34 +301,24 @@ def sum_half_open_cells(jobs, times=()) -> BiRationalFunction:
     counted weight keys over one factor 1 - T^a P^b per ray, the numerator
     then multiplied by 1 - T^a P^b for each (a, b) in times.
 
-    Every cone is triangulated first, each cell kept with its rays' weights
-    and its point count (`_cell_points`).  This plan gives the least common
-    multiset D of the cells' factors and the l1 bound, sum over the cells of
-    points 2^|D - den|, doubled per factor in times, that fixes the slot
-    width of the one `RowSum` taking the cells.  A plan whose point count
-    passes `_MAX_CELL_POINTS` is a ValueError, raised at the first cell
-    that takes the running count past it, before any point is counted and
-    before the cells after it are eliminated."""
-    plan, den, points = [], Counter(), 0
+    Every cone is triangulated first, each cell kept with its grading: a
+    plan whose point count (`_cell_points`) passes `_MAX_CELL_POINTS` is a
+    ValueError at the first cell that takes the running count past it,
+    before any point is counted and before later cells are eliminated.
+    Then every cell's counted keys go to `ring.packed_sum`, its rays'
+    weights as its factors, which sums them with a factor tree."""
+    plan, points = [], 0
     for cone, q, grading in jobs:
         for cell in _half_open_cells(cone, q):
-            count = _cell_points(cell)
-            points += count
+            points += _cell_points(cell)
             if points > _MAX_CELL_POINTS:
                 raise ValueError(f"the half-open cells hold at least {points} lattice "
                                  f"points (the sum of |det|); the limit is "
                                  f"{_MAX_CELL_POINTS}")
-            weights = [grading.weight(r) for r in cell.rays]
-            plan.append((cell, grading, weights, count))
-            den |= Counter(weights)
-    size = den.total()
-    acc = RowSum(sum(count << size - len(w) for _, _, w, count in plan) << len(times))
-    for cell, grading, weights, _ in plan:
-        acc.add(Counter(parallelepiped_points(cell, grading)),
-                _key_shift(weights), weights)
-    for a, b in times:
-        acc.mul_binomial(a, b)
-    return acc.rational()
+            plan.append((cell, grading))
+    return packed_sum([(Counter(parallelepiped_points(cell, grading)), _key_shift(w), w)
+                       for cell, grading in plan
+                       for w in [[grading.weight(r) for r in cell.rays]]], times)
 
 
 def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:

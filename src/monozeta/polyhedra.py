@@ -79,10 +79,6 @@ class NewtonPolyhedron:
     def contains(self, u) -> bool:
         return all(dot(u, f.normal) >= f.offset for f in self.facets)
 
-    def min_pairing(self, a) -> int:
-        """min over the polyhedron of <u, a>; equals the ideal's vanishing order."""
-        return min(dot(w, a) for w in self.vertices)
-
     def to_json(self):
         return {
             "vertices": [list(v) for v in self.vertices],

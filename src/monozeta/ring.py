@@ -8,17 +8,19 @@ polynomials have equal rows.  Row dicts may be shared between polynomials
 and are never changed once a polynomial holds them.  A rational function
 keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
-such fractions is accumulated in a `RowSum`, its numerator packed one int
-per P-degree at a fixed width and built from keys.  The packed rows go on
-to `reduced()` as they are: its divisions run on them, and they are decoded
-once into rows, after the divisions or with the quotient whose l1 bound
-passes the slot width.  The only division is exact division by a binomial
-1 - T^a P^b, one chain recurrence (`_chain_quotient`) over packed or
-decoded rows.  `reduced()` decides each denominator factor once: one
-modular screen, read off the numerator's row values at a single point T0,
-keeps most factors, and exact division and chain sums decide the others.
-A polynomial from a `RowSum` comes with those values, one remainder per
-packed row; any other computes them once from its terms.
+such fractions is made at once by `packed_sum`, over a factor tree on the
+least common multiset of their factors, its numerator packed one int per
+P-degree at a width fixed from its l1 bound and built from keys.  The
+packed rows go on to `reduced()` as they are: its divisions run on them,
+and they are decoded once into rows, after the divisions or with the
+quotient whose l1 bound passes the slot width.  The only division is
+exact division by a binomial 1 - T^a P^b, one chain recurrence
+(`_chain_quotient`) over packed or decoded rows.  `reduced()` decides
+each denominator factor once: one modular screen, read off the
+numerator's row values at a single point T0, keeps most factors, and
+exact division and chain sums decide the others.  A polynomial from
+`packed_sum` comes with those values, one remainder per packed row; any
+other computes them once from its terms.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class BiPoly:
     """Sparse polynomial in T and P with integer coefficients, stored as
     its P-degree rows.
 
-    A polynomial from `RowSum.rational` holds packed rows instead,
-    `_packed` = ({p: (t0, v)}, W, B) in `RowSum`'s layout, B an l1 bound
+    A polynomial from `packed_sum` holds packed rows instead,
+    `_packed` = ({p: (t0, v)}, W, B) in `packed_sum`'s layout, B an l1 bound
     below 2^(W-1).  Binomial division (`_div_packed`) reads them as they
     are, and leaves them; the first read of `_rows` decodes them, once, and
     drops them."""
@@ -403,8 +405,8 @@ class BiRationalFunction:
     def __add__(self, other):
         """Sum over the least common multiset of denominator factors.
 
-        API only: the pipeline sums its cells in a `RowSum`, which keeps the
-        same multiset and so reaches the same numerator."""
+        API only: the pipeline sums its cells with `packed_sum`, which
+        keeps the same multiset and so reaches the same numerator."""
         if not isinstance(other, BiRationalFunction):
             return NotImplemented
         mine = Counter(self.denominator)
@@ -469,7 +471,7 @@ class BiRationalFunction:
         N; factors along different x share no cyclotomic factor; and after
         the least exchange neither 1 - x^m nor a smaller exchange divides
         N/S, or 1 - x^g or a smaller S would divide N.
-        A numerator still packed (`RowSum.rational`) is divided on its packed
+        A numerator still packed (`packed_sum`) is divided on its packed
         rows until a step reads its rows (chain sums, an exchange) or a
         quotient's l1 bound passes the slot width, and that quotient comes
         back decoded; the numerator returned is decoded.
@@ -599,76 +601,86 @@ class BiRationalFunction:
                    [tuple(f) for f in data["denominator"]])
 
 
-class RowSum:
-    """A running sum of fractions N / prod(1 - T^a P^b), kept over the least
-    common multiset of denominator factors as `BiRationalFunction.__add__`
-    keeps it, the numerator packed one int per P-degree.
+def packed_sum(cells, times=()):
+    """The sum of the fractions N / prod(1 - T^a P^b) over the sequence of
+    cells (keys, shift, factors), over the least common multiset D of their
+    factors as `BiRationalFunction.__add__` keeps it, the numerator then
+    multiplied by 1 - T^a P^b for each (a, b) in times.  N's terms
+    c T^t P^p come as keys {t + (p << shift): c}, p >= 0 and
+    0 <= t < 2^(shift-1) (a cell's counted weight keys), packed with no
+    term built (`_pack_keys`): row p is (t0, v), v its T-polynomial over
+    T^t0 at T = 2^W, exact whatever the coefficients and read back if each
+    is below 2^(W-1).  So W is the least of 64, 128, ... above the l1 bound
+    B, sum over the cells of l1(N) 2^|D - factors|, doubled per factor in
+    times.  `reduced()` gets the packed rows and B, and divides on them."""
+    den = Counter()
+    for _, _, factors in cells:
+        den |= Counter(factors)
+    order = sorted(den.elements())
+    bound = sum(sum(map(abs, keys.values())) << len(order) - len(factors)
+                for keys, _, factors in cells) << len(times)
+    width = 64 << (bound.bit_length() // 64).bit_length()
+    # a cell holding m copies of f holds the first m of D's bits for f
+    packed = [(_pack_keys(keys, shift, width),
+               sum(((1 << k) - 1) << bisect_left(order, f) for f, k in Counter(factors).items()))
+              for keys, shift, factors in cells]
+    bits = {1 << i: f for i, f in enumerate(map(_as_factor, order))}
+    rows = _tree_sum(packed, bits, width) if packed else {}
+    for f in times:
+        rows = _times_binomial(rows, _as_factor(f), width)
+    return BiRationalFunction(BiPoly._of_packed(rows, width, bound), order)
 
-    Row p is (t0, v) with v = sum of c_t 2^(W (t - t0)): the row's
-    T-polynomial over T^t0, evaluated at T = 2^W (Kronecker substitution).
-    Adding aligns two offsets with one shift, and multiplying by
-    1 - T^a P^b subtracts row p, its offset moved by a, from row p + b.
-    These are ring operations, so v is exact whatever the coefficients; only
-    reading them back needs each below 2^(W-1) in absolute value.  A sum is
-    made for an l1 bound on its numerator, W the least of 64, 128, ... with
-    the bound below 2^(W-1), and tracks the bound it reaches (a fraction
-    adds its own, a binomial at most doubles it): a step past the declared
-    one is a broken invariant, raises AssertionError and changes nothing.  A fraction's numerator
-    comes in as packed keys t + (p << S), a cell's counted weight keys, and
-    goes into rows with no term built.  Since v is the row's value at
-    T = 2^W, v mod q is its value at T0 = 2^W mod q, read by `reduced()`.
-    The rows leave the sum packed (`rational`): `reduced()` divides on them
-    and decodes them once, after its divisions.
-    """
 
-    __slots__ = ("_rows", "_den", "_width", "_bound", "_limit")
+def _tree_sum(cells, den, width):
+    """The packed rows of the sum over the cells (rows, mask) of rows times
+    1 - x_f for each bit f of den, {bit: factor}, that the mask lacks: a
+    factor tree over the live bits, those not yet multiplied in.  Cells
+    that agree on them are added, and the sum is lifted by the ones they
+    lack.  Else the cells lacking F (the live bits none holds, else the one
+    the fewest hold, counted in one pass over the masks) are summed over
+    the other live bits and multiplied once by 1 - x_f for f in F, and the
+    cells holding F are summed over the same bits and added.  The joins
+    (F, held) run off a stack; the adds write into the cells' rows."""
+    todo, done = [(cells, sum(den))], []
+    while todo:
+        node, live = todo.pop()
+        if isinstance(node, int):  # the join at the bits node
+            rows = done.pop(-1 - live)
+            for f in _bits(node):
+                rows = _times_binomial(rows, den[f], width)
+            if live:
+                _add_rows(rows, done.pop(), 0, 0, 1, width)
+            done.append(rows)
+            continue
+        masks = Counter(mask & live for _, mask in node)
+        if len(masks) == 1:
+            rows = node[0][0]
+            for more, _ in node[1:]:
+                _add_rows(rows, more, 0, 0, 1, width)
+            for f in _bits(live & ~node[0][1]):
+                rows = _times_binomial(rows, den[f], width)
+            done.append(rows)
+            continue
+        counts = Counter()
+        for mask, k in masks.items():
+            for f in _bits(mask):
+                counts[f] += k
+        # held by no cell, else by the fewest, never by all: two masks differ
+        f = live & ~sum(counts) or min(_bits(live), key=counts.__getitem__)
+        hold = [cell for cell in node if cell[1] & f]
+        todo.append((f, bool(hold)))
+        if hold:
+            todo.append((hold, live ^ f))
+        todo.append(([cell for cell in node if not cell[1] & f], live ^ f))
+    return done.pop()
 
-    def __init__(self, bound):
-        self._rows: dict[int, tuple[int, int]] = {}
-        self._den: Counter = Counter()
-        self._width = 64
-        while bound >> (self._width - 1):
-            self._width *= 2
-        self._bound = 0
-        self._limit = bound
 
-    def add(self, keys, shift, factors):
-        """Add N / prod of 1 - T^a P^b over factors (a, b).  The terms
-        c T^t P^p of N come packed, keys maps t + (p << shift) to c, with
-        p >= 0 and 0 <= t < 2^(shift-1) (a cell's weight keys, counted), and
-        go into packed rows with no term built (`_pack_keys`)."""
-        factors = Counter(map(_as_factor, factors))
-        grow, lift = factors - self._den, self._den - factors
-        bound = self._checked((self._bound << sum(grow.values()))
-                              + (sum(map(abs, keys.values())) << sum(lift.values())))
-        width = self._width
-        rows = _pack_keys(keys, shift, width)  # may reject the keys: nothing changed yet
-        for f in grow.elements():
-            self._rows = _times_binomial(self._rows, f, width)
-        for f in lift.elements():
-            rows = _times_binomial(rows, f, width)
-        _add_rows(self._rows, rows, 0, 0, 1, width)
-        self._den += grow
-        self._bound = bound
-
-    def mul_binomial(self, a, b):
-        """Multiply the numerator by 1 - T^a P^b; the denominator stays."""
-        f = _as_factor((a, b))
-        self._bound = self._checked(2 * self._bound)
-        self._rows = _times_binomial(self._rows, f, self._width)
-
-    def _checked(self, bound):
-        if bound > self._limit:
-            raise AssertionError(f"the sum's l1 bound {bound} passes the declared {self._limit}")
-        return bound
-
-    def rational(self):
-        """The sum as a BiRationalFunction whose numerator keeps a copy of
-        the packed rows, with the width and the l1 bound the sum reached,
-        for `reduced()` to divide on (`BiPoly._div_packed`) and screen on
-        (`BiPoly._row_values`); each row is decoded once, on first read."""
-        num = BiPoly._of_packed(dict(self._rows), self._width, self._bound)
-        return BiRationalFunction(num, self._den.elements())
+def _bits(mask):
+    """The set bits of mask, each as a power of 2, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def _add_rows(target, rows, a, b, sign, width):
@@ -773,7 +785,7 @@ def _by_p_degree(terms):
     """The rows {p: {t: c}} of the terms {(t, p): c}, one per P-degree, each
     in the order of the terms: the layout `BiPoly` stores.  Only input that
     arrives as terms is grouped here: the `BiPoly` constructor, so
-    `from_json` too.  A cell comes into `RowSum.add` as packed keys, never
+    `from_json` too.  A cell comes into `packed_sum` as packed keys, never
     as terms."""
     rows: dict[int, dict[int, int]] = {}
     for (t, p), c in terms.items():

@@ -115,13 +115,13 @@ def pole_report(zeta: BiRationalFunction, n: int):
 def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
     """Exact Igusa zeta function of the ideal, reduced, with pole data.
 
-    Every maximal cone's half-open cells are planned, then summed in one
-    `RowSum` at a slot width fixed from the plan's bound, and the numerator
-    is multiplied by 1 - P n times (`sum_half_open_cells`).  The numerator
-    reaches `reduced()` still packed, each row's value at the screen point
-    T0 taken from the packed row; its 1 - P divisions run on the packed
-    rows, and `reduced()` decodes the result once, before it returns, so the
-    numerator returned holds rows.  The (1 - P)^n that `reduced()` divides
+    Every maximal cone's half-open cells are planned, then summed with a
+    factor tree at a slot width fixed from the sum's l1 bound, and the
+    numerator is multiplied by 1 - P n times (`sum_half_open_cells`).  The
+    numerator reaches `reduced()` still packed, each row's value at the
+    screen point T0 taken from the packed row; its 1 - P divisions run on
+    the packed rows, and `reduced()` decodes the result once, before it
+    returns, so the numerator returned holds rows.  The (1 - P)^n that `reduced()` divides
     out again stays until the benchmark harness no longer needs
     `ring.div_exact_calls` above 0 (ROADMAP items 5, 15).
     """

@@ -4,7 +4,8 @@ Deliberately naive: feasibility by textbook two-phase simplex over
 Fractions, lattice enumeration by bounding boxes, generating functions by
 direct summation.  Slow but transparently correct.  Reference code that
 the package no longer needs lives here too (`det_int`, `det`, `invert`,
-`cone_faces`, `value_at`, `truncate_p`, `div_exact_general`).
+`cone_faces`, `value_at`, `truncate_p`, `div_exact_general`,
+`min_pairing`).
 """
 
 import heapq
@@ -20,6 +21,11 @@ from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
 def det_int(rows) -> int:
     _, pivots, d, sign = eliminate(rows)
     return sign * d if len(pivots) == len(rows) else 0
+
+
+def min_pairing(poly, a) -> int:
+    """min over the polyhedron of <u, a>; equals the ideal's vanishing order."""
+    return min(dot(w, a) for w in poly.vertices)
 
 
 def det(rows) -> Fraction:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import in_hull_plus_orthant, orthant_points
+from oracles import in_hull_plus_orthant, min_pairing, orthant_points
 from monozeta.linalg import dot, vec_gcd
 from monozeta.polyhedra import (
     Facet,
@@ -155,7 +155,7 @@ def test_facet_properties():
 
 def test_min_pairing():
     poly = newton_polyhedron(MonomialIdeal(2, [(1, 0), (0, 1)]))
-    assert poly.min_pairing((2, 5)) == 2
+    assert min_pairing(poly, (2, 5)) == 2
 
 
 def test_json_roundtrip():

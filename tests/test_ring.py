@@ -15,7 +15,7 @@ from monozeta import ring
 from monozeta.conegf import Grading, lattice_gf, sum_half_open_cells
 from monozeta.fan import cone_from_rays
 from monozeta.polyhedra import MonomialIdeal
-from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, RowSum, UniRational
+from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction, UniRational, packed_sum
 from monozeta.zeta import igusa_zeta, latex_zeta
 
 P = BiPoly.term(0, 1)
@@ -25,20 +25,29 @@ ONE = BiPoly.one()
 SHIFT = 40
 
 
-# the largest bound a sum with 64-bit slots is made for
-BOUND64 = 2**63 - 1
-
-
 def keyed(terms):
-    """The terms {(t, p): c} as the keys t + (p << SHIFT) that `RowSum.add` reads."""
+    """The terms {(t, p): c} as the keys t + (p << SHIFT) that `packed_sum` reads."""
     return {t + (p << SHIFT): c for (t, p), c in terms.items()}
 
 
+def summed(fractions, times=()):
+    """`packed_sum` of the fractions (terms, factors), the terms keyed."""
+    return packed_sum([(keyed(terms), SHIFT, factors) for terms, factors in fractions], times)
+
+
+def pairwise(fractions):
+    """The pairwise `BiRationalFunction.__add__` sum of the fractions (terms, factors)."""
+    ref = BiRationalFunction.zero()
+    for terms, factors in fractions:
+        ref = ref + BiRationalFunction(BiPoly(terms), factors)
+    return ref
+
+
 def declared_bound(fractions, muls=0):
-    """The l1 bound a sum of the fractions (terms, factors) declares, then
-    multiplied by muls binomials, as `sum_half_open_cells` reads it off its
-    plan: sum of l1(terms) 2^|D - factors|, D the least common multiset of
-    the factors, times 2^muls."""
+    """The l1 bound of a sum of the fractions (terms, factors), then
+    multiplied by muls binomials, as `packed_sum` reads it off its cells:
+    sum of l1(terms) 2^|D - factors|, D the least common multiset of the
+    factors, times 2^muls."""
     den = Counter()
     for _, factors in fractions:
         den |= Counter(factors)
@@ -160,12 +169,10 @@ def test_binomial_division_matches_the_heap_route():
     assert time.perf_counter() - start < 0.1
 
 
-def packed(poly, bound=BOUND64):
-    """The polynomial as `RowSum.rational` hands it to `reduced()`: packed
-    rows, made for the bound, decoded on first read."""
-    acc = RowSum(bound)
-    acc.add(keyed(poly._terms), SHIFT, [])
-    num = acc.rational().numerator
+def packed(poly):
+    """The polynomial as `packed_sum` hands it to `reduced()`: packed rows
+    at the width its l1 norm fixes, decoded on first read."""
+    num = summed([(poly._terms, [])]).numerator
     assert num._packed is not None
     return num
 
@@ -223,7 +230,7 @@ def test_packed_division_decodes_where_its_bound_runs_out(monkeypatch):
         return divide(self, a, b)
     monkeypatch.setattr(BiPoly, "_div_binomial", counting)
     for c, stays_packed in ((2**61 - 1, True), (2**61, False)):
-        n = packed(BiPoly({(0, 0): c, (0, 2): -c}), 2**62)
+        n = packed(BiPoly({(0, 0): c, (0, 2): -c}))
         assert n._packed[1:] == (64, 2 * c)
         q = n.div_exact(ONE - P)
         assert n._packed is not None
@@ -234,7 +241,7 @@ def test_packed_division_decodes_where_its_bound_runs_out(monkeypatch):
     # 2-row chain: 24c reaches 2^63 at c = 2^59, and the second quotient
     # comes back decoded
     c = 2**59
-    q = packed(BiPoly({(0, 0): c, (0, 1): -c, (0, 2): -c, (0, 3): c}), 2**62).div_exact(ONE - P)
+    q = packed(BiPoly({(0, 0): c, (0, 1): -c, (0, 2): -c, (0, 3): c})).div_exact(ONE - P)
     assert q._packed[2] == 12 * c
     n, q = q, q.div_exact(ONE - P)
     assert n._packed is not None
@@ -352,21 +359,23 @@ def random_factor(rng):
 
 
 def run_ops(ops):
-    """A `RowSum` made for the declared bound of the ops, each a fraction
-    (terms, factors) or a binomial (a, b) to multiply by, and the pairwise
-    `BiRationalFunction.__add__` reference, both fed the ops in order."""
-    fractions = [op for op in ops if isinstance(op[0], dict)]
-    acc = RowSum(declared_bound(fractions, len(ops) - len(fractions)))
-    ref = BiRationalFunction.zero()
+    """`packed_sum` and the pairwise `BiRationalFunction.__add__` reference,
+    both fed the ops in order, each a fraction (terms, factors) or a
+    binomial (a, b) to multiply by.  The fractions before a run of
+    binomials are one `packed_sum`, the run its times, and that sum goes on
+    as the first cell of the next."""
+    ref, fractions, times = BiRationalFunction.zero(), [], []
     for op in ops:
         if isinstance(op[0], dict):
-            terms, factors = op
-            acc.add(keyed(terms), SHIFT, factors)
-            ref = ref + BiRationalFunction(BiPoly(terms), factors)
+            if times:
+                got = summed(fractions, times)
+                fractions, times = [(got.numerator._terms, got.denominator)], []
+            fractions.append(op)
+            ref = ref + BiRationalFunction(BiPoly(op[0]), op[1])
         else:
-            acc.mul_binomial(*op)
+            times.append(op)
             ref = BiRationalFunction(ref.numerator._mul_binomial(*op), ref.denominator)
-    return acc, ref
+    return summed(fractions, times), ref
 
 
 def test_row_sum_matches_the_pairwise_route():
@@ -385,9 +394,8 @@ def test_row_sum_matches_the_pairwise_route():
                      rng.choice((-1, 1)) * rng.randint(1, 2**62 if big else 9)
                      for _ in range(rng.randint(1, 12))}
             ops.append((terms, [random_factor(rng) for _ in range(rng.randint(0, 4))]))
-        acc, ref = run_ops(ops)
-        wide_sums += acc._width > 64
-        got = acc.rational()
+        got, ref = run_ops(ops)
+        wide_sums += got.numerator._packed[1] > 64
         assert got == ref
         assert sorted(got.denominator) == sorted(ref.denominator)
     assert wide_sums > 10
@@ -395,8 +403,8 @@ def test_row_sum_matches_the_pairwise_route():
 
 def test_row_sum_row_values_read_its_packed_rows():
     # the values _row_values reads off the packed rows, at T0 = 2^W mod q, are
-    # the rows evaluated there: a 64-bit sum of counts, and a sum made for
-    # 128 bits with negative coefficients, multiplied between the adds
+    # the rows evaluated there: a 64-bit sum of counts, and a sum in 128-bit
+    # slots with negative coefficients, multiplied between the adds
     rng, q = random.Random(1208), ring._SCREEN_PRIME
     widths = set()
     for trial in range(100):
@@ -410,13 +418,14 @@ def test_row_sum_row_values_read_its_packed_rows():
                      * rng.randint(1, rng.choice((9, 2**62 if signed else 9)))
                      for _ in range(rng.randint(1, 12))}
             ops.append((terms, [random_factor(rng) for _ in range(rng.randint(0, 4))]))
-        acc, _ = run_ops(ops)
-        num = acc.rational().numerator
+        got, _ = run_ops(ops)
+        num = got.numerator
+        width = num._packed[1]
         t0, values = num._row_values()
-        assert t0 == pow(2, acc._width, q)
+        assert t0 == pow(2, width, q)
         want = row_values(num._rows, t0)
         assert {p: v for p, v in values.items() if v} == {p: v for p, v in want.items() if v}
-        widths.add((acc._width, signed and min((c for _, c in num.terms()), default=0) < 0))
+        widths.add((width, signed and min((c for _, c in num.terms()), default=0) < 0))
     assert {(64, False), (128, True)} <= widths
 
 
@@ -436,30 +445,27 @@ def test_key_packing_add_matches_the_pairwise_route():
                      for _ in range(rng.randint(1, 15))}
             shift = max(t for t, _ in terms).bit_length() + rng.randint(1, 9)
             fractions.append((terms, shift, [random_factor(rng) for _ in range(rng.randint(0, 3))]))
-        acc, ref = RowSum(declared_bound([(t, f) for t, _, f in fractions])), BiRationalFunction.zero()
-        for terms, shift, factors in fractions:
-            acc.add({t + (p << shift): c for (t, p), c in terms.items()}, shift, factors)
-            ref = ref + BiRationalFunction(BiPoly(terms), factors)
-        widths.add(acc._width)
-        assert acc.rational() == ref
+        got = packed_sum([({t + (p << shift): c for (t, p), c in terms.items()}, shift, factors)
+                          for terms, shift, factors in fractions])
+        widths.add(got.numerator._packed[1])
+        assert got.numerator._packed[2] == declared_bound([(t, f) for t, _, f in fractions])
+        assert got == pairwise([(t, f) for t, _, f in fractions])
     assert 64 in widths and max(widths) >= 256
 
 
 def test_row_sum_cancels_to_zero():
-    acc = RowSum(BOUND64)
     terms = {(3, 0): 2, (5, 1): -7, (4, 4): 1}
-    acc.add(keyed(terms), SHIFT, [(1, 0), (2, 1)])
     # the same fraction over a larger multiset, with the opposite sign
     neg = BiPoly(terms)._mul_binomial(0, 2)
-    acc.add(keyed({k: -c for k, c in neg.terms()}), SHIFT, [(2, 1), (0, 2), (1, 0)])
-    got = acc.rational()
+    got = summed([(terms, [(1, 0), (2, 1)]),
+                  ({k: -c for k, c in neg.terms()}, [(2, 1), (0, 2), (1, 0)])])
     assert got.numerator.is_zero()
     assert got.denominator == (BinomialFactor(0, 2), BinomialFactor(1, 0),
                                BinomialFactor(2, 1))
-    assert RowSum(0).rational() == BiRationalFunction.zero()
+    assert packed_sum([]) == BiRationalFunction.zero()
 
 
-def test_row_sum_width_is_fixed_from_its_declared_bound():
+def test_row_sum_width_is_fixed_from_its_bound():
     # (1 - T^3 P)^70 has coefficients up to C(70, 35) > 2^66: a 64-bit slot
     # would wrap, so the bound 4 * 2^70 must make the rows 128 bits wide
     cell = {(2, 1): 1, (0, 0): -3}
@@ -467,60 +473,89 @@ def test_row_sum_width_is_fixed_from_its_declared_bound():
     for _ in range(70):
         ref = ref._mul_binomial(3, 1)
     assert max(abs(c) for _, c in ref.terms()) > 2**66
-    for bound, width in ((4 << 70, 128), (2**127 - 1, 128), (2**127, 256)):
-        acc = RowSum(bound)
-        acc.add(keyed(cell), SHIFT, [(1, 1)])
-        for _ in range(70):
-            acc.mul_binomial(3, 1)
-        assert acc._width == width
-        assert acc.rational() == BiRationalFunction(ref, [(1, 1)])
-    # the width stays what the sum was made for: a cell lifted by factors
-    # the sum holds, with a bound declared for it from the start
-    acc = RowSum((4 << 70) + (2**126 << 1))
-    acc.add(keyed(cell), SHIFT, [(1, 1)])
-    for _ in range(70):
-        acc.mul_binomial(3, 1)
-    acc.add(keyed({(0, 0): 2**126}), SHIFT, [])
+    got = summed([(cell, [(1, 1)])], [(3, 1)] * 70)
+    assert got.numerator._packed[1:] == (128, 4 << 70)
+    assert got == BiRationalFunction(ref, [(1, 1)])
+    # W is the least of 64, 128, ... with the bound below 2^(W-1)
+    for c, width in ((2**63 - 1, 64), (2**63, 128), (2**127 - 1, 128), (2**127, 256)):
+        for sign in (1, -1):
+            terms = {(0, 0): sign * (c - 1), (2, 3): sign}
+            got = summed([(terms, [])])
+            assert got.numerator._packed[1:] == (width, c)
+            assert got == BiRationalFunction(BiPoly(terms))
+    # that sum goes into another as one cell, beside a term lifted by its
+    # factor: the bound 2^126 * 2 + l1 calls for 256-bit slots
+    first = summed([(cell, [(1, 1)])], [(3, 1)] * 70)
+    got = summed([(first.numerator._terms, first.denominator), ({(0, 0): 2**126}, [])])
     ref = ref + BiPoly.term(0, 0, 2**126)._mul_binomial(1, 1)
-    assert acc._width == 256
-    assert acc.rational() == BiRationalFunction(ref, [(1, 1)])
+    assert got.numerator._packed[1] == 256
+    assert got == BiRationalFunction(ref, [(1, 1)])
 
 
 def test_row_sum_rejects_bad_input():
-    acc = RowSum(BOUND64)
     for bad in ([(0, 0)], [(-1, 2)]):
         with pytest.raises(ValueError):
-            acc.add(keyed({(0, 0): 1}), SHIFT, bad)
+            summed([({(0, 0): 1}, bad)])
+        with pytest.raises(ValueError):
+            summed([({(0, 0): 1}, [(1, 1)])], bad)
     with pytest.raises(ValueError):
-        acc.mul_binomial(0, 0)
-    with pytest.raises(ValueError):
-        acc.add(keyed({(-1, 0): 1}), SHIFT, [])
+        summed([({(-1, 0): 1}, [])])
     with pytest.raises(ValueError):  # a negative T-degree above P-degree 0
-        acc.add(keyed({(3, 2): 1, (-1, 2): 1}), SHIFT, [])
-    # a rejected fraction leaves the sum as it was: rows and factors
-    acc.add(keyed({(0, 0): 1}), SHIFT, [(1, 1)])
+        summed([({(3, 2): 1, (-1, 2): 1}, [])])
+    # one bad fraction among good ones rejects the sum
     with pytest.raises(ValueError):
-        acc.add(keyed({(-1, 0): 1}), SHIFT, [(2, 1)])
-    got = acc.rational()
-    assert got == BiRationalFunction(ONE, [(1, 1)])
-    # a sum pushed past its declared bound, by an add or by a multiply,
-    # raises and is left as it was: (2 - T P) / (1 - T P), of l1 bound 3,
-    # fills the bound 6 once times 1 - P; another multiply would double it,
-    # 1 / (1 - T P^2) would lift the sum and add 1, and 7 T^5 / (1 - T P)
-    # would add 7
-    acc = RowSum(6)
-    acc.add(keyed({(0, 0): 2, (1, 1): -1}), SHIFT, [(1, 1)])
-    acc.mul_binomial(0, 1)
-    want = BiRationalFunction(BiPoly({(0, 0): 2, (1, 1): -1})._mul_binomial(0, 1), [(1, 1)])
-    for push in (lambda: acc.mul_binomial(2, 1), lambda: acc.add(keyed({(0, 0): 1}), SHIFT, [(1, 2)]),
-                 lambda: acc.add(keyed({(5, 0): 7}), SHIFT, [(1, 1)])):
-        with pytest.raises(AssertionError):
-            push()
-        got = acc.rational()
-        assert got == want and got.denominator == want.denominator
-    # a sum at its bound still takes what keeps it there
-    acc.add(keyed({}), SHIFT, [(1, 1)])
-    assert acc.rational() == want
+        summed([({(0, 0): 1}, [(1, 1)]), ({(-1, 0): 1}, [(2, 1)])])
+    # the bound handed to reduced() is the one the cells reach, which fixes
+    # the width: (2 - T P) / (1 - T P), of l1 bound 3, times 1 - P is 6; a
+    # fraction 1 / (1 - T P^2) lifts it and adds 1, 7 T^5 / (1 - T P) adds 7,
+    # and an empty cell adds nothing
+    base = ({(0, 0): 2, (1, 1): -1}, [(1, 1)])
+    for more, bound in (([], 6), ([({(0, 0): 1}, [(1, 2)])], 16), ([({(5, 0): 7}, [(1, 1)])], 20),
+                        ([({}, [(1, 1)])], 6)):
+        got = summed([base, *more], [(0, 1)])
+        assert got.numerator._packed[2] == bound == declared_bound([base, *more], 1)
+        assert got == BiRationalFunction(pairwise([base, *more]).numerator._mul_binomial(0, 1),
+                                         pairwise([base, *more]).denominator)
+
+
+def test_factor_tree_sum_matches_the_pairwise_route():
+    # seeded sets of fractions in the shapes the factor tree meets: factors
+    # repeated 2-3 times, a factor every cell holds, a single cell, cells
+    # with no factors (D empty), negative coefficients, and coefficients
+    # whose bound needs slots past 64 bits; the tree's sum equals the
+    # pairwise one and reduces to the same function
+    rng = random.Random(3201)
+    pool = [(1, 1), (0, 1), (2, 1), (1, 2), (3, 2), (2, 3)]
+    seen = set()
+    for trial in range(360):
+        shape = trial % 6
+        common = rng.choice(pool)
+        fractions = []
+        for _ in range(1 if shape == 2 else rng.randint(2, 10)):
+            factors = [] if shape == 3 else [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            if shape == 0:
+                factors += [rng.choice(pool)] * rng.randint(2, 3)
+            if shape == 1:
+                factors.append(common)
+            sign = (-1, 1) if shape in (4, 5) else (1,)
+            top = 2**70 if shape == 5 else 9
+            terms = {(rng.randint(0, 20), rng.randint(0, 4)): rng.choice(sign) * rng.randint(1, top)
+                     for _ in range(rng.randint(1, 8))}
+            fractions.append((terms, factors))
+        got, ref = summed(fractions), pairwise(fractions)
+        width = got.numerator._packed[1]  # before == decodes the rows
+        assert got == ref and got.denominator == ref.denominator
+        assert got.reduced() == ref.reduced()
+        dens = [Counter(factors) for _, factors in fractions]
+        seen.update(name for name, holds in (
+            ("repeated", any(k >= 2 for den in dens for k in den.values())),
+            ("held by every cell", len(fractions) > 1 and any(all(f in den for den in dens)
+                                                              for f in dens[0])),
+            ("single cell", len(fractions) == 1),
+            ("D empty", len(fractions) > 1 and not got.denominator),
+            ("signed", any(c < 0 for terms, _ in fractions for c in terms.values())),
+            ("past 64 bits", width > 64)) if holds)
+    assert len(seen) == 6, seen
 
 
 def assert_canonical(f):
@@ -577,15 +612,15 @@ def test_poly_rows_stay_canonical():
         BiPoly.binomial(1.5, 1)
     for rf in (planted_rf(rng) for _ in range(200)):
         assert_same(rf.reduced().numerator, reduced_by_trial(rf).numerator)
-    acc, ref = RowSum(BOUND64), BiRationalFunction.zero()
+    fractions, ref = [], BiRationalFunction.zero()
     for _ in range(30):
         terms = {(rng.randint(0, 9), rng.randint(0, 4)): rng.randint(-3, 3) for _ in range(6)}
         factors = [random_factor(rng) for _ in range(rng.randint(0, 2))]
-        acc.add(keyed(terms), SHIFT, factors)
+        fractions.append((terms, factors))
         ref = ref + BiRationalFunction(BiPoly(terms), factors)
-        acc.add(keyed({k: -c for k, c in terms.items()}), SHIFT, factors)  # a whole cell cancels
+        fractions.append(({k: -c for k, c in terms.items()}, factors))  # a whole cell cancels
         ref = ref + BiRationalFunction(-BiPoly(terms), factors)
-        assert_same(acc.rational().numerator, ref.numerator)
+        assert_same(summed(fractions).numerator, ref.numerator)
 
 
 def test_operations_leave_their_operands_unchanged():
@@ -619,22 +654,24 @@ def test_operations_leave_their_operands_unchanged():
                 BiRationalFunction(h, [(1, 1), (0, 1)]).reduced()
                 h._mul_binomial(0, 1).div_exact(ONE - P)
         assert [h.to_json() for h in results if h is not None] == snapshot
-    # the sum hands out a copy of its packed rows: adding to the sum later
-    # leaves a polynomial already read and one not yet decoded; the sum is
-    # made for 128-bit slots
-    acc = RowSum(2**73)
-    acc.add(keyed({(0, 0): 1, (3, 2): -2}), SHIFT, [(1, 1)])
-    got, unread = acc.rational(), acc.rational()
+    # the sum writes only into the rows it packs: the cells' keys stay as
+    # they were, and a later sum over the same cells, in 128-bit slots,
+    # leaves a sum already read and one not yet decoded
+    cells = [(keyed({(0, 0): 1, (3, 2): -2}), SHIFT, [(1, 1)]),
+             (keyed({(0, 0): 5, (1, 2): 3}), SHIFT, [(1, 1)]),
+             (keyed({(0, 0): 5, (1, 2): 2**70}), SHIFT, [(1, 2)])]
+    keys_before = [dict(keys) for keys, _, _ in cells]
+    got, unread = packed_sum(cells[:1]), packed_sum(cells[:1])
     json_before = got.to_json()
-    acc.add(keyed({(0, 0): 5, (1, 2): 3}), SHIFT, [(1, 1)])  # into the sum's rows
-    acc.add(keyed({(0, 0): 5, (1, 2): 2**70}), SHIFT, [(1, 2)])
-    acc.mul_binomial(0, 1)
+    later = packed_sum(cells, [(0, 1)])
+    assert later.numerator._packed[1] == 128
+    assert [keys for keys, _, _ in cells] == keys_before
     assert got.to_json() == json_before == unread.to_json()
-    assert acc.rational() != got
+    assert later != got
 
 
 def packed_row(slots, width):
-    """A `RowSum` row's int, sum of c_i 2^(width i), built without `_pack_keys`."""
+    """A packed row's int, sum of c_i 2^(width i), built without `_pack_keys`."""
     return sum(c << width * i for i, c in enumerate(slots))
 
 
@@ -662,27 +699,18 @@ def test_signed_slot_decode_at_its_edges():
         repacked = {p: (min(row), packed_row([row.get(t, 0) for t in range(min(row), max(row) + 1)],
                                             width)) for p, row in rows.items()}
         assert ring._unpack(repacked, width) == rows
-        # the sum of one fraction per slot, pairwise and in a RowSum made
-        # for the width, its rows set to the packed rows above
+        # the sum of one fraction per slot, pairwise and as `packed_sum`
+        # hands a sum at this width to reduced(): the packed rows above
         den = [(1, 1), (0, 2)]
-        ref = BiRationalFunction.zero()
-        for p, (t0, slots) in cases.items():
-            for i, c in enumerate(slots):
-                ref = ref + BiRationalFunction(BiPoly.term(t0 + i, p, c), den)
-        acc = RowSum(2**(width - 2))
-        assert acc._width == width
-        acc.add(keyed({}), SHIFT, den)
-        acc._rows = packed
-        got = acc.rational()
-        assert got == ref and assert_canonical(got.numerator)
-        # and built by adding, each slot a cell: their bound calls for
-        # slots wider than width, and the decode still reads them back
         cells = [({(t0 + i, p): c}, den) for p, (t0, slots) in cases.items()
                  for i, c in enumerate(slots)]
-        acc = RowSum(declared_bound(cells))
-        for terms, factors in cells:
-            acc.add(keyed(terms), SHIFT, factors)
-        assert acc._width > width and acc.rational() == ref
+        ref = pairwise(cells)
+        got = BiRationalFunction(BiPoly._of_packed(packed, width, 2**(width - 2)), den)
+        assert got == ref and assert_canonical(got.numerator)
+        # and summed by `packed_sum`, each slot a cell: their bound calls
+        # for slots wider than width, and the decode still reads them back
+        got = summed(cells)
+        assert got.numerator._packed[1] > width and got == ref
 
 
 def test_rf_reduce_cancels_exact_factors():
@@ -1040,7 +1068,7 @@ def row_values(rows, t0):
 
 
 def interior_row_sum():
-    """A non-simplicial cone's interior cells, summed in a `RowSum`, with
+    """A non-simplicial cone's interior cells, summed by `packed_sum`, with
     the cone and grading: the sum `interior_lattice_gf` returns."""
     square = cone_from_rays([(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)], 5)
     grading = Grading((0, 1, 2, 3, 4), (1,) * 5)
@@ -1050,8 +1078,8 @@ def interior_row_sum():
 
 def test_summed_cells_reduce_as_trial_division_does(monkeypatch):
     # the sums igusa_zeta reduces on the `wide` and `deep` pools and 10
-    # corpus ideals, and a non-simplicial cone's interior, summed in a
-    # RowSum: each reduces as trial division reduces it
+    # corpus ideals, and a non-simplicial cone's interior, each summed by
+    # `packed_sum`: each reduces as trial division reduces it
     sums = unreduced_sums(monkeypatch, drawn_pool(2, 8, 3, 6, 20)
                           + drawn_pool(1, 3, 5, 4, 3) + corpus()[:10])
     assert len(sums) == 21

@@ -92,8 +92,9 @@ def test_scale_ideal_digest_frozen():
 
 
 def test_igusa_zeta_sums_off_the_pairwise_route(monkeypatch):
-    # the cells go into one RowSum and (1 - P)^n is n row multiplies: no
-    # pairwise sum of rational functions and no generic polynomial product
+    # the cells are summed by `packed_sum`'s factor tree on packed rows and
+    # (1 - P)^n is n row multiplies: no pairwise sum of rational functions
+    # and no generic polynomial product
     calls = Counter()
 
     def counted(cls, name):
