@@ -7,11 +7,13 @@ sigma minus the origin) the closed generating function is
 
 a rational function whose denominator factors are 1 - T^{l1(r)} P^{l2(r)}
 over the rays r.  Every generating function here takes one route,
-`sum_half_open_cells`: triangulate sigma, make the cells half-open against
-a reference point q, plan them all, and sum one fundamental parallelepiped
-per cell.  With q = sum of the rays the cells partition sigma (one q shared
-by a fan's maximal cones: their union); with q = -(sum of the rays), beyond
-every facet, the relative interior (Koeppe & Verdoolaege 2008, Thm 3).
+`sum_half_open_cells`: read the cells of sigma's pulling triangulation as
+`fan._cells` streams them, each a record (rays, (D, M)) of its rays and its
+one elimination, make each half-open against a reference point q, plan
+them all, and sum one fundamental parallelepiped per cell.  With q = sum
+of the rays the cells partition sigma (one q shared by a fan's maximal
+cones: their union); with q = -(sum of the rays), beyond every facet, the
+relative interior (Koeppe & Verdoolaege 2008, Thm 3).
 
 A cell's parallelepiped is a finite group, enumerated as a mixed-radix
 residue system, a batch at a time (`parallelepiped_points`).  Under a
@@ -60,8 +62,9 @@ class HalfOpenSimplicialCone:
     group is (D, rows): rows of D [rays; C]^-1, C a basis of the covectors
     vanishing on the rays' span and D = |det [rays; C]|, ray coordinates
     first.  They generate the parallelepiped group (`parallelepiped_points`).
-    A cell from `_half_open_cells` takes them from `fan._cells`; a cell
-    built here takes them from the same `_scaled_inverse`, with C from
+    A cell from `_half_open_cells` is a record of `fan._cells` taken as it
+    is, its rays in the cone's order and (D, M) as its group; a cell built
+    here takes them from the same `_scaled_inverse`, with C from
     `left_kernel_basis`, whose size is the rank check."""
 
     rays: tuple[Vec, ...]
@@ -257,8 +260,9 @@ def _digits(key, shift, count):
 
 
 def _half_open_cells(cone: Cone, q: Vec):
-    """The cells of the cone's triangulation (`fan._cells`), yielded one at
-    a time; a cell wall is open iff q lies strictly on its far side.
+    """The cells of the cone's triangulation, read as `fan._cells` streams
+    its records (rays, (D, M)) and yielded one at a time; a cell wall is
+    open iff q lies strictly on its far side.
 
     Ties are broken by perturbing q lexicographically along e_1, ..., e_n.
     Cones dissecting a region and sharing a q that stays in the region under
@@ -267,17 +271,17 @@ def _half_open_cells(cone: Cone, q: Vec):
     every facet of the cone, every facet is open and the cells partition its
     relative interior (Koeppe & Verdoolaege 2008, Thm 3).
 
-    The wall opposite ray j is column j of the cell's D [rays; C]^-1 from
-    `fan._cells`, up to a positive factor that changes no sign.  The unit
+    The wall opposite ray j is column j of the record's M = D [rays; C]^-1,
+    up to a positive factor that changes no sign.  The unit
     vectors serve every cone: the walls are orthogonal to the span-kernel
     rows C, so they lie in the span, where a push along e_i acts as one
-    along its projection.  The cell keeps the same matrix as its group rows.
+    along its projection.  The cell keeps the same (D, M) as its group.
     """
-    for cell in _cells(cone):
-        walls = list(zip(*cell.inverse[1]))[:len(cell.rays)]
+    for rays, group in _cells(cone):
+        walls = list(zip(*group[1]))[:len(rays)]
         open_idx = frozenset(j for j, h in enumerate(walls)
                              if next(s for s in (dot(h, q), *h) if s) < 0)
-        yield HalfOpenSimplicialCone._of_cell(cell.rays, open_idx, cell.inverse)
+        yield HalfOpenSimplicialCone._of_cell(rays, open_idx, group)
 
 
 # every point is counted and kept until its cell is summed: the cyclic cell
@@ -301,10 +305,11 @@ def sum_half_open_cells(jobs, times=()) -> BiRationalFunction:
     counted weight keys over one factor 1 - T^a P^b per ray, the numerator
     then multiplied by 1 - T^a P^b for each (a, b) in times.
 
-    Every cone is triangulated first, each cell kept with its grading: a
-    plan whose point count (`_cell_points`) passes `_MAX_CELL_POINTS` is a
-    ValueError at the first cell that takes the running count past it,
-    before any point is counted and before later cells are eliminated.
+    Every cone's cells are planned first, each kept with its grading as
+    `_half_open_cells` streams it: a plan whose point count
+    (`_cell_points`) passes `_MAX_CELL_POINTS` is a ValueError at the first
+    cell that takes the running count past it, before any point is counted
+    and before later cells are found or eliminated.
     Then every cell's counted keys go to `ring.packed_sum`, its rays'
     weights as its factors, which sums them with a factor tree."""
     plan, points = [], 0

@@ -10,7 +10,7 @@ its maximal cones only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .dd import extreme_rays
@@ -20,15 +20,17 @@ from .polyhedra import NewtonPolyhedron
 
 @dataclass(frozen=True)
 class Cone:
-    """Pointed cone: primitive extreme rays plus a supporting description."""
+    """Pointed cone: primitive extreme rays plus a supporting description.
+
+    The rays keep the order they are given in, which fixes the cone's
+    triangulation (`_cells` pulls from the first ray); `normal_fan` and
+    `cone_from_rays` sort them."""
 
     n: int
     rays: tuple[Vec, ...]
     ineqs: tuple[Vec, ...]
     dim: int
     vertex: Vec | None = field(default=None, compare=False)
-    # (D, D [rays; C]^-1) on a cell that `triangulate` returns
-    inverse: tuple | None = field(default=None, compare=False, repr=False)
 
     def contains(self, x) -> bool:
         return all(dot(h, x) >= 0 for h in self.ineqs)
@@ -141,19 +143,29 @@ class Fan:
         }
 
 
+def _zeros(cone: Cone) -> list[int]:
+    """The cone's incidences as bitmasks over its rays: bit i of the k-th
+    mask is set iff `cone.ineqs[k]` vanishes on ray i."""
+    return [sum(1 << i for i, r in enumerate(cone.rays) if not dot(h, r)) for h in cone.ineqs]
+
+
+def _rays_of(rays, mask):
+    """The rays whose bits are set in mask, in their order."""
+    return tuple(r for i, r in enumerate(rays) if mask >> i & 1)
+
+
 def _face_raysets(cone: Cone):
-    """Every subset of rays spanning a face, found by iterated facet cuts."""
-    seen = {frozenset(cone.rays)}
-    stack = [cone.rays]
+    """Every subset of rays spanning a face: the full ray mask closed under
+    & with each inequality's zero mask (`_zeros`)."""
+    zeros = _zeros(cone)
+    faces = {(1 << len(cone.rays)) - 1}
+    stack = list(faces)
     while stack:
-        current = stack.pop()
-        for h in cone.ineqs:
-            cut = tuple(r for r in current if dot(h, r) == 0)
-            key = frozenset(cut)
-            if cut != current and key not in seen:
-                seen.add(key)
-                stack.append(cut)
-    return seen
+        face = stack.pop()
+        for cut in {face & z for z in zeros} - faces:
+            faces.add(cut)
+            stack.append(cut)
+    return {frozenset(_rays_of(cone.rays, face)) for face in faces}
 
 
 def normal_fan(poly: NewtonPolyhedron) -> Fan:
@@ -175,61 +187,61 @@ def normal_fan(poly: NewtonPolyhedron) -> Fan:
 
 
 def triangulate(cone: Cone) -> list[Cone]:
-    """Pulling triangulation of the cone using only its own rays: the cells
-    of `_cells`, listed."""
-    return list(_cells(cone))
+    """Pulling triangulation of the cone using only its own rays: the
+    records of `_cells`, each made a Cone with sorted rays and, as its
+    inequalities, its sorted primitive walls plus the cone's span-kernel
+    pairs.  A simplicial cone is its own cell and comes back as it is."""
+    if cone.is_simplicial():
+        return [cone]
+    pairs = tuple(h for h in cone.ineqs if not any(dot(h, r) for r in cone.rays))
+    return [Cone(cone.n, tuple(sorted(rays)),
+                 tuple(sorted(primitive(w) for w in list(zip(*m))[:cone.dim])) + pairs, cone.dim)
+            for rays, (_, m) in _cells(cone)]
 
 
 def _cells(cone: Cone):
-    """The cells of the pulling triangulation, each eliminated as it is
-    yielded, so a caller can stop before the rest are built.
+    """The cells of the pulling triangulation as records (rays, (D, M)),
+    streamed: the recursion yields each cell as soon as it reaches it, and
+    the cell is eliminated as it is yielded, so a caller can stop before
+    the rest are found or built.
 
     Recurses over ray sets as bitmasks, never building a Cone for a face:
     every face of a face F is a face of the cone, so the facets of F are
     the inclusion-maximal proper cuts F ∩ {h = 0} by the cone's own
-    inequalities h, read off their ray incidences with no rank computed.
-    The apex at each level is the lexicographically smallest ray, which
-    makes the decomposition deterministic and consistent across shared
-    faces.  A simplicial cone is its own cell.
+    inequalities h (`_zeros`), read off their ray incidences with no rank
+    computed.  The apex at each level is the face's first ray in the
+    cone's order (`face & -face`), which makes the decomposition
+    deterministic and consistent across shared faces; on the sorted rays
+    of `normal_fan` and `cone_from_rays` it is the lexicographically
+    smallest.  A simplicial face is its own one cell, the cone included.
 
-    Each cell leaves with its one elimination, of [rays; C | I], C a basis
-    of the covectors vanishing on the cone's span: `inverse` is (D, M),
-    D = |d| the pivot and M = D [rays; C]^-1.  Column j of M is positive on
-    ray j alone and zero on the others and on C, so made primitive it is
-    the wall opposite ray j, lying in the span; the rows of M generate the
-    cell's parallelepiped group (`conegf.parallelepiped_points`).  A
-    non-simplicial cone's cells have as inequalities their sorted walls plus
-    the cone's span-kernel pairs; a simplicial cone keeps its own.
+    A record's rays keep the cone's order, and (D, M) is the cell's one
+    elimination, of [rays; C | I], C a basis of the covectors vanishing on
+    the cone's span: D = |d| the pivot and M = D [rays; C]^-1.  Column j of
+    M is positive on ray j alone and zero on the others and on C, so made
+    primitive it is the wall opposite ray j, lying in the span; the rows of
+    M generate the cell's parallelepiped group
+    (`conegf.parallelepiped_points`).
     """
     n, rays = cone.n, cone.rays
-    # bit i of zeros[k] is set iff ineqs[k] vanishes on ray i
-    zeros = [sum(1 << i for i, r in enumerate(rays) if not dot(h, r)) for h in cone.ineqs]
+    zeros = _zeros(cone)
     full = (1 << len(rays)) - 1
-    pairs = [h for h, z in zip(cone.ineqs, zeros) if z == full]
-    kernel = tuple(h for h in pairs if h > tuple(-x for x in h))  # one of each pair
-    if cone.is_simplicial():
-        yield replace(cone, inverse=_scaled_inverse(rays + kernel, n))
-        return
-
-    def ray_tuple(mask):
-        return tuple(r for i, r in enumerate(rays) if mask >> i & 1)
+    kernel = tuple(h for h, z in zip(cone.ineqs, zeros)  # one of each span pair
+                   if z == full and h > tuple(-x for x in h))
 
     def pull(face, dim):
         if face.bit_count() == dim:
-            return [face]
+            yield face
+            return
         apex = face & -face
         cuts = {face & z for z in zeros} - {face}
-        cells = []
-        for facet in sorted(cuts, key=ray_tuple):
+        for facet in sorted(cuts, key=lambda c: _rays_of(rays, c)):
             if not facet & apex and not any(facet & c == facet != c for c in cuts):
-                cells.extend(sub | apex for sub in pull(facet, dim - 1))
-        return cells
+                yield from (sub | apex for sub in pull(facet, dim - 1))
 
     for cell in pull(full, cone.dim):
-        cell_rays = tuple(sorted(ray_tuple(cell)))
-        inverse = _scaled_inverse(cell_rays + kernel, n)
-        walls = sorted(primitive([row[j] for row in inverse[1]]) for j in range(cone.dim))
-        yield Cone(n, cell_rays, tuple(walls + pairs), cone.dim, inverse=inverse)
+        cell_rays = _rays_of(rays, cell)
+        yield cell_rays, _scaled_inverse(cell_rays + kernel, n)
 
 
 def _scaled_inverse(rows, n):

@@ -2,7 +2,7 @@
 
 Matrices are sequences of rows of Python ints; no floats are ever
 introduced.  One fraction-free elimination serves rank and gives each
-triangulation cell its d * [rays; K]^-1 (`fan.triangulate`), whose columns
+triangulation cell its d * [rays; K]^-1 (`fan._cells`), whose columns
 are the cell's walls and whose rows generate its parallelepiped group
 (`conegf`); Hermite forms give the lattice of covectors vanishing on a span
 (`left_kernel_basis`).  No package algorithm uses fractions: `solve`, the

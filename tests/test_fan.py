@@ -9,7 +9,7 @@ import pytest
 
 from oracles import cone_faces, in_cone, orthant_points
 from test_acceptance import corpus
-from monozeta.fan import Cone, cone_from_rays, normal_fan, triangulate
+from monozeta.fan import Cone, _cells, cone_from_rays, normal_fan, triangulate
 from monozeta.linalg import dot, rank, vec_gcd
 from monozeta.polyhedra import Facet, MonomialIdeal, NewtonPolyhedron, newton_polyhedron
 
@@ -261,8 +261,14 @@ def test_triangulation_covers_cone():
            # a cone over a square, of codimension 2 in R^5
            (5, [(0, 0, 1, 1, 1), (1, 0, 1, 2, 1), (0, 1, 1, 1, 2), (1, 1, 1, 2, 2)])]
     )
-    for n, rays in ray_sets:
-        cone = cone_from_rays(rays, n)
+    cones = [cone_from_rays(rays, n) for n, rays in ray_sets]
+    # the cube's cone built by hand with its rays rotated by one: the cells
+    # pull from its first ray, (1, 0, 0, 1), and differ from the sorted
+    # cone's; each cell's rays are still sorted, as cone_from_rays sorts them
+    cube = cones[-2]
+    cones.append(Cone(cube.n, cube.rays[1:] + cube.rays[:1], cube.ineqs, cube.dim))
+    for cone in cones:
+        n = cone.n
         cells = triangulate(cone)
         for cell in cells:
             assert cell.is_simplicial() and cell.dim == cone.dim
@@ -276,6 +282,30 @@ def test_triangulation_covers_cone():
             in_cells = [in_cone(cell.rays, a) for cell in cells]
             assert in_cells == [cell.contains(a) for cell in cells], (a, cells)
             assert any(in_cells) == cone.contains(a)
+
+
+N6 = [(3, 1, 1, 1, 0, 1), (1, 0, 2, 2, 2, 3), (3, 2, 1, 3, 0, 1), (3, 3, 0, 3, 1, 0),
+      (3, 3, 3, 0, 3, 3), (2, 3, 0, 1, 2, 3), (3, 1, 0, 0, 0, 2), (2, 1, 2, 3, 2, 2)]
+
+
+def test_cells_stream(monkeypatch):
+    # the largest maximal cone of CI's n = 6 ideal: 25 rays, 66 cells over
+    # several pulling levels.  `_cells` sorts only in pull, once per face it
+    # splits, so the sorts counted at the first record are the levels that
+    # reached it; the other faces are split only as the stream is read
+    sigma = max(fan_of(N6, 6).maximal_cones(), key=lambda c: len(c.rays))
+    sorts = []
+
+    def counting(items, **kwargs):
+        sorts.append(1)
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr("monozeta.fan.sorted", counting, raising=False)
+    cells = _cells(sigma)
+    next(cells)
+    first = len(sorts)
+    assert len(sigma.rays) == 25 and 1 + len(list(cells)) == 66
+    assert 0 < first < sigma.dim and first < len(sorts)
 
 
 def test_face_lattice_counts_and_euler_relation():
