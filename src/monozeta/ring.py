@@ -11,14 +11,17 @@ expanded, so the factored shape survives every operation.  A sum of many
 such fractions is made at once by `packed_sum`, over a factor tree on the
 least common multiset of their factors, its numerator packed one int per
 P-degree at a width fixed from its l1 bound and built from keys.  The
-packed rows go on to `reduced()` as they are: its divisions run on them,
-and they are decoded once into rows, after the divisions or with the
-quotient whose l1 bound passes the slot width.  The only division is
+packed rows go on to `reduced()` as they are and stay packed to its end:
+its divisions and the multiply of an exchange run on them, and they are
+decoded once into rows, as `reduced()` returns.  The only division is
 exact division by a binomial 1 - T^a P^b, one chain recurrence
-(`_chain_quotient`) over packed or decoded rows.  `reduced()` decides
-each denominator factor once: one modular screen, read off the
-numerator's row values at a single point T0, keeps most factors, and
-exact division and chain sums decide the others.  A polynomial from
+(`_chain_quotient`) over packed or decoded rows; a packed quotient whose
+l1 bound reaches the slot width has its true l1 read off its slots, and
+is decoded only if that reaches it too.  `reduced()` has one rule for a
+denominator factor: one modular screen, read off the numerator's row
+values at a single point T0, keeps most factors, and every other is
+divided out if it divides; only when it does not are chain sums built,
+to find the exchange that takes its place.  A polynomial from
 `packed_sum` comes with those values, one remainder per packed row; any
 other computes them once from its terms.
 """
@@ -40,9 +43,10 @@ class BiPoly:
 
     A polynomial from `packed_sum` holds packed rows instead,
     `_packed` = ({p: (t0, v)}, W, B) in `packed_sum`'s layout, B an l1 bound
-    below 2^(W-1).  Binomial division (`_div_packed`) reads them as they
-    are, and leaves them; the first read of `_rows` decodes them, once, and
-    drops them."""
+    below 2^(W-1).  Binomial division (`_div_packed`) and, while 2B is
+    below 2^(W-1), the multiply by a binomial read them as they are, leave
+    them and return packed rows; the first read of `_rows` decodes them,
+    once, and drops them."""
 
     __slots__ = ("_dict", "_packed")
 
@@ -231,8 +235,15 @@ class BiPoly:
         return BiPoly._raw({p: row for p, row in out.items() if row})
 
     def _mul_binomial(self, a, b):
-        """Product with 1 - T^a P^b: row e is row e less row e - b moved by
-        T^a, and a row with nothing to subtract is shared."""
+        """Product with 1 - T^a P^b.  Packed rows under an l1 bound B below
+        2^(W-2) stay packed, under 2B (`_times_binomial`).  Else row e is row
+        e less row e - b moved by T^a, and a row with nothing to subtract is
+        shared."""
+        if self._packed is not None:
+            rows, width, bound = self._packed
+            if not bound >> (width - 2):
+                rows = _times_binomial(rows, BinomialFactor(a, b), width)
+                return BiPoly._of_packed(rows, width, 2 * bound)
         rows = self._rows
         out = {}
         for e in rows.keys() | {p + b for p in rows}:
@@ -277,8 +288,10 @@ class BiPoly:
         Each numerator coefficient feeds at most one coefficient per
         quotient row of its chain, so B times the most rows a chain of the
         quotient has bounds the quotient's l1 norm.  Below 2^(W-1) the
-        quotient stays packed under that bound; else it is returned
-        decoded, and the numerator keeps its packed rows either way.
+        quotient stays packed under that bound.  Else its true l1 norm is
+        read off its slots (`_slots`), and it stays packed under that if it
+        is below 2^(W-1); only if not is it returned decoded.  The
+        numerator keeps its packed rows either way.
         """
         rows, width, bound = self._packed
         order = sorted(e for e, (_, v) in rows.items() if v)
@@ -296,16 +309,21 @@ class BiPoly:
         out = _chain_quotient(rows, a, b, add)
         if out is None:
             return None
-        if (bound * height) >> (width - 1):
+        if (bound := bound * height) >> (width - 1):
+            bound = sum(sum(map(abs, _slots(v, width))) for _, v in out.values())
+        if bound >> (width - 1):
             return BiPoly._raw(_unpack(out, width))
-        return BiPoly._of_packed(out, width, bound * height)
+        return BiPoly._of_packed(out, width, bound)
 
     def div_exact(self, divisor):
         """Quotient self / (1 - T^a P^b) if the division is exact, else
         None: on the packed rows (`_div_packed`) while the polynomial has
-        them, else on its rows (`_div_binomial`), with T and P swapped when
-        b = 0.  `reduced()` divides by nothing else; any other divisor is a
-        ValueError."""
+        them, the quotient packed too unless its true l1 norm passes the
+        slot width, else on its rows (`_div_binomial`), with T and P
+        swapped when b = 0.  `reduced()` divides by nothing else; any other
+        divisor is a ValueError.  `igusa_zeta`'s sums come from `packed_sum`
+        with no b = 0 factor, so its divisions run on packed rows unless a
+        quotient's true l1 norm passes the slot width."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         dterms = divisor.terms()
@@ -433,8 +451,8 @@ class BiRationalFunction:
     __rmul__ = __mul__
 
     def reduced(self):
-        """Cancel denominator factors against the numerator, one decision
-        per factor.
+        """Cancel denominator factors against the numerator, one rule and
+        one decision per factor.
 
         Write the factor as 1 - x^g, x = T^a0 P^b0 primitive.  Every step
         below (dividing by 1 - x^g, or exchanging it for 1 - x^m, m a proper
@@ -456,25 +474,29 @@ class BiRationalFunction:
         every factor that qualifies.  A zero fold decides nothing; nor is a
         factor with b0 = 0 or g not dividing q - 1 screened.
 
-        The chain sums: one pass sums N per chain (monomials differing by a
-        power of x^g), keyed by the line b0*t - a0*p and t mod a (p mod b
-        when a = 0).  All sums 0: the factor divides N (as in
-        `_chain_quotient`) and is divided out.  Else it becomes 1 - x^m for
-        the least proper divisor m of g whose shift x^m keeps every sum: the
-        sums of N*(1 - x^m) are the differences, so that is when
-        S = (1 - x^g)/(1 - x^m) divides N.  Such a shift maps one live sum
-        onto an equal live sum on the same line, so the candidates for m
-        are read off the sums, not off the divisors of g.  Else it stays.
-        For g = 1 there is no m, and the factor divides N iff every sum is
-        0, so the exact division decides alone, with no sums built.
+        The rule for a factor the screen does not keep: divide N by it
+        (`div_exact`).  If that fails and g > 1, one pass sums N per chain
+        (monomials differing by a power of x^g), keyed by the line
+        b0*t - a0*p and t mod a (p mod b when a = 0); the division failed,
+        so some sum is not 0 (as in `_chain_quotient`, 1 - x^g divides N
+        iff every sum is).  The sums only find the exchange: 1 - x^m for
+        the least proper divisor m of g whose shift x^m keeps every sum.
+        The sums of N*(1 - x^m) are the differences, so that is when
+        S = (1 - x^g)/(1 - x^m) divides N, and N*(1 - x^m) is divided by
+        1 - x^g.  Such a shift maps one live sum onto an equal live sum on
+        the same line, so the candidates for m are read off the sums, not
+        off the divisors of g.  With no such m, or g = 1, the factor stays.
         One visit per factor is exact: each step replaces N by a divisor of
         N; factors along different x share no cyclotomic factor; and after
         the least exchange neither 1 - x^m nor a smaller exchange divides
         N/S, or 1 - x^g or a smaller S would divide N.
-        A numerator still packed (`packed_sum`) is divided on its packed
-        rows until a step reads its rows (chain sums, an exchange) or a
-        quotient's l1 bound passes the slot width, and that quotient comes
-        back decoded; the numerator returned is decoded.
+
+        A numerator still packed (`packed_sum`) stays packed to the end:
+        the divisions and the exchange's multiply run on its packed rows,
+        the chain sums read a throwaway decode of them, and it is decoded
+        once, as it is returned.  Only a quotient whose true l1 norm, or
+        an exchange whose doubled bound, passes the slot width leaves the
+        packed rows early.
         Not canonical: equal functions can reduce to different shapes.
         """
         num, den = self.numerator, []
@@ -484,45 +506,40 @@ class BiRationalFunction:
         screened = [k for k, ((_, b0), g) in enumerate(lines)
                     if b0 and (_SCREEN_PRIME - 1) % g == 0]
         if screened:
-            folds = _folds_nonzero(num, [lines[k] for k in screened])
-            for k, stay in zip(screened, folds):
+            for k, stay in zip(screened, _folds_nonzero(num, [lines[k] for k in screened])):
                 stays[k] = stay
         for f, (x, g), stay in zip(self.denominator, lines, stays):
-            if stay:
-                den.append(f)
-                continue
-            if g == 1:
-                q = num.div_exact(f.poly())
-                if q is None:
-                    den.append(f)
-                else:
-                    num = q
-                continue
-            i = 0 if f.a else 1  # chains are told apart by exponent i mod f[i]
-            sums: dict[tuple[int, int], int] = {}
-            for p, row in num._rows.items():
-                line = -x[0] * p
-                for t, c in row.items():
-                    key = (x[1] * t + line, (t, p)[i] % f[i])
-                    sums[key] = sums.get(key, 0) + c
-            live = {k: s for k, s in sums.items() if s}
-            if live:  # x^m adds m * x[i] to exponent i
-                # a valid shift maps one live class onto a live class of its
-                # line with the same sum, so m is one of those offsets
+            q = None if stay else num.div_exact(f.poly())
+            if q is None and not stay and g > 1:
+                # not divided: the chain sums, off a throwaway decode, find
+                # the least exchange m if there is one
+                rows = num._dict if num._packed is None else _unpack(*num._packed[:2])
+                i = 0 if f.a else 1  # chains are told apart by exponent i mod f[i]
+                sums: dict[tuple[int, int], int] = {}
+                for p, row in rows.items():
+                    line = -x[0] * p
+                    for t, c in row.items():
+                        key = (x[1] * t + line, (t, p)[i] % f[i])
+                        sums[key] = sums.get(key, 0) + c
+                # x^m adds m * x[i] to exponent i; a valid shift maps one
+                # live class onto a live class of its line with the same
+                # sum, so m is one of those offsets
+                live = {k: s for k, s in sums.items() if s}
                 (line0, r0), s0 = next(iter(live.items()))
                 offsets = sorted((r - r0) // x[i] % g for (line, r), s in live.items()
                                  if line == line0 and s == s0)
                 m = next((m for m in offsets if m and g % m == 0 and all(
                     live.get((line, (r + m * x[i]) % f[i])) == s
                     for (line, r), s in live.items())), None)
-                if m is None:
-                    den.append(f)
-                    continue
-                den.append(BinomialFactor(x[0] * m, x[1] * m))
-                num = num._mul_binomial(*den[-1])
-            num = num.div_exact(f.poly())
-            if num is None:
-                raise AssertionError(f"chain sums promised an exact division by {f}")
+                if m is not None:
+                    den.append(BinomialFactor(x[0] * m, x[1] * m))
+                    q = num._mul_binomial(*den[-1]).div_exact(f.poly())
+                    if q is None:
+                        raise AssertionError(f"chain sums promised an exact division by {f}")
+            if q is None:
+                den.append(f)
+            else:
+                num = q
         num._decode()  # the function returned holds rows, not packed ints
         return BiRationalFunction(num, den)
 
@@ -857,26 +874,31 @@ def _trimmed(t0, v, width):
 def _unpack(packed, width):
     """The rows {p: {t: c}} of the packed rows, each |c| < 2^(width-1), with
     no empty row and no zero coefficient: the layout `BiPoly` stores.
-    A row's all-zero low slots are shifted off first (`_trimmed`).
-    With L = 2^(width-1) in every slot, v + L has every slot in
-    [0, 2^width), so no slot borrows, and (v + L) ^ L holds each slot's c
-    in two's complement: its bytes read as 64-bit words, width/64 to a
-    slot, the top word of each signed, are the coefficients."""
-    size, k = width // 8, width // 64
+    A row's all-zero low slots are shifted off first (`_trimmed`)."""
     out = {}
     for p, (t0, v) in packed.items():
-        if not v:
-            continue
-        t0, v = _trimmed(t0, v, width)
-        n = abs(v).bit_length() // width + 1
-        lift = int.from_bytes(_slot_lift(width, n), "little")
-        slots = struct.unpack("<" + f"{k - 1}Qq" * n if k > 1 else f"<{n}q",
-                              ((v + lift) ^ lift).to_bytes(n * size, "little"))
-        if k > 1:
-            slots = [sum(w << 64 * j for j, w in enumerate(slots[i:i + k]))
-                     for i in range(0, n * k, k)]
-        out[p] = {t: c for t, c in enumerate(slots, t0) if c}
+        if v:
+            t0, v = _trimmed(t0, v, width)
+            out[p] = {t: c for t, c in enumerate(_slots(v, width), t0) if c}
     return out
+
+
+def _slots(v, width):
+    """The coefficients in the slots of the packed row value v, lowest
+    first, each |c| < 2^(width-1).  With L = 2^(width-1) in every slot,
+    v + L has every slot in [0, 2^width), so no slot borrows, and
+    (v + L) ^ L holds each slot's c in two's complement: its bytes read as
+    64-bit words, width/64 to a slot, the top word of each signed, are the
+    coefficients."""
+    size, k = width // 8, width // 64
+    n = abs(v).bit_length() // width + 1
+    lift = int.from_bytes(_slot_lift(width, n), "little")
+    slots = struct.unpack("<" + f"{k - 1}Qq" * n if k > 1 else f"<{n}q",
+                          ((v + lift) ^ lift).to_bytes(n * size, "little"))
+    if k > 1:
+        slots = [sum(w << 64 * j for j, w in enumerate(slots[i:i + k]))
+                 for i in range(0, n * k, k)]
+    return slots
 
 
 # specialization is dense in T, linear in time and memory: degree 10^6 took

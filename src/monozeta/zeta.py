@@ -119,9 +119,11 @@ def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
     factor tree at a slot width fixed from the sum's l1 bound, and the
     numerator is multiplied by 1 - P n times (`sum_half_open_cells`).  The
     numerator reaches `reduced()` still packed, each row's value at the
-    screen point T0 taken from the packed row; its 1 - P divisions run on
-    the packed rows, and `reduced()` decodes the result once, before it
-    returns, so the numerator returned holds rows.  The (1 - P)^n that `reduced()` divides
+    screen point T0 taken from the packed row, and stays packed through
+    it: every division, the 1 - P ones included, and every exchange's
+    multiply run on the packed rows (no division here runs on dict rows),
+    and `reduced()` decodes the result once, as it returns, so the
+    numerator returned holds rows.  The (1 - P)^n that `reduced()` divides
     out again stays until the benchmark harness no longer needs
     `ring.div_exact_calls` above 0 (ROADMAP items 5, 15).
     """

@@ -217,36 +217,64 @@ def test_packed_division_matches_the_row_route():
     assert q.div_exact(ONE - P) is None
 
 
-def test_packed_division_decodes_where_its_bound_runs_out(monkeypatch):
+def test_packed_division_remeasures_where_its_bound_runs_out(monkeypatch):
     # N = c (1 - P^2) = c (1 + P)(1 - P) with l1 bound 2c in 64-bit slots:
-    # the quotient's chain has 2 rows, so its bound is 4c, which must stay
-    # below 2^63; at c = 2^61 it does not, and the quotient comes back
-    # decoded, divided on the packed rows all the same: the row route is
-    # never called, and the numerator keeps its packed rows
+    # the quotient's chain has 2 rows, so its bound is 4c; below 2^63 the
+    # quotient keeps it, and at c = 2^61 it reaches 2^63, so the quotient's
+    # true l1, 2c, is read off its slots and it stays packed under that.
+    # c (1 - P^3) has a 3-row chain and a quotient c (1 + P + P^2) whose
+    # true l1 3c reaches 2^63 too once c >= 2^63 / 3, as c = 3 * 2^60 does
+    # (2c is still below 2^63), so that one comes back decoded, divided on
+    # the packed rows all the same: the row route is never called, and the
+    # numerator keeps its packed rows
     rows_route = []
     divide = BiPoly._div_binomial
     def counting(self, a, b):
         rows_route.append((a, b))
         return divide(self, a, b)
     monkeypatch.setattr(BiPoly, "_div_binomial", counting)
-    for c, stays_packed in ((2**61 - 1, True), (2**61, False)):
+    c = 2**61
+    for c, quotient_packed in ((c - 1, ({0: (0, c - 1), 1: (0, c - 1)}, 64, 4 * (c - 1))),
+                               (c, ({0: (0, c), 1: (0, c)}, 64, 2 * c))):
         n = packed(BiPoly({(0, 0): c, (0, 2): -c}))
         assert n._packed[1:] == (64, 2 * c)
         q = n.div_exact(ONE - P)
         assert n._packed is not None
-        assert q._packed == (({0: (0, c), 1: (0, c)}, 64, 4 * c) if stays_packed else None)
+        assert q._packed == quotient_packed
         assert q == BiPoly({(0, 0): c, (0, 1): c})
+    c = 3 * 2**60
+    n = packed(BiPoly({(0, 0): c, (0, 3): -c}))
+    assert n._packed[1:] == (64, 2 * c)
+    q = n.div_exact(ONE - P)
+    assert n._packed is not None
+    assert q._packed is None and q == BiPoly({(0, 0): c, (0, 1): c, (0, 2): c})
     # the bound carries over: c (1 - P)(1 - P^2) has bound 4c and a 3-row
     # chain, so its quotient c (1 - P^2) has bound 12c < 2^63, and then a
     # 2-row chain: 24c reaches 2^63 at c = 2^59, and the second quotient
-    # comes back decoded
+    # is re-measured and stays packed under its true l1 2c
     c = 2**59
     q = packed(BiPoly({(0, 0): c, (0, 1): -c, (0, 2): -c, (0, 3): c})).div_exact(ONE - P)
     assert q._packed[2] == 12 * c
     n, q = q, q.div_exact(ONE - P)
     assert n._packed is not None
-    assert q._packed is None and q == BiPoly({(0, 0): c, (0, 1): c})
+    assert q._packed == ({0: (0, c), 1: (0, c)}, 64, 2 * c)
+    assert q == BiPoly({(0, 0): c, (0, 1): c})
     assert rows_route == []
+
+
+def test_packed_multiply_stays_packed_while_its_bound_allows():
+    # times 1 - T^a P^b the l1 norm at most doubles: packed rows under bound
+    # B stay packed under 2B while 2B < 2^63, else the product is built on
+    # the decoded rows, so no packed polynomial carries a bound past its slot
+    for c, a, b in ((2**61 - 1, 0, 1), (2**61 + 1, 0, 1), (2**61 - 1, 3, 2), (2**61, 3, 2)):
+        n = BiPoly({(0, 0): c, (1, 1): c})
+        m = packed(n)
+        got = m._mul_binomial(a, b)
+        if 4 * c < 2**63:  # 2B, B = 2c
+            assert got._packed[1:] == (64, 4 * c) and m._packed is not None
+        else:
+            assert got._packed is None
+        assert got == n._mul_binomial(a, b) == n * BiPoly.binomial(a, b)
 
 
 def test_div_exact_divides_by_binomials_only():
@@ -727,24 +755,30 @@ def test_rf_reduce_cancels_exact_factors():
 
 
 def test_rf_reduce_exchanges_scaled_factors(monkeypatch):
-    calls = []
-    div_exact = BiPoly.div_exact
+    # each factor is divided first; the division fails, the chain sums find
+    # the exchange, and the numerator times 1 - x^m is divided: 2 calls.
+    # On packed numerators the same two exchanges stay on the packed rows
+    calls, rows_route = [], []
+    div_exact, div_binomial = BiPoly.div_exact, BiPoly._div_binomial
     def counting(self, divisor):
         calls.append(divisor)
         return div_exact(self, divisor)
+    def rows_counting(self, a, b):
+        rows_route.append((a, b))
+        return div_binomial(self, a, b)
     monkeypatch.setattr(BiPoly, "div_exact", counting)
-    # (1 + TP)/(1 - T^2 P^2) is the same function as 1/(1 - TP)
-    rf = BiRationalFunction(ONE + TP, [(2, 2)])
-    red = rf.reduced()
-    assert red.numerator == ONE and red.denominator == (BinomialFactor(1, 1),)
-    assert len(calls) == 1  # the exchange taken, nothing tried before it
-    calls.clear()
-    # g = 6 has the proper divisors 1, 2, 3: with x = TP,
-    # (1 + x^2 + x^4)/(1 - x^6) is 1/(1 - x^2)
-    rf = BiRationalFunction(ONE + TP**2 + TP**4, [(6, 6)])
-    red = rf.reduced()
-    assert red.numerator == ONE and red.denominator == (BinomialFactor(2, 2),)
-    assert len(calls) == 1
+    monkeypatch.setattr(BiPoly, "_div_binomial", rows_counting)
+    # (1 + TP)/(1 - T^2 P^2) is the same function as 1/(1 - TP); g = 6 has
+    # the proper divisors 1, 2, 3: with x = TP, (1 + x^2 + x^4)/(1 - x^6)
+    # is 1/(1 - x^2)
+    for num, g, m in ((ONE + TP, 2, 1), (ONE + TP**2 + TP**4, 6, 2)):
+        rows_route.clear()
+        for n in (num, packed(num)):
+            calls.clear()
+            red = BiRationalFunction(n, [(g, g)]).reduced()
+            assert red.numerator == ONE and red.denominator == (BinomialFactor(m, m),)
+            assert calls == [BiPoly.binomial(g, g)] * 2
+        assert rows_route == [(g, g)] * 2  # the unpacked numerator's only
 
 
 def test_rf_reduce_preserves_series():
@@ -798,6 +832,31 @@ def test_igusa_zeta_divides_packed_and_returns_rows(monkeypatch):
     num = res.zeta.numerator
     assert num._packed is None and num._dict == {0: {0: 1}, 3: {0: -1}}
     assert res.zeta == BiRationalFunction(ONE - P**3, [(2, 3)])
+    # chain sums and exchanges leave the packed rows alone too.  The
+    # acceptance corpus's ideal 40 divides out one (6, 3); its second
+    # division fails, the chain sums exchange it for (2, 1), and the
+    # numerator times 1 - T^2 P is divided.  The `deep` pool's ideal 1
+    # divides out one (3, 3), and its chain sums find no exchange for the
+    # other two.  Each sum is decoded once, after its last division
+    decode = BiPoly._decode
+    def decoding(self):
+        if self._packed is not None:
+            divisions["_div_packed"].append("decode")
+        decode(self)
+    monkeypatch.setattr(BiPoly, "_decode", decoding)
+    for gens, f, counts in (
+            ([(2, 1, 4), (2, 2, 2), (4, 0, 3), (4, 4, 3), (4, 5, 1)], (6, 3),
+             {(6, 3): 0, (2, 1): 1}),
+            ([(0, 0, 0, 0, 3), (1, 3, 0, 1, 3), (3, 1, 2, 1, 1), (3, 2, 0, 3, 0)], (3, 3),
+             {(3, 3): 2})):
+        divisions["_div_packed"].clear()
+        res = igusa_zeta(MonomialIdeal(len(gens[0]), gens))
+        packed_route = divisions["_div_packed"]
+        assert packed_route[-4:] == [f] * 3 + ["decode"] and packed_route.count("decode") == 1
+        assert divisions["_div_binomial"] == []
+        den = Counter(res.zeta.denominator)
+        assert {k: den[k] for k in counts} == counts
+        assert res.zeta.numerator._packed is None
 
 
 def test_rf_reduce_rejects_foreign_operands():
@@ -967,8 +1026,10 @@ def test_screen_abstains_where_it_has_no_root_of_unity(monkeypatch):
 def test_screen_zero_falls_through_to_chain_sums(monkeypatch):
     # T - T0 is 0 at T = T0, so every fold of it is 0, but neither 1 - T P
     # nor 1 - T^2 P^2 divides it: both must reach the exact steps and stay,
-    # 1 - T P through a division that fails.  Adding T^2 (1 - T P) +
-    # P (1 - T P) keeps the fold for 1 - T P at 0
+    # each through a division that fails (1 - T^2 P^2's chain sums then
+    # find no exchange).  Adding T^2 (1 - T P) + P (1 - T P) keeps the fold
+    # for 1 - T P at 0, so 1 - T P is still divided; the fold for
+    # 1 - T^2 P^2 is then nonzero, and the screen keeps it
     t0 = pow(2, 64, ring._SCREEN_PRIME)  # a polynomial built from terms
     num = T - t0 * ONE
     divided = []
@@ -976,7 +1037,8 @@ def test_screen_zero_falls_through_to_chain_sums(monkeypatch):
     def counting(self, divisor):
         divided.append(divisor)
         return div_exact(self, divisor)
-    for num in (num, num + (T * T + P) * (ONE - TP)):
+    for num, tried in ((num, [ONE - TP, ONE - TP * TP]),
+                       (num + (T * T + P) * (ONE - TP), [ONE - TP])):
         assert num._row_values()[0] == t0
         assert screen_vanishes(num, (1, 1), 1)
         rf = BiRationalFunction(num, [(1, 1), (2, 2)])
@@ -985,7 +1047,7 @@ def test_screen_zero_falls_through_to_chain_sums(monkeypatch):
         got = rf.reduced()
         monkeypatch.undo()
         assert got == rf == reduced_by_trial(rf)
-        assert divided == [ONE - TP]
+        assert divided == tried
 
 
 def test_screen_one_pass_matches_one_point_evaluations():
@@ -1109,32 +1171,45 @@ def drawn_pool(seed, size, n, gens, max_exp):
 def test_screen_only_keeps_what_trial_division_keeps(monkeypatch):
     # the unreduced sums of the acceptance corpus and of the benchmark's
     # `wide` (n = 3, 6 generators, exponents <= 20) and `deep` pools: every
-    # factor the screen keeps, trial division keeps too, and no more
-    # factors reach an exact division than before the screen read row
-    # values (50, 4 and 10 calls on these pools)
-    pools = {"corpus": (corpus(), 50), "wide": (drawn_pool(2, 8, 3, 6, 20), 4),
-             "deep": (drawn_pool(1, 3, 5, 4, 3), 10)}
+    # factor the screen keeps, trial division keeps too, and every factor it
+    # does not keep is divided once, plus once more for each exchange taken
+    # (51, 4 and 13 divisions on these pools)
+    pools = {"corpus": (corpus(), 51), "wide": (drawn_pool(2, 8, 3, 6, 20), 4),
+             "deep": (drawn_pool(1, 3, 5, 4, 3), 13)}
     sums = {name: unreduced_sums(monkeypatch, ideals) for name, (ideals, _) in pools.items()}
-    kept_total = 0
-    for rf in (rf for pool in sums.values() for rf in pool):
-        lines = factor_lines(rf)
-        screened = [k for k, (x, g) in enumerate(lines) if x[1] and (ring._SCREEN_PRIME - 1) % g == 0]
-        flags = ring._folds_nonzero(rf.numerator, [lines[k] for k in screened])
-        kept = Counter(rf.denominator[k] for k, flag in zip(screened, flags) if flag)
-        assert not kept - Counter(reduced_by_trial(rf).denominator), rf
-        kept_total += kept.total()
+    kept_total, unkept = 0, {}
+    for name, pool in sums.items():
+        unkept[name] = 0
+        for rf in pool:
+            lines = factor_lines(rf)
+            screened = [k for k, (x, g) in enumerate(lines)
+                        if x[1] and (ring._SCREEN_PRIME - 1) % g == 0]
+            flags = ring._folds_nonzero(rf.numerator, [lines[k] for k in screened])
+            kept = Counter(rf.denominator[k] for k, flag in zip(screened, flags) if flag)
+            assert not kept - Counter(reduced_by_trial(rf).denominator), rf
+            kept_total += kept.total()
+            unkept[name] += len(rf.denominator) - kept.total()
     assert kept_total > 200
-    divided = []
-    div_exact = BiPoly.div_exact
+    # an exchange divides a product N (1 - x^m); the other products made
+    # are divisors 1 - T^a P^b, which are never divided
+    divided, products, exchanges = [], [], []
+    div_exact, mul_binomial = BiPoly.div_exact, BiPoly._mul_binomial
     def counting(self, divisor):
         divided.append(divisor)
+        if any(self is q for q in products):
+            exchanges.append(divisor)
         return div_exact(self, divisor)
+    def multiplying(self, a, b):
+        products.append(mul_binomial(self, a, b))
+        return products[-1]
     monkeypatch.setattr(BiPoly, "div_exact", counting)
+    monkeypatch.setattr(BiPoly, "_mul_binomial", multiplying)
     for name, (_, calls) in pools.items():
         divided.clear()
+        exchanges.clear()
         for rf in sums[name]:
             rf.reduced()
-        assert len(divided) <= calls, name
+        assert len(divided) == unkept[name] + len(exchanges) == calls, name
 
 
 def test_rf_reduce_is_fast_at_huge_degrees():
