@@ -16,24 +16,28 @@ cones: their union); with q = -(sum of the rays), beyond every facet, the
 relative interior (Koeppe & Verdoolaege 2008, Thm 3).
 
 A cell's parallelepiped is a finite group, enumerated as a mixed-radix
-residue system, a batch at a time (`parallelepiped_points`).  Under a
-grading each point comes out as one int, the key t + (p << S) of its weight
-(t, p), and the cells' counted keys go to `ring.packed_sum` as they are,
-with no tuple and no term built, to be summed with a factor tree."""
+residue system by one walk over its levels in order, each coordinate
+folded into the point's key once its level is applied
+(`parallelepiped_points`).  Under a grading each point comes out as one
+int, the key t + (p << S) of its weight (t, p).  The plan's point counts
+fix the packed sum's slot width before any point is counted, and each
+cell's counted keys go to `ring.planned_sum` as they are, packed before the
+next cell is enumerated, with no tuple and no term built, to be summed with
+a factor tree."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import repeat
 from math import prod
-from operator import add, mul
+from operator import mul
 
 from .fan import Cone, _cells, _scaled_inverse
 from .fan import triangulate  # noqa: F401  kept: perfbench/tracer.py wraps conegf.triangulate
 from .linalg import Vec, dot, left_kernel_basis
 from .linalg import solve  # noqa: F401  kept: perfbench/test_harness.py reads conegf.solve
-from .ring import BiRationalFunction, packed_sum
+from .ring import BiRationalFunction, planned_sum
 
 
 @dataclass(frozen=True)
@@ -181,16 +185,23 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
     point is d * lam = (sum_j y_j R_j) mod d with 0 <= y_j < n_j, each
     coordinate reduced into [0, d), or (0, d] on an open wall (Koeppe &
     Verdoolaege 2008; the parallelepiped group of Barvinok's algorithm).
-    The level with the largest radix is enumerated as a batch, one list
-    comprehension per coordinate it moves, and the other levels by
-    `itertools.product`.
+
+    One walk over the levels in order enumerates it.  Step R_j is zero
+    before coordinate j, so coordinate i is final once level i is applied.
+    Level i expands the carried keys (`_level`) and each coordinate not
+    yet final (`_spread`) by its radix n_i, and in the same pass folds
+    coordinate i into the key as (c mod d) K_i; coordinate i is then
+    dropped, and a radix-1 level, whose step is zero, only folds.  The
+    levels are generators, chained, so nothing is built but the final
+    list, in which every key is divided by d: the walk holds the cell's
+    keys once and no column of coordinates.
 
     A point's image is linear in lam, so each point comes out as one int,
     sum_i (d lam_i) K_i // d, which divides exactly, K_i the image of ray i
     packed into one int by signed digits S bits apart.  With a grading,
     K_i = a_i + (b_i << S), (a_i, b_i) the ray's weight and S =
     `weight_shift(cell, grading)`: the key t + (p << S) of the point's
-    weight (t, p), which `ring.packed_sum` reads.  Without one, K_i packs the
+    weight (t, p), which `ring.planned_sum` reads.  Without one, K_i packs the
     ray's n coordinates, and the keys are decoded into the sorted points.
     A digit can be negative (a ray or a grading can be), so a key is
     decoded with a rounding shift: p = (key + 2^(S-1)) >> S and
@@ -220,33 +231,37 @@ def parallelepiped_points(cell: HalfOpenSimplicialCone, grading: Grading | None 
     # every division below is exact iff each R_j . K is divisible by d
     if any(sum(map(mul, row, keys)) % d for row in steps):
         raise AssertionError("parallelepiped coefficient escaped the lattice")
-    top = max(range(r), key=radix.__getitem__)
-    n, moves = radix[top], steps[top]
-    # an open wall's coordinate is (x - 1) mod d + 1: start one lower, and
-    # add its key once for the whole batch
+    # an open wall's coordinate is (x - 1) mod d + 1: start it one lower,
+    # and add its key once, to every point
     start = [-int(i in cell.open_facets) for i in range(r)]
-    lift = -sum(map(mul, start, keys))
-    others = [j for j in range(r) if j != top]
-    out = []
-    for ys in product(*(range(radix[j]) for j in others)):
-        coords = start
-        for j, y in zip(others, ys):
-            if y:
-                coords = [c + y * s for c, s in zip(coords, steps[j])]
-        fixed, batch = lift, None
-        for c, s, key in zip(coords, moves, keys):
-            if not s:  # a coordinate the batch level does not move
-                fixed += c % d * key
-                continue
-            col = [x % d * key for x in range(c, c + n * s, s)]
-            batch = col if batch is None else list(map(add, batch, col))
-        if batch is None:  # a trivial group: one point
-            out.append(fixed // d)
-        else:
-            out += [(v + fixed) // d for v in batch]
+    out, cols = [-sum(map(mul, start, keys))], [[c] for c in start]
+    for i, (step, n, key) in enumerate(zip(steps, radix, keys)):
+        # level i: step i is zero before coordinate i, so coordinate i is
+        # final here and folds into the key; the later ones spread
+        out = _level(out, cols[i], n, step[i], key, d)
+        if n > 1:
+            cols[i + 1:] = [_spread(col, n, s) for col, s in zip(cols[i + 1:], step[i + 1:])]
     if grading:
-        return out
-    return sorted(tuple(_digits(v, shift, len(rays[0]))) for v in out)
+        return [v // d for v in out]
+    return sorted(tuple(_digits(v // d, shift, len(rays[0]))) for v in out)
+
+
+def _level(keys, col, n, s, key, d):
+    """The keys of one level of the walk, lazily: each key with its
+    coordinate c taken to c + y s for 0 <= y < n and folded in as
+    ((c + y s) mod d) key; a radix-1 level (n = 1, s = 0) only folds.
+    A function, as is `_spread`, so that each level's generator keeps its
+    own n, s and key when the walk reads it after the loop."""
+    if n == 1:
+        return (v + c % d * key for v, c in zip(keys, col))
+    return (v + x % d * key for v, c in zip(keys, col) for x in range(c, c + n * s, s))
+
+
+def _spread(col, n, s):
+    """The coordinate col at the next level, lazily: each c as
+    c, c + s, ..., c + (n - 1) s, in the order `_level` gives the keys."""
+    for c in col:
+        yield from range(c, c + n * s, s) if s else repeat(c, n)
 
 
 def _digits(key, shift, count):
@@ -310,20 +325,25 @@ def sum_half_open_cells(jobs, times=()) -> BiRationalFunction:
     (`_cell_points`) passes `_MAX_CELL_POINTS` is a ValueError at the first
     cell that takes the running count past it, before any point is counted
     and before later cells are found or eliminated.
-    Then every cell's counted keys go to `ring.packed_sum`, its rays'
-    weights as its factors, which sums them with a factor tree."""
+    The plan goes to `ring.planned_sum`: each cell's point count is the l1
+    norm of its counted keys, so the slot width is fixed from the plan, and
+    each cell's keys are counted only when `ring.planned_sum` reads them,
+    packed, and dropped before the next cell is enumerated.  Its rays'
+    weights are its factors, and the sum is made with a factor tree."""
     plan, points = [], 0
     for cone, q, grading in jobs:
         for cell in _half_open_cells(cone, q):
-            points += _cell_points(cell)
+            count = _cell_points(cell)
+            points += count
             if points > _MAX_CELL_POINTS:
                 raise ValueError(f"the half-open cells hold at least {points} lattice "
                                  f"points (the sum of |det|); the limit is "
                                  f"{_MAX_CELL_POINTS}")
-            plan.append((cell, grading))
-    return packed_sum([(Counter(parallelepiped_points(cell, grading)), _key_shift(w), w)
-                       for cell, grading in plan
-                       for w in [[grading.weight(r) for r in cell.rays]]], times)
+            plan.append((count, cell, grading))
+    return planned_sum([(count, _key_shift(w), w) for count, cell, grading in plan
+                        for w in [[grading.weight(r) for r in cell.rays]]],
+                       (Counter(parallelepiped_points(cell, grading)) for _, cell, grading in plan),
+                       times)
 
 
 def lattice_gf(cone: Cone, grading: Grading) -> BiRationalFunction:

@@ -8,10 +8,11 @@ polynomials have equal rows.  Row dicts may be shared between polynomials
 and are never changed once a polynomial holds them.  A rational function
 keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
-such fractions is made at once by `packed_sum`, over a factor tree on the
+such fractions is made at once by `planned_sum`, over a factor tree on the
 least common multiset of their factors, its numerator packed one int per
-P-degree at a width fixed from its l1 bound and built from keys.  The
-packed rows go on to `reduced()` as they are and stay packed to its end:
+P-degree at a width fixed from its l1 bound and built from keys, each
+fraction's keys packed as they are read.  The packed rows go on to
+`reduced()` as they are and stay packed to its end:
 its divisions and the multiply of an exchange run on them, and they are
 decoded once into rows, as `reduced()` returns.  The only division is
 exact division by a binomial 1 - T^a P^b, one chain recurrence
@@ -22,7 +23,7 @@ denominator factor: one modular screen, read off the numerator's row
 values at a single point T0, keeps most factors, and every other is
 divided out if it divides; only when it does not are chain sums built,
 to find the exchange that takes its place.  A polynomial from
-`packed_sum` comes with those values, one remainder per packed row; any
+`planned_sum` comes with those values, one remainder per packed row; any
 other computes them once from its terms.
 """
 
@@ -41,8 +42,8 @@ class BiPoly:
     """Sparse polynomial in T and P with integer coefficients, stored as
     its P-degree rows.
 
-    A polynomial from `packed_sum` holds packed rows instead,
-    `_packed` = ({p: (t0, v)}, W, B) in `packed_sum`'s layout, B an l1 bound
+    A polynomial from `planned_sum` holds packed rows instead,
+    `_packed` = ({p: (t0, v)}, W, B) in `planned_sum`'s layout, B an l1 bound
     below 2^(W-1).  Binomial division (`_div_packed`) and, while 2B is
     below 2^(W-1), the multiply by a binomial read them as they are, leave
     them and return packed rows; the first read of `_rows` decodes them,
@@ -321,7 +322,7 @@ class BiPoly:
         them, the quotient packed too unless its true l1 norm passes the
         slot width, else on its rows (`_div_binomial`), with T and P
         swapped when b = 0.  `reduced()` divides by nothing else; any other
-        divisor is a ValueError.  `igusa_zeta`'s sums come from `packed_sum`
+        divisor is a ValueError.  `igusa_zeta`'s sums come from `planned_sum`
         with no b = 0 factor, so its divisions run on packed rows unless a
         quotient's true l1 norm passes the slot width."""
         if divisor.is_zero():
@@ -423,7 +424,7 @@ class BiRationalFunction:
     def __add__(self, other):
         """Sum over the least common multiset of denominator factors.
 
-        API only: the pipeline sums its cells with `packed_sum`, which
+        API only: the pipeline sums its cells with `planned_sum`, which
         keeps the same multiset and so reaches the same numerator."""
         if not isinstance(other, BiRationalFunction):
             return NotImplemented
@@ -491,9 +492,10 @@ class BiRationalFunction:
         the least exchange neither 1 - x^m nor a smaller exchange divides
         N/S, or 1 - x^g or a smaller S would divide N.
 
-        A numerator still packed (`packed_sum`) stays packed to the end:
+        A numerator still packed (`planned_sum`) stays packed to the end:
         the divisions and the exchange's multiply run on its packed rows,
-        the chain sums read a throwaway decode of them, and it is decoded
+        the chain sums read each packed row's (t, c) off its slots
+        (`_slots`), skipping zeros, with no row decoded, and it is decoded
         once, as it is returned.  Only a quotient whose true l1 norm, or
         an exchange whose doubled bound, passes the slot width leaves the
         packed rows early.
@@ -511,16 +513,19 @@ class BiRationalFunction:
         for f, (x, g), stay in zip(self.denominator, lines, stays):
             q = None if stay else num.div_exact(f.poly())
             if q is None and not stay and g > 1:
-                # not divided: the chain sums, off a throwaway decode, find
-                # the least exchange m if there is one
-                rows = num._dict if num._packed is None else _unpack(*num._packed[:2])
+                # not divided: the chain sums, read off the rows or the packed
+                # slots as they are, find the least exchange m if there is one
+                rows = (((p, row.items()) for p, row in num._dict.items()) if num._packed is None
+                        else ((p, enumerate(_slots(v, num._packed[1]), t0))
+                              for p, (t0, v) in num._packed[0].items()))
                 i = 0 if f.a else 1  # chains are told apart by exponent i mod f[i]
                 sums: dict[tuple[int, int], int] = {}
-                for p, row in rows.items():
+                for p, row in rows:
                     line = -x[0] * p
-                    for t, c in row.items():
-                        key = (x[1] * t + line, (t, p)[i] % f[i])
-                        sums[key] = sums.get(key, 0) + c
+                    for t, c in row:
+                        if c:
+                            key = (x[1] * t + line, (t, p)[i] % f[i])
+                            sums[key] = sums.get(key, 0) + c
                 # x^m adds m * x[i] to exponent i; a valid shift maps one
                 # live class onto a live class of its line with the same
                 # sum, so m is one of those offsets
@@ -620,27 +625,40 @@ class BiRationalFunction:
 
 def packed_sum(cells, times=()):
     """The sum of the fractions N / prod(1 - T^a P^b) over the sequence of
-    cells (keys, shift, factors), over the least common multiset D of their
-    factors as `BiRationalFunction.__add__` keeps it, the numerator then
-    multiplied by 1 - T^a P^b for each (a, b) in times.  N's terms
-    c T^t P^p come as keys {t + (p << shift): c}, p >= 0 and
-    0 <= t < 2^(shift-1) (a cell's counted weight keys), packed with no
+    cells (keys, shift, factors), the numerator then multiplied by
+    1 - T^a P^b for each (a, b) in times: `planned_sum`, each cell's l1
+    norm read off its keys."""
+    return planned_sum([(sum(map(abs, keys.values())), shift, factors)
+                        for keys, shift, factors in cells],
+                       [keys for keys, _, _ in cells], times)
+
+
+def planned_sum(plan, keys, times=()):
+    """The sum of the fractions N / prod(1 - T^a P^b) over the cells of the
+    plan, each (l1, shift, factors), l1 the l1 norm of its N, over the least
+    common multiset D of their factors as `BiRationalFunction.__add__`
+    keeps it, the numerator then multiplied by 1 - T^a P^b for each (a, b)
+    in times.  N's terms c T^t P^p come as keys {t + (p << shift): c},
+    p >= 0 and 0 <= t < 2^(shift-1) (a cell's counted weight keys), one
+    mapping per cell from the iterable keys, in plan order, packed with no
     term built (`_pack_keys`): row p is (t0, v), v its T-polynomial over
     T^t0 at T = 2^W, exact whatever the coefficients and read back if each
     is below 2^(W-1).  So W is the least of 64, 128, ... above the l1 bound
     B, sum over the cells of l1(N) 2^|D - factors|, doubled per factor in
-    times.  `reduced()` gets the packed rows and B, and divides on them."""
+    times, fixed from the plan before any keys are read; each cell's keys
+    are then packed before the next cell's are read, so a lazy iterable
+    holds one cell's keys at a time.  `reduced()` gets the packed rows and
+    B, and divides on them."""
     den = Counter()
-    for _, _, factors in cells:
+    for _, _, factors in plan:
         den |= Counter(factors)
     order = sorted(den.elements())
-    bound = sum(sum(map(abs, keys.values())) << len(order) - len(factors)
-                for keys, _, factors in cells) << len(times)
+    bound = sum(l1 << len(order) - len(factors) for l1, _, factors in plan) << len(times)
     width = 64 << (bound.bit_length() // 64).bit_length()
     # a cell holding m copies of f holds the first m of D's bits for f
-    packed = [(_pack_keys(keys, shift, width),
+    packed = [(_pack_keys(counted, shift, width),
                sum(((1 << k) - 1) << bisect_left(order, f) for f, k in Counter(factors).items()))
-              for keys, shift, factors in cells]
+              for (_, shift, factors), counted in zip(plan, keys)]
     bits = {1 << i: f for i, f in enumerate(map(_as_factor, order))}
     rows = _tree_sum(packed, bits, width) if packed else {}
     for f in times:
@@ -802,7 +820,7 @@ def _by_p_degree(terms):
     """The rows {p: {t: c}} of the terms {(t, p): c}, one per P-degree, each
     in the order of the terms: the layout `BiPoly` stores.  Only input that
     arrives as terms is grouped here: the `BiPoly` constructor, so
-    `from_json` too.  A cell comes into `packed_sum` as packed keys, never
+    `from_json` too.  A cell comes into `planned_sum` as counted keys, never
     as terms."""
     rows: dict[int, dict[int, int]] = {}
     for (t, p), c in terms.items():

@@ -5,14 +5,16 @@ Fractions, lattice enumeration by bounding boxes, generating functions by
 direct summation.  Slow but transparently correct.  Reference code that
 the package no longer needs lives here too (`det_int`, `det`, `invert`,
 `cone_faces`, `value_at`, `truncate_p`, `div_exact_general`,
-`min_pairing`).
+`min_pairing`, `parallelepiped_by_batches`).
 """
 
 import heapq
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import add, mul
 
+from monozeta.conegf import _digits, _group_basis, _key_shift
 from monozeta.fan import Cone, _face_raysets, cone_from_rays
 from monozeta.linalg import dot, eliminate, solve
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
@@ -215,6 +217,58 @@ def naive_parallelepiped(rays, open_walls=()):
         if ok:
             out.append(pt)
     return sorted(out)
+
+
+def parallelepiped_by_batches(cell, grading=None):
+    """`conegf.parallelepiped_points` as it was before its level walk, the
+    reference for it: the same residue system (`conegf._group_basis`), the
+    level with the largest radix enumerated as a batch, one list
+    comprehension per coordinate it moves, and the other levels by
+    `itertools.product`.  Sorted points, or with a grading a flat list of
+    packed weight keys, one per point, in no set order."""
+    rays = cell.rays
+    r = len(rays)
+    d, rows = cell.group
+    steps, radix = _group_basis(d, rows, r)
+    if grading:
+        weights = [grading.weight(v) for v in rays]
+        shift = _key_shift(weights)
+        keys = [a + (b << shift) for a, b in weights]
+    else:
+        # room for each coordinate, as weight_shift leaves room for t
+        shift = max(sum(map(abs, col)) for col in zip(*rays)).bit_length() + 1
+        keys = [sum(x << shift * k for k, x in enumerate(ray)) for ray in rays]
+    # a point's key sum is sum_j y_j (R_j . K) modulo multiples of d K_i, so
+    # every division below is exact iff each R_j . K is divisible by d
+    if any(sum(map(mul, row, keys)) % d for row in steps):
+        raise AssertionError("parallelepiped coefficient escaped the lattice")
+    top = max(range(r), key=radix.__getitem__)
+    n, moves = radix[top], steps[top]
+    # an open wall's coordinate is (x - 1) mod d + 1: start one lower, and
+    # add its key once for the whole batch
+    start = [-int(i in cell.open_facets) for i in range(r)]
+    lift = -sum(map(mul, start, keys))
+    others = [j for j in range(r) if j != top]
+    out = []
+    for ys in product(*(range(radix[j]) for j in others)):
+        coords = start
+        for j, y in zip(others, ys):
+            if y:
+                coords = [c + y * s for c, s in zip(coords, steps[j])]
+        fixed, batch = lift, None
+        for c, s, key in zip(coords, moves, keys):
+            if not s:  # a coordinate the batch level does not move
+                fixed += c % d * key
+                continue
+            col = [x % d * key for x in range(c, c + n * s, s)]
+            batch = col if batch is None else list(map(add, batch, col))
+        if batch is None:  # a trivial group: one point
+            out.append(fixed // d)
+        else:
+            out += [(v + fixed) // d for v in batch]
+    if grading:
+        return out
+    return sorted(tuple(_digits(v, shift, len(rays[0]))) for v in out)
 
 
 def orthant_points(n, total):

@@ -1,14 +1,23 @@
 """Parallelepiped enumeration and bigraded cone generating functions."""
 
 import itertools
+import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from oracles import cone_faces, det_int, gf_series_brute, naive_parallelepiped, orthant_points
+from oracles import (
+    cone_faces,
+    det_int,
+    gf_series_brute,
+    naive_parallelepiped,
+    orthant_points,
+    parallelepiped_by_batches,
+)
 from monozeta import conegf, fan, linalg
 from monozeta.conegf import (
     Grading,
@@ -22,6 +31,7 @@ from monozeta.conegf import (
 )
 from monozeta.fan import Cone, cone_from_rays, normal_fan, triangulate
 from monozeta.linalg import dot, solve
+from monozeta.parse import parse_ideal
 from monozeta.polyhedra import MonomialIdeal, newton_polyhedron
 from monozeta.ring import BinomialFactor, BiRationalFunction
 
@@ -172,6 +182,50 @@ def test_pipeline_cells_match_public_cells():
         g = Grading(*(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(2)))
         assert (Counter(parallelepiped_points(piped, g))
                 == Counter(parallelepiped_points(cell, g))), (cell, g)
+
+
+# ROADMAP's B6, C7 and A6: 51, 63 and 85 % of their points lie in cells
+# with five or more nontrivial levels
+SCALE_IDEALS = [
+    "x3^3*x4^3*x5*x6^5, x1*x3^3*x4^3*x5^5*x6^3, x1^2*x2^2*x4^2*x5^2, x1^3*x4^5*x6, "
+    "x1^3*x3*x4*x5^5, x1^3*x3^4*x4^5*x5*x6^5",
+    "x2^3*x3^3*x5^4*x7, x1*x2*x4^2*x6^3*x7^2, x1^2*x2^2*x3^2*x4^4*x5^4*x6^4*x7, "
+    "x1^3*x3^3*x4*x5^4*x7^4, x1^3*x2^2*x3^4*x5^4*x6^3*x7^2",
+    "x2^4*x4^3*x6^2, x1*x2*x3^4*x5^3*x6^2, x1^2*x2^2*x3*x4^4*x5^2, x1^2*x2^3*x4^5*x6^3, "
+    "x1^3*x2^4*x3*x4^4*x5*x6^5, x1^5*x2^2*x3^3*x4^4*x6^5",
+]
+
+
+def pipeline_cells(ideal):
+    """The half-open cells `igusa_zeta` sums, each with its grading."""
+    ones = (1,) * ideal.n
+    for sigma in normal_fan(newton_polyhedron(ideal)).maximal_cones():
+        grading = Grading(sigma.vertex, ones)
+        for cell in _half_open_cells(sigma, ones):
+            yield cell, grading
+
+
+def test_level_walk_matches_batch_reference():
+    # the level walk against the batch-and-product enumerator it replaced,
+    # on every cell the pipeline sums for the benchmark's pools (seeds 1-3
+    # relabel them, so the cells differ) and for B6, C7 and A6: the same
+    # keys under the grading, and the same sorted points without one for
+    # r <= 5
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    import workloads
+
+    ideals = [instance.ideal for name in ("wide", "deep", "corpus") for seed in (1, 2, 3)
+              for instance in workloads.generate(name, seed)]
+    ideals += [parse_ideal(text)[0] for text in SCALE_IDEALS]
+    cells = points = 0
+    for ideal in ideals:
+        for cell, grading in pipeline_cells(ideal):
+            keys = parallelepiped_points(cell, grading)
+            assert Counter(keys) == Counter(parallelepiped_by_batches(cell, grading)), cell
+            if len(cell.rays) <= 5:
+                assert parallelepiped_points(cell) == parallelepiped_by_batches(cell), cell
+            cells, points = cells + 1, points + len(keys)
+    assert (cells, points) == (1737, 649900)
 
 
 def test_cell_points_are_refused_before_counting(monkeypatch):
