@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .dd import facet_normals
-from .linalg import Vec, dot, rank, unit, vec_gcd
+from .linalg import Vec, dot, unit, vec_gcd
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,16 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
         facets.append(Facet(v, -t))
     facets.sort(key=lambda f: (f.normal, f.offset))
 
-    vertices = []
-    for g in ideal.generators:
-        tight = [f.normal for f in facets if dot(g, f.normal) == f.offset]
-        if rank(tight) == n:
-            vertices.append(g)
-    return NewtonPolyhedron(n, tuple(sorted(vertices)), tuple(facets))
+    # the facets tight at a generator g cut out the least face holding it.
+    # g is a vertex iff that face is {g}; a larger face holds a vertex other
+    # than g, and every vertex is a generator, so g is a vertex iff no other
+    # generator is tight on every facet tight at g.  Each generator's tight
+    # facets are a bitmask, so that is one subset test per other generator
+    masks = [sum(1 << k for k, f in enumerate(facets) if dot(g, f.normal) == f.offset)
+             for g in ideal.generators]
+    vertices = [g for j, (g, mask) in enumerate(zip(ideal.generators, masks))
+                if not any(k != j and mask & other == mask for k, other in enumerate(masks))]
+    return NewtonPolyhedron(n, tuple(vertices), tuple(facets))
 
 
 def polyhedron_membership(poly: NewtonPolyhedron, u) -> bool:

@@ -12,9 +12,11 @@ such fractions is made at once by `planned_sum`, over a factor tree on the
 least common multiset of their factors, its numerator packed one int per
 P-degree at a width fixed from its l1 bound and built from keys, each
 fraction's keys packed as they are read.  The packed rows go on to
-`reduced()` as they are and stay packed to its end:
-its divisions and the multiply of an exchange run on them, and they are
-decoded once into rows, as `reduced()` returns.  The only division is
+`reduced()` as they are and stay packed through it and past it: its
+divisions and the multiply of an exchange run on them, and the numerator
+it returns still holds them.  Readers of the terms go through one row
+reader (`BiPoly._row_terms`) that reads packed rows off their slots;
+only arithmetic and `==` decode them into rows, once.  The only division is
 exact division by a binomial 1 - T^a P^b, one chain recurrence
 (`_chain_quotient`) over packed or decoded rows; a packed quotient whose
 l1 bound reaches the slot width has its true l1 read off its slots, and
@@ -31,10 +33,11 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd
-from operator import index, mul
+from itertools import chain
+from operator import index, itemgetter, mul
 from typing import NamedTuple
 
 
@@ -46,7 +49,10 @@ class BiPoly:
     `_packed` = ({p: (t0, v)}, W, B) in `planned_sum`'s layout, B an l1 bound
     below 2^(W-1).  Binomial division (`_div_packed`) and, while 2B is
     below 2^(W-1), the multiply by a binomial read them as they are, leave
-    them and return packed rows; the first read of `_rows` decodes them,
+    them and return packed rows.  `terms()` and the printers and `hash`
+    that follow it, the degrees, `is_zero`, `subs_inverse_prime` and
+    `series` read them off their slots through `_row_terms`, and leave
+    them; the first read of `_rows`, by arithmetic or `==`, decodes them,
     once, and drops them."""
 
     __slots__ = ("_dict", "_packed")
@@ -90,21 +96,35 @@ class BiPoly:
         return out
 
     def _decode(self):
-        """Decode the packed rows, if any: the one place they become rows."""
-        if self._packed is not None:
-            rows, width, _ = self._packed
-            self._dict, self._packed = _unpack(rows, width), None
+        """Decode the packed rows: the one place they become rows."""
+        rows, width, _ = self._packed
+        self._dict, self._packed = _unpack(rows, width), None
 
     @property
     def _rows(self):
         """The rows {p: {t: c}}, decoded from the packed rows on first read."""
-        self._decode()
+        if self._packed is not None:
+            self._decode()
         return self._dict
 
     @property
     def _terms(self):
         """The flat view {(t, p): c}, built on each read and never stored."""
         return {(t, p): c for p, row in self._rows.items() for t, c in row.items()}
+
+    def _row_terms(self, top=None):
+        """(p, the row's (t, c) with c != 0) for each nonzero row, p
+        increasing, up to p = top if given: the one reader of the terms that
+        leaves the layout as it is.  Dict rows are read as they are; a
+        packed row is read off its slots (`_slots`) only when its terms are
+        iterated, so a reader that needs only the P-degrees reads no slot,
+        and `_packed` stays set."""
+        rows = self._dict if self._packed is None else self._packed[0]
+        degrees = sorted(rows if top is None else (p for p in rows if p <= top))
+        if self._packed is None:
+            return ((p, rows[p].items()) for p in degrees)
+        width = self._packed[1]
+        return ((p, _slot_terms(*rows[p], width)) for p in degrees if rows[p][1])
 
     def _row_values(self):
         """(T0, {p: row p at T = T0, mod q}), q the screen prime.  Packed
@@ -144,19 +164,26 @@ class BiPoly:
         return cls.one()._mul_binomial(a, b)
 
     def terms(self):
-        return tuple(sorted(self._terms.items()))
+        """The terms ((t, p), c), sorted by (t, p): the rows' terms put in
+        a bucket per T-degree, the rows read in increasing p, so each
+        bucket is in increasing p and only the T-degrees are sorted."""
+        by_t = defaultdict(list)
+        for p, row in self._row_terms():
+            for t, c in row:
+                by_t[t].append(((t, p), c))
+        return tuple(chain.from_iterable(map(by_t.__getitem__, sorted(by_t))))
 
     def is_zero(self):
-        return not self._rows
+        return next(self._row_terms(), None) is None
 
     def p_degree(self):
-        return max(self._rows, default=-1)
+        return max((p for p, _ in self._row_terms()), default=-1)
 
     def t_degree(self):
-        return max(map(max, self._rows.values()), default=-1)
+        return max((max(t for t, _ in row) for _, row in self._row_terms()), default=-1)
 
     def __bool__(self):
-        return bool(self._rows)
+        return not self.is_zero()
 
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self._rows == other._rows
@@ -344,10 +371,9 @@ class BiPoly:
         Returns a list indexed by T-degree: a Fraction where a term lands,
         else the int 0, whose truth test is cheap for the dense callers.
         """
-        deg = self.t_degree()
-        out = [0] * (deg + 1)
-        for j, row in self._rows.items():
-            for t, c in row.items():
+        out = [0] * (self.t_degree() + 1)
+        for j, row in self._row_terms():
+            for t, c in row:
                 out[t] += Fraction(c, p ** j)
         return out
 
@@ -495,10 +521,9 @@ class BiRationalFunction:
         A numerator still packed (`planned_sum`) stays packed to the end:
         the divisions and the exchange's multiply run on its packed rows,
         the chain sums read each packed row's (t, c) off its slots
-        (`_slots`), skipping zeros, with no row decoded, and it is decoded
-        once, as it is returned.  Only a quotient whose true l1 norm, or
-        an exchange whose doubled bound, passes the slot width leaves the
-        packed rows early.
+        (`_row_terms`), with no row decoded, and it is returned packed.
+        Only a quotient whose true l1 norm, or an exchange whose doubled
+        bound, passes the slot width leaves the packed rows.
         Not canonical: equal functions can reduce to different shapes.
         """
         num, den = self.numerator, []
@@ -513,19 +538,15 @@ class BiRationalFunction:
         for f, (x, g), stay in zip(self.denominator, lines, stays):
             q = None if stay else num.div_exact(f.poly())
             if q is None and not stay and g > 1:
-                # not divided: the chain sums, read off the rows or the packed
-                # slots as they are, find the least exchange m if there is one
-                rows = (((p, row.items()) for p, row in num._dict.items()) if num._packed is None
-                        else ((p, enumerate(_slots(v, num._packed[1]), t0))
-                              for p, (t0, v) in num._packed[0].items()))
+                # not divided: the chain sums, read off the rows as they are,
+                # find the least exchange m if there is one
                 i = 0 if f.a else 1  # chains are told apart by exponent i mod f[i]
                 sums: dict[tuple[int, int], int] = {}
-                for p, row in rows:
+                for p, row in num._row_terms():
                     line = -x[0] * p
                     for t, c in row:
-                        if c:
-                            key = (x[1] * t + line, (t, p)[i] % f[i])
-                            sums[key] = sums.get(key, 0) + c
+                        key = (x[1] * t + line, (t, p)[i] % f[i])
+                        sums[key] = sums.get(key, 0) + c
                 # x^m adds m * x[i] to exponent i; a valid shift maps one
                 # live class onto a live class of its line with the same
                 # sum, so m is one of those offsets
@@ -545,7 +566,6 @@ class BiRationalFunction:
                 den.append(f)
             else:
                 num = q
-        num._decode()  # the function returned holds rows, not packed ints
         return BiRationalFunction(num, den)
 
     def series(self, bound):
@@ -562,7 +582,7 @@ class BiRationalFunction:
         """
         if bound < 0:
             return BiPoly.zero()
-        rows = {p: dict(row) for p, row in self.numerator._rows.items() if p <= bound}
+        rows = {p: dict(row) for p, row in self.numerator._row_terms(bound)}
         for f in self.denominator:
             if f.b == 0:
                 raise ValueError(f"factor {f} has no P part; cannot expand by P-degree")
@@ -891,14 +911,16 @@ def _trimmed(t0, v, width):
 
 def _unpack(packed, width):
     """The rows {p: {t: c}} of the packed rows, each |c| < 2^(width-1), with
-    no empty row and no zero coefficient: the layout `BiPoly` stores.
-    A row's all-zero low slots are shifted off first (`_trimmed`)."""
-    out = {}
-    for p, (t0, v) in packed.items():
-        if v:
-            t0, v = _trimmed(t0, v, width)
-            out[p] = {t: c for t, c in enumerate(_slots(v, width), t0) if c}
-    return out
+    no empty row and no zero coefficient: the layout `BiPoly` stores."""
+    return {p: dict(_slot_terms(t0, v, width)) for p, (t0, v) in packed.items() if v}
+
+
+def _slot_terms(t0, v, width):
+    """The (t, c), c != 0, of the packed row (t0, v), v != 0, lowest t
+    first, its slots read (`_slots`) on the first step, not before.  The
+    row's all-zero low slots are shifted off first (`_trimmed`)."""
+    t0, v = _trimmed(t0, v, width)
+    yield from filter(itemgetter(1), enumerate(_slots(v, width), t0))
 
 
 def _slots(v, width):

@@ -122,9 +122,10 @@ def igusa_zeta(ideal: MonomialIdeal) -> ZetaResult:
     screen point T0 taken from the packed row, and stays packed through
     it: every division, the 1 - P ones included, and every exchange's
     multiply run on the packed rows (no division here runs on dict rows),
-    and `reduced()` decodes the result once, as it returns, so the
-    numerator returned holds rows.  The (1 - P)^n that `reduced()` divides
-    out again stays until the benchmark harness no longer needs
+    and the numerator returned still holds them: the printers and the
+    verification battery read them off their slots (`BiPoly._row_terms`),
+    and nothing here decodes them.  The (1 - P)^n that `reduced()`
+    divides out again stays until the benchmark harness no longer needs
     `ring.div_exact_calls` above 0 (ROADMAP items 5, 15).
     """
     fan = normal_fan(newton_polyhedron(ideal))

@@ -5,7 +5,7 @@ Fractions, lattice enumeration by bounding boxes, generating functions by
 direct summation.  Slow but transparently correct.  Reference code that
 the package no longer needs lives here too (`det_int`, `det`, `invert`,
 `cone_faces`, `value_at`, `truncate_p`, `div_exact_general`,
-`min_pairing`, `parallelepiped_by_batches`).
+`min_pairing`, `parallelepiped_by_batches`, `vertices_by_rank`).
 """
 
 import heapq
@@ -16,7 +16,7 @@ from operator import add, mul
 
 from monozeta.conegf import _digits, _group_basis, _key_shift
 from monozeta.fan import Cone, _face_raysets, cone_from_rays
-from monozeta.linalg import dot, eliminate, solve
+from monozeta.linalg import dot, eliminate, rank, solve
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
 
 
@@ -28,6 +28,15 @@ def det_int(rows) -> int:
 def min_pairing(poly, a) -> int:
     """min over the polyhedron of <u, a>; equals the ideal's vanishing order."""
     return min(dot(w, a) for w in poly.vertices)
+
+
+def vertices_by_rank(ideal, facets):
+    """The generators of the ideal that are vertices of its Newton
+    polyhedron with these facets, sorted: those whose tight facet normals
+    have rank n."""
+    return tuple(sorted(g for g in ideal.generators
+                        if rank([f.normal for f in facets if dot(g, f.normal) == f.offset])
+                        == ideal.n))
 
 
 def det(rows) -> Fraction:

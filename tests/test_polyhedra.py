@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from oracles import in_hull_plus_orthant, min_pairing, orthant_points
+from oracles import in_hull_plus_orthant, min_pairing, orthant_points, vertices_by_rank
+from test_acceptance import corpus
+from test_ring import drawn_pool
 from monozeta.linalg import dot, vec_gcd
 from monozeta.polyhedra import (
     Facet,
@@ -134,6 +136,25 @@ def test_vertex_minimality():
             if not rest:
                 continue
             assert not in_hull_plus_orthant(rest, v)
+
+
+def test_vertices_from_incidences_match_the_rank_rule():
+    # a generator is a vertex iff no other generator's facet mask contains
+    # its own; the reference tests the rank of its tight facet normals.
+    # (1, 2) and (2, 1) are tight on the one facet x + y = 3 alone, so their
+    # masks are equal and neither is a vertex; (2, 2) is tight on none
+    poly = newton_polyhedron(MonomialIdeal(2, [(3, 0), (0, 3), (1, 2), (2, 1), (2, 2)]))
+    assert poly.vertices == ((0, 3), (3, 0))
+    rng = random.Random(404)
+    ideals = [random_ideal(rng, rng.randint(1, 5), 8, rng.choice((2, 4, 9)))
+              for _ in range(400)]
+    ideals += corpus() + drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3)
+    not_all_vertices = 0
+    for ideal in ideals:
+        poly = newton_polyhedron(ideal)
+        assert poly.vertices == vertices_by_rank(ideal, poly.facets), ideal
+        not_all_vertices += len(poly.vertices) < len(ideal.generators)
+    assert not_all_vertices > 100
 
 
 def test_facet_properties():

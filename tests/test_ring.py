@@ -703,21 +703,28 @@ def packed_row(slots, width):
     return sum(c << width * i for i, c in enumerate(slots))
 
 
+def edge_rows(width):
+    """Packed rows {p: (offset, slots)} at the edges of a slot of this
+    width, read back by `_slots`."""
+    top = 2**(width - 1) - 1  # the largest coefficient a slot reads back
+    return {
+        0: (0, [top]),
+        1: (5, [-top]),
+        2: (0, [0, top, 0, 0, -top, 0]),  # zero slots inside and at both ends
+        3: (2, [top, -top, top, -top]),
+        4: (1, [-1, 0, 0, -top]),  # a negative top slot
+        5: (3, [1, 0, -top]),
+        6: (0, [0, 0, 0]),  # a row that cancels to 0 is dropped
+        7: (9, [-top, 1]),
+        8: (4, [top - 1, -(top - 1), 1, -1, top]),
+        9: (1, [0] * 7 + [-top, 0, 1]),  # low zero slots, as a cancellation leaves
+    }
+
+
 def test_signed_slot_decode_at_its_edges():
     for width in (64, 128, 256):
-        top = 2**(width - 1) - 1  # the largest coefficient a slot reads back
-        cases = {  # P-degree: (offset, slots)
-            0: (0, [top]),
-            1: (5, [-top]),
-            2: (0, [0, top, 0, 0, -top, 0]),  # zero slots inside and at both ends
-            3: (2, [top, -top, top, -top]),
-            4: (1, [-1, 0, 0, -top]),  # a negative top slot
-            5: (3, [1, 0, -top]),
-            6: (0, [0, 0, 0]),  # a row that cancels to 0 is dropped
-            7: (9, [-top, 1]),
-            8: (4, [top - 1, -(top - 1), 1, -1, top]),
-            9: (1, [0] * 7 + [-top, 0, 1]),  # low zero slots, as a cancellation leaves
-        }
+        top = 2**(width - 1) - 1
+        cases = edge_rows(width)
         packed = {p: (t0, packed_row(slots, width)) for p, (t0, slots) in cases.items()}
         want = BiPoly({(t0 + i, p): c for p, (t0, slots) in cases.items()
                        for i, c in enumerate(slots)})
@@ -739,6 +746,51 @@ def test_signed_slot_decode_at_its_edges():
         # for slots wider than width, and the decode still reads them back
         got = summed(cells)
         assert got.numerator._packed[1] > width and got == ref
+
+
+def assert_packed_readers_match(rf, bounds):
+    """Each reader of rf's packed numerator equals the same reader on its
+    decoded rows, and leaves the packed rows in place."""
+    num = rf.numerator
+    rows, width, _ = num._packed
+    decoded = BiPoly._raw(ring._unpack(rows, width))
+    plain = BiRationalFunction(decoded, rf.denominator)
+    readers = (BiPoly.terms, BiPoly.p_degree, BiPoly.t_degree, BiPoly.is_zero, bool,
+               lambda f: f.subs_inverse_prime(3), BiPoly.to_json, repr, hash)
+    for read in readers:
+        assert read(num) == read(decoded)
+        assert num._packed is not None
+    assert num.terms() == tuple(sorted(decoded._terms.items()))
+    for b in bounds:
+        assert rf.series(b)._rows == plain.series(b)._rows
+        assert num._packed is not None
+
+
+def test_packed_readers_match_the_decoded_rows(monkeypatch):
+    # terms (in their order, so the printers and hash too), the degrees,
+    # is_zero, subs_inverse_prime and series read packed rows off their
+    # slots, and decode nothing
+    for width in (64, 128, 256):
+        rows = {p: (t0, packed_row(slots, width)) for p, (t0, slots) in edge_rows(width).items()}
+        for den in ([(1, 1), (0, 2)], [(2, 3)]):
+            assert_packed_readers_match(
+                BiRationalFunction(BiPoly._of_packed(rows, width, 2**(width - 2)), den),
+                (0, 1, 4, 9, 12))
+        # no nonzero row: the zero polynomial
+        zero = BiPoly._of_packed({0: (0, 0), 3: (2, 0)}, width, 1)
+        assert zero.is_zero() and not zero and zero.terms() == ()
+        assert zero.p_degree() == zero.t_degree() == -1 and zero._packed is not None
+    # every pool ideal's zeta function is reduced with no _decode call
+    pools = corpus() + drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3)
+    decodes, decode = [], BiPoly._decode
+    monkeypatch.setattr(BiPoly, "_decode", lambda self: decodes.append(self) or decode(self))
+    widths = Counter()
+    for ideal in pools:
+        rf = igusa_zeta(ideal).zeta
+        assert decodes == [], ideal
+        widths[rf.numerator._packed[1]] += 1
+        assert_packed_readers_match(rf, (0, 2, 8))
+    assert widths == {64: len(pools)}
 
 
 def test_rf_reduce_cancels_exact_factors():
@@ -819,44 +871,48 @@ def test_rf_reduce_is_one_pass(monkeypatch):
 
 def test_igusa_zeta_divides_packed_and_returns_rows(monkeypatch):
     # the assembled sum reaches reduced() packed, and its 1 - P divisions run
-    # on the packed rows, the second on the first one's quotient; the
-    # numerator igusa_zeta returns is decoded before it is returned
+    # on the packed rows, the second on the first one's quotient; igusa_zeta
+    # makes no _decode call, and the numerator it returns is decoded once,
+    # on the first read of its rows
     divisions = {"_div_packed": [], "_div_binomial": []}
     for name, calls in divisions.items():
         def counting(self, a, b, calls=calls, divide=getattr(BiPoly, name)):
             calls.append((a, b))
             return divide(self, a, b)
         monkeypatch.setattr(BiPoly, name, counting)
+    decodes = []
+    decode = BiPoly._decode
+    def decoding(self):
+        decodes.append(self)
+        decode(self)
+    monkeypatch.setattr(BiPoly, "_decode", decoding)
     res = igusa_zeta(MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))
     assert divisions == {"_div_packed": [(0, 1), (0, 1)], "_div_binomial": []}
+    assert decodes == []
     num = res.zeta.numerator
-    assert num._packed is None and num._dict == {0: {0: 1}, 3: {0: -1}}
+    assert num._packed is not None
+    assert num._rows == {0: {0: 1}, 3: {0: -1}} and decodes == [num]
+    assert num._packed is None and num._rows is num._dict and decodes == [num]
     assert res.zeta == BiRationalFunction(ONE - P**3, [(2, 3)])
     # chain sums and exchanges leave the packed rows alone too.  The
     # acceptance corpus's ideal 40 divides out one (6, 3); its second
     # division fails, the chain sums exchange it for (2, 1), and the
     # numerator times 1 - T^2 P is divided.  The `deep` pool's ideal 1
     # divides out one (3, 3), and its chain sums find no exchange for the
-    # other two.  Each sum is decoded once, after its last division
-    decode = BiPoly._decode
-    def decoding(self):
-        if self._packed is not None:
-            divisions["_div_packed"].append("decode")
-        decode(self)
-    monkeypatch.setattr(BiPoly, "_decode", decoding)
+    # other two.  Each sum is returned packed, with no _decode call
     for gens, f, counts in (
             ([(2, 1, 4), (2, 2, 2), (4, 0, 3), (4, 4, 3), (4, 5, 1)], (6, 3),
              {(6, 3): 0, (2, 1): 1}),
             ([(0, 0, 0, 0, 3), (1, 3, 0, 1, 3), (3, 1, 2, 1, 1), (3, 2, 0, 3, 0)], (3, 3),
              {(3, 3): 2})):
         divisions["_div_packed"].clear()
+        decodes.clear()
         res = igusa_zeta(MonomialIdeal(len(gens[0]), gens))
-        packed_route = divisions["_div_packed"]
-        assert packed_route[-4:] == [f] * 3 + ["decode"] and packed_route.count("decode") == 1
-        assert divisions["_div_binomial"] == []
+        assert divisions["_div_packed"][-3:] == [f] * 3
+        assert divisions["_div_binomial"] == [] and decodes == []
         den = Counter(res.zeta.denominator)
         assert {k: den[k] for k in counts} == counts
-        assert res.zeta.numerator._packed is None
+        assert res.zeta.numerator._packed is not None
 
 
 def test_rf_reduce_rejects_foreign_operands():
