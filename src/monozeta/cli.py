@@ -27,7 +27,7 @@ from .parse import parse_ideal
 from .polyhedra import MonomialIdeal, newton_polyhedron
 from .ring import BiPoly
 from .roots import log_canonical_threshold, verify_pole_roots
-from .zeta import divisor_data, igusa_zeta, latex_zeta, zeta_series
+from .zeta import _latex, divisor_data, igusa_zeta, latex_zeta, zeta_series
 
 
 def _fmt_monomial(exponents, names) -> str:
@@ -85,8 +85,9 @@ def _cmd_zeta(args) -> int:
     res = igusa_zeta(ideal)
     spec = res.zeta.specialize(args.prime) if args.prime is not None else None
     if args.json:
-        record = res.to_json()
-        record["latex"] = latex_zeta(res.zeta)
+        terms = res.zeta.numerator.terms()  # one read for both printers
+        record = res._json(terms)
+        record["latex"] = _latex(res.zeta, terms)
         if spec is not None:
             record["specialized"] = {"p": args.prime, **spec.to_json()}
         _emit_json(record, ideal, names)

@@ -10,13 +10,14 @@ keeps its denominator as a multiset of factors 1 - T^a P^b and is never
 expanded, so the factored shape survives every operation.  A sum of many
 such fractions is made at once by `planned_sum`, over a factor tree on the
 least common multiset of their factors, its numerator packed one int per
-P-degree at a width fixed from its l1 bound and built from keys, each
-fraction's keys packed as they are read.  The packed rows go on to
-`reduced()` as they are and stay packed through it and past it: its
-divisions and the multiply of an exchange run on them, and the numerator
-it returns still holds them.  Readers of the terms go through one row
-reader (`BiPoly._row_terms`) that reads packed rows off their slots;
-only arithmetic and `==` decode them into rows, once.  The only division is
+P-degree in slots of the least width its l1 bound allows (32 bits, or 64,
+128, ...) and built from keys, each fraction's keys packed as they are
+read.  The packed rows go on to `reduced()` as they are and stay packed
+through it and past it: its divisions and the multiply of an exchange run
+on them, and the numerator it returns still holds them.  Readers of the
+terms go through one row reader (`BiPoly._row_terms`) that reads packed
+rows off their slots; only arithmetic and `==` decode them into rows,
+once.  The only division is
 exact division by a binomial 1 - T^a P^b, one chain recurrence
 (`_chain_quotient`) over packed or decoded rows; a packed quotient whose
 l1 bound reaches the slot width has its true l1 read off its slots, and
@@ -35,6 +36,7 @@ import struct
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from itertools import chain
 from operator import index, itemgetter, mul
@@ -128,10 +130,11 @@ class BiPoly:
 
     def _row_values(self):
         """(T0, {p: row p at T = T0, mod q}), q the screen prime.  Packed
-        rows are read as they are, at T0 = 2^W mod q: row p is T^t0 times
-        v(2^W), so its value is T0^t0 v mod q, and no row is decoded.  Else
-        the terms are read at T0 = 2^64 mod q, against T0 raised only to the
-        T-degrees present (`_powers`)."""
+        rows are read as they are, at T0 = 2^W mod q, W their slot width (32
+        bits or more): row p is T^t0 times v(2^W), so its value is
+        T0^t0 v mod q, and no row is decoded.  Else the terms are read at
+        T0 = 2^64 mod q, against T0 raised only to the T-degrees present
+        (`_powers`)."""
         q = _SCREEN_PRIME
         if self._packed is not None:
             rows, width, _ = self._packed
@@ -385,7 +388,7 @@ class BiPoly:
                            for (t, p), c in self.terms())
 
     def to_json(self):
-        return [{"t": t, "p": p, "coeff": str(c)} for (t, p), c in self.terms()]
+        return BiRationalFunction(self).to_json()["numerator"]
 
     @classmethod
     def from_json(cls, data):
@@ -632,10 +635,12 @@ class BiRationalFunction:
         return f"({num}) / ({'*'.join(fp(f) for f in self.denominator)})"
 
     def to_json(self):
-        return {
-            "numerator": self.numerator.to_json(),
-            "denominator": [[f.a, f.b] for f in self.denominator],
-        }
+        return self._json(self.numerator.terms())
+
+    def _json(self, terms):
+        """`to_json()` from the numerator's terms, already read (`terms()`)."""
+        return {"numerator": [{"t": t, "p": p, "coeff": str(c)} for (t, p), c in terms],
+                "denominator": [[f.a, f.b] for f in self.denominator]}
 
     @classmethod
     def from_json(cls, data):
@@ -663,18 +668,19 @@ def planned_sum(plan, keys, times=()):
     mapping per cell from the iterable keys, in plan order, packed with no
     term built (`_pack_keys`): row p is (t0, v), v its T-polynomial over
     T^t0 at T = 2^W, exact whatever the coefficients and read back if each
-    is below 2^(W-1).  So W is the least of 64, 128, ... above the l1 bound
-    B, sum over the cells of l1(N) 2^|D - factors|, doubled per factor in
-    times, fixed from the plan before any keys are read; each cell's keys
-    are then packed before the next cell's are read, so a lazy iterable
-    holds one cell's keys at a time.  `reduced()` gets the packed rows and
-    B, and divides on them."""
+    is below 2^(W-1).  So W is the least of 32, 64, 128, ... with the l1
+    bound B below 2^(W-1), B the sum over the cells of l1(N) 2^|D - factors|,
+    doubled per factor in times, fixed from the plan before any keys are
+    read: no slot is wider than B needs.  Each cell's keys are then packed
+    before the next cell's are read, so a lazy iterable holds one cell's
+    keys at a time.  `reduced()` gets the packed rows and B, and divides on
+    them."""
     den = Counter()
     for _, _, factors in plan:
         den |= Counter(factors)
     order = sorted(den.elements())
     bound = sum(l1 << len(order) - len(factors) for l1, _, factors in plan) << len(times)
-    width = 64 << (bound.bit_length() // 64).bit_length()
+    width = 32 << (bound.bit_length() // 32).bit_length()
     # a cell holding m copies of f holds the first m of D's bits for f
     packed = [(_pack_keys(counted, shift, width),
                sum(((1 << k) - 1) << bisect_left(order, f) for f, k in Counter(factors).items()))
@@ -742,15 +748,15 @@ def _add_rows(target, rows, a, b, sign, width):
     """target += sign * T^a P^b * rows, in place, row by row."""
     for p, (t, v) in rows.items():
         t += a
-        v = v if sign > 0 else -v
-        old = target.get(p + b)
-        if old is not None:
-            t0, v0 = old
-            if t0 <= t:
-                t, v = t0, v0 + (v << width * (t - t0))
-            else:
-                v += v0 << width * (t0 - t)
-        target[p + b] = (t, v)
+        if (old := target.get(p + b)) is None:
+            target[p + b] = (t, v if sign > 0 else -v)
+            continue
+        t0, v0 = old
+        if t0 <= t:
+            v <<= width * (t - t0)
+        else:
+            t0, v0 = t, v0 << width * (t0 - t)
+        target[p + b] = (t0, v0 + v if sign > 0 else v0 - v)
 
 
 def _times_binomial(rows, f, width):
@@ -798,11 +804,6 @@ def _chain_quotient(rows, a, b, add):
             off += a
             out[e] = (off, q)
     return out
-
-
-def _slot_lift(width, n):
-    """2^(width-1) in each of n slots of width bits, little-endian bytes."""
-    return (bytes(width // 8 - 1) + b"\x80") * n
 
 
 def _row_sum(row, src, shift, sign):
@@ -858,47 +859,44 @@ def _pack_keys(keys, shift, width):
 
     In key order a row is one run of keys, from p << shift up to below
     (p << shift) + 2^(shift-1), so sorting the keys groups them, and one
-    bisection per row finds where its run ends.  Each c is written into a
-    buffer of 64-bit words in two's complement, width/64 words to a slot,
-    and the buffer is read as one unsigned int X, little-endian both ways.
-    X is the row when no c is negative, as for a cell's point counts.  Else,
-    with L = 2^(width-1) in every slot, X ^ L holds c + 2^(width-1) in each
-    slot (flipping the top bit of a two's complement number adds
-    2^(width-1) to it), so no slot borrows, and X ^ L - L is the row."""
-    half, k = 1 << (shift - 1), width // 64
+    bisection per row finds where its run ends.  Each c is written in two's
+    complement into one word list for all the rows, its words 32 bits wide
+    when W = 32 and 64 bits else, W/word to a slot; the list is packed into
+    bytes once, and each row's run is read as one unsigned int X,
+    little-endian both ways.  X is the row when no c is negative, as for a
+    cell's point counts.  Else, with L = 2^(width-1) in every slot, X ^ L
+    holds c + 2^(width-1) in each slot (flipping the top bit of a two's
+    complement number adds 2^(width-1) to it), so no slot borrows, and
+    X ^ L - L is the row."""
+    half, word = 1 << (shift - 1), min(width, 64)
+    k, mask, size = width // word, (1 << word) - 1, word // 8
     order = sorted(keys)
-    coeff = keys.__getitem__
-    signed = min(keys.values(), default=0) < 0
-    packed = {}
+    words, runs = [], []  # runs: (p, t0, the row's bytes in the buffer)
     lo, end = 0, len(order)
     while lo < end:
         first = order[lo]
         p = (first + half) >> shift  # the rounding shift: t may read as negative
-        t0 = first - (p << shift)
-        if t0 < 0 or p < 0:
+        if (t0 := first - (p << shift)) < 0 or p < 0:
             raise ValueError("negative exponent in a packed term")
         hi = bisect_left(order, (p << shift) + half, lo)
-        n = (order[hi - 1] - first + 1) * k
-        words = [0] * n
+        base = (start := len(words)) - first * k  # key's first word is base + key * k
+        words += [0] * ((order[hi - 1] - first + 1) * k)
         if k == 1:
             for key in order[lo:hi]:
-                words[key - first] = coeff(key) & _WORD
+                words[base + key] = keys[key] & mask
         else:
             for key in order[lo:hi]:
-                c, i = coeff(key), (key - first) * k
-                for j in range(i, i + k):
-                    words[j] = c & _WORD
-                    c >>= 64
-        v = int.from_bytes(struct.pack(f"<{n}Q", *words), "little")
-        if signed:
-            lift = int.from_bytes(_slot_lift(width, n // k), "little")
-            v = (v ^ lift) - lift
-        packed[p] = (t0, v)
+                i = base + key * k
+                words[i:i + k] = (keys[key] >> s & mask for s in range(0, width, 64))
+        runs.append((p, t0, start * size, len(words) * size))
         lo = hi
+    buf = struct.pack(f"<{len(words)}{'I' if word == 32 else 'Q'}", *words)
+    packed = {p: (t0, int.from_bytes(buf[a:b], "little")) for p, t0, a, b in runs}
+    if min(keys.values(), default=0) < 0:
+        for p, t0, a, b in runs:
+            lift = _codec(width, (b - a) * 8 // width)[0]
+            packed[p] = (t0, (packed[p][1] ^ lift) - lift)
     return packed
-
-
-_WORD = (1 << 64) - 1
 
 
 def _trimmed(t0, v, width):
@@ -927,18 +925,25 @@ def _slots(v, width):
     """The coefficients in the slots of the packed row value v, lowest
     first, each |c| < 2^(width-1).  With L = 2^(width-1) in every slot,
     v + L has every slot in [0, 2^width), so no slot borrows, and
-    (v + L) ^ L holds each slot's c in two's complement: its bytes read as
-    64-bit words, width/64 to a slot, the top word of each signed, are the
-    coefficients."""
-    size, k = width // 8, width // 64
+    (v + L) ^ L holds each slot's c in two's complement: its bytes, read a
+    slot at a time as signed ints (`_codec`), are the coefficients."""
     n = abs(v).bit_length() // width + 1
-    lift = int.from_bytes(_slot_lift(width, n), "little")
-    slots = struct.unpack("<" + f"{k - 1}Qq" * n if k > 1 else f"<{n}q",
-                          ((v + lift) ^ lift).to_bytes(n * size, "little"))
-    if k > 1:
-        slots = [sum(w << 64 * j for j, w in enumerate(slots[i:i + k]))
-                 for i in range(0, n * k, k)]
-    return slots
+    lift, unpack = _codec(width, n)
+    return unpack(((v + lift) ^ lift).to_bytes(n * width // 8, "little"))
+
+
+@lru_cache(maxsize=256)
+def _codec(width, n):
+    """(L, unpack) for n slots of this width: L = 2^(width-1) in every
+    slot, and the reader of their little-endian bytes as n signed ints, one
+    struct unpack of 32- or 64-bit words for W <= 64, else one signed
+    int.from_bytes per slot."""
+    lift = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
+    if width <= 64:
+        return lift, struct.Struct(f"<{n}{'i' if width == 32 else 'q'}").unpack
+    size = width // 8
+    return lift, lambda data: [int.from_bytes(data[i:i + size], "little", signed=True)
+                               for i in range(0, n * size, size)]
 
 
 # specialization is dense in T, linear in time and memory: degree 10^6 took
@@ -1003,19 +1008,23 @@ def _folds_nonzero(poly, lines):
     With the rows' values N_p at T0 (`BiPoly._row_values`), z = s^((q-1)/g)
     of order g, s the generator, and c = z T0^-a0, the fold's class r is
     the sum of N_p c^(p // b0) over p = r mod b0, and the fold is nonzero
-    iff some class is.  A line met twice is folded once."""
+    iff some class is.  Each line takes one pass over the rows in
+    increasing p, c^(p // b0) updated as p // b0 grows: one multiply for a
+    step of 1, the most common.  A line met twice is folded once."""
     q = _SCREEN_PRIME
     t0, values = poly._row_values()
-    degrees = sorted(values)
+    rows = sorted(values.items())
     folds = {}
     for x, g in lines:
         if (x, g) in folds:
             continue
         (a0, b0), z = x, pow(_SCREEN_GENERATOR, (q - 1) // g, q)
         c = z * pow(t0, -a0, q) % q
-        classes: dict[int, int] = {}
-        for p, w in zip(degrees, _powers(c, [p // b0 for p in degrees], q)):
-            classes[p % b0] = classes.get(p % b0, 0) + values[p] * w
+        classes, w, k = {}, 1, 0  # w = c^k mod q, k = p // b0 for the rows read so far
+        for p, value in rows:
+            if (j := p // b0) != k:
+                w, k = w * (c if j - k == 1 else pow(c, j - k, q)) % q, j
+            classes[p % b0] = classes.get(p % b0, 0) + value * w
         folds[x, g] = any(s % q for s in classes.values())
     return [folds[line] for line in lines]
 

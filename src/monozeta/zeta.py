@@ -66,9 +66,14 @@ class ZetaResult:
     poles: tuple[tuple[Fraction, int], ...]  # (real part, order bound)
 
     def to_json(self):
+        return self._json(self.zeta.numerator.terms())
+
+    def _json(self, terms):
+        """`to_json()` from the numerator's terms, already read (`terms()`):
+        `zeta --json` hands the same read to `_latex`."""
         return {
             "n": self.n,
-            "zeta": self.zeta.to_json(),
+            "zeta": self.zeta._json(terms),
             "divisors": [d.to_json() for d in self.divisors],
             "candidate_poles": [
                 {"real_part": str(rp), "rays": [list(r) for r in rays]}
@@ -227,6 +232,11 @@ def zeta_series(ideal: MonomialIdeal, bound: int) -> BiPoly:
 
 def latex_zeta(rf: BiRationalFunction) -> str:
     """Render in the classical variables: T^t P^j prints as p^{-ts-j}."""
+    return _latex(rf, rf.numerator.terms())
+
+
+def _latex(rf, terms):
+    """`latex_zeta(rf)` from the numerator's terms, already read (`terms()`)."""
 
     def power(t, j):
         if t == 0 and j == 0:
@@ -235,7 +245,7 @@ def latex_zeta(rf: BiRationalFunction) -> str:
         j_part = "" if j == 0 else f"-{j}"
         return "p^{" + s_part + j_part + "}"
 
-    num = _signed_sum(((c, power(t, j)) for (t, j), c in rf.numerator.terms()), " ")
+    num = _signed_sum(((c, power(t, j)) for (t, j), c in terms), " ")
     if not rf.denominator:
         return num
     den = "".join(

@@ -5,10 +5,13 @@ Fractions, lattice enumeration by bounding boxes, generating functions by
 direct summation.  Slow but transparently correct.  Reference code that
 the package no longer needs lives here too (`det_int`, `det`, `invert`,
 `cone_faces`, `value_at`, `truncate_p`, `div_exact_general`,
-`min_pairing`, `parallelepiped_by_batches`, `vertices_by_rank`).
+`min_pairing`, `parallelepiped_by_batches`, `vertices_by_rank`,
+`pack_keys_by_rows`).
 """
 
 import heapq
+import struct
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -18,6 +21,42 @@ from monozeta.conegf import _digits, _group_basis, _key_shift
 from monozeta.fan import Cone, _face_raysets, cone_from_rays
 from monozeta.linalg import dot, eliminate, rank, solve
 from monozeta.ring import BinomialFactor, BiPoly, BiRationalFunction
+
+
+def pack_keys_by_rows(keys, shift, width):
+    """The packed rows {p: (t0, v)} of the keys {t + (p << shift): c}, one
+    struct.pack per row: the reference for `ring._pack_keys`, which packs
+    all of a cell's rows at once.  Each row's slots are written as words in
+    two's complement (32-bit words at W = 32, 64-bit else, W/word to a
+    slot) and read as one unsigned int X, lifted to X ^ L - L, L = 2^(W-1)
+    in every slot, when some c is negative."""
+    half, word = 1 << (shift - 1), min(width, 64)
+    k, mask = width // word, (1 << word) - 1
+    order = sorted(keys)
+    signed = min(keys.values(), default=0) < 0
+    packed = {}
+    lo = 0
+    while lo < len(order):
+        first = order[lo]
+        p = (first + half) >> shift
+        t0 = first - (p << shift)
+        if t0 < 0 or p < 0:
+            raise ValueError("negative exponent in a packed term")
+        hi = bisect_left(order, (p << shift) + half, lo)
+        n = (order[hi - 1] - first + 1) * k
+        words = [0] * n
+        for key in order[lo:hi]:
+            c, i = keys[key], (key - first) * k
+            for j in range(i, i + k):
+                words[j] = c & mask
+                c >>= word
+        v = int.from_bytes(struct.pack(f"<{n}{'I' if word == 32 else 'Q'}", *words), "little")
+        if signed:
+            lift = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * (n // k), "little")
+            v = (v ^ lift) - lift
+        packed[p] = (t0, v)
+        lo = hi
+    return packed
 
 
 def det_int(rows) -> int:

@@ -8,10 +8,10 @@ from math import gcd, lcm
 
 import pytest
 
-from oracles import (div_exact_general, gf_series_brute, reduced_by_trial, series_by_geometric,
-                     truncate_p, value_at)
+from oracles import (div_exact_general, gf_series_brute, pack_keys_by_rows, reduced_by_trial,
+                     series_by_geometric, truncate_p, value_at)
 from test_acceptance import corpus
-from monozeta import ring
+from monozeta import conegf, ring
 from monozeta.conegf import Grading, lattice_gf, sum_half_open_cells
 from monozeta.fan import cone_from_rays
 from monozeta.polyhedra import MonomialIdeal
@@ -53,6 +53,15 @@ def declared_bound(fractions, muls=0):
         den |= Counter(factors)
     return sum(sum(map(abs, terms.values())) << den.total() - len(factors)
                for terms, factors in fractions) << muls
+
+
+def slot_width(bound):
+    """The slot width a sum of this l1 bound is packed at: the least of 32,
+    64, 128, ... with the bound below 2^(W-1)."""
+    width = 32
+    while bound >= 2**(width - 1):
+        width *= 2
+    return width
 
 
 def random_poly(rng, max_deg=3, max_terms=5, max_coeff=3):
@@ -431,8 +440,9 @@ def test_row_sum_matches_the_pairwise_route():
 
 def test_row_sum_row_values_read_its_packed_rows():
     # the values _row_values reads off the packed rows, at T0 = 2^W mod q, are
-    # the rows evaluated there: a 64-bit sum of counts, and a sum in 128-bit
-    # slots with negative coefficients, multiplied between the adds
+    # the rows evaluated there: sums of counts in 32- and 64-bit slots, and a
+    # sum in 128-bit slots with negative coefficients, multiplied between the
+    # adds; W is the rule's for the declared bound
     rng, q = random.Random(1208), ring._SCREEN_PRIME
     widths = set()
     for trial in range(100):
@@ -443,42 +453,67 @@ def test_row_sum_row_values_read_its_packed_rows():
                 continue
             terms = {(rng.randint(0, 30), rng.randint(0, 5)):
                      rng.choice((-1, 1) if signed else (1,))
-                     * rng.randint(1, rng.choice((9, 2**62 if signed else 9)))
+                     * rng.randint(1, rng.choice((9, 2**62 if signed else 2**28)))
                      for _ in range(rng.randint(1, 12))}
             ops.append((terms, [random_factor(rng) for _ in range(rng.randint(0, 4))]))
         got, _ = run_ops(ops)
         num = got.numerator
         width = num._packed[1]
+        assert width == slot_width(num._packed[2])
         t0, values = num._row_values()
         assert t0 == pow(2, width, q)
         want = row_values(num._rows, t0)
         assert {p: v for p, v in values.items() if v} == {p: v for p, v in want.items() if v}
         widths.add((width, signed and min((c for _, c in num.terms()), default=0) < 0))
-    assert {(64, False), (128, True)} <= widths
+    assert {(32, False), (64, False), (128, True)} <= widths, widths
 
 
 def test_key_packing_add_matches_the_pairwise_route():
     # keys t + (p << S) at shifts with more room than t needs, signed
     # coefficients or a cell's positive counts, and now and then a
-    # coefficient near 2^126, for which the bound calls for 256-bit slots
+    # coefficient near 2^40, for which the bound calls for 64-bit slots, or
+    # near 2^126, for which it calls for 256-bit slots; W is the rule's for
+    # the declared bound
     rng = random.Random(1901)
     widths = set()
     for _ in range(200):
         fractions = []
         for _ in range(rng.randint(1, 6)):
-            big, signed = rng.random() < 0.1, rng.random() < 0.7
+            # big: the bit length of this cell's large coefficients, 0 for none
+            big, signed = rng.choices((0, 40, 125), (8, 1, 1))[0], rng.random() < 0.7
             terms = {(rng.randint(0, 60), rng.randint(0, 6)):
                      (rng.choice((-1, 1)) if signed else 1)
-                     * (rng.randint(2**125, 2**126) if big else rng.randint(1, 9))
+                     * (rng.randint(2**big, 2**(big + 1)) if big else rng.randint(1, 9))
                      for _ in range(rng.randint(1, 15))}
             shift = max(t for t, _ in terms).bit_length() + rng.randint(1, 9)
             fractions.append((terms, shift, [random_factor(rng) for _ in range(rng.randint(0, 3))]))
         got = packed_sum([({t + (p << shift): c for (t, p), c in terms.items()}, shift, factors)
                           for terms, shift, factors in fractions])
-        widths.add(got.numerator._packed[1])
-        assert got.numerator._packed[2] == declared_bound([(t, f) for t, _, f in fractions])
+        bound = declared_bound([(t, f) for t, _, f in fractions])
+        assert got.numerator._packed[1:] == (slot_width(bound), bound)
+        widths.add(slot_width(bound))
         assert got == pairwise([(t, f) for t, _, f in fractions])
-    assert 64 in widths and max(widths) >= 256
+    assert {32, 64} <= widths and max(widths) >= 256, widths
+
+
+def test_one_buffer_key_packing_matches_the_per_row_packer():
+    # `_pack_keys` writes all of a cell's rows into one word list, packs it
+    # once and cuts each row off the bytes; `pack_keys_by_rows` packs each
+    # row on its own.  On random keys at each width, signed and unsigned,
+    # with rows away from T^0, gaps inside rows and coefficients at the
+    # slot's edge, the two agree, and the rows read back the keys' terms
+    rng = random.Random(3801)
+    for width in (32, 64, 128, 256):
+        top = 2**(width - 1) - 1
+        for trial in range(80):
+            signed, shift = trial % 2, rng.randint(2, 12)
+            keys = {rng.randint(0, 2**(shift - 1) - 1) + (rng.randint(0, 6) << shift):
+                    rng.choice((1, rng.randint(1, 9), top)) * (rng.choice((-1, 1)) if signed else 1)
+                    for _ in range(rng.randint(0, 30))}
+            got = ring._pack_keys(keys, shift, width)
+            assert got == pack_keys_by_rows(keys, shift, width)
+            terms = {(key % (1 << shift), key >> shift): c for key, c in keys.items()}
+            assert ring._unpack(got, width) == BiPoly(terms)._rows
 
 
 def test_row_sum_cancels_to_zero():
@@ -722,7 +757,7 @@ def edge_rows(width):
 
 
 def test_signed_slot_decode_at_its_edges():
-    for width in (64, 128, 256):
+    for width in (32, 64, 128, 256):
         top = 2**(width - 1) - 1
         cases = edge_rows(width)
         packed = {p: (t0, packed_row(slots, width)) for p, (t0, slots) in cases.items()}
@@ -770,7 +805,7 @@ def test_packed_readers_match_the_decoded_rows(monkeypatch):
     # terms (in their order, so the printers and hash too), the degrees,
     # is_zero, subs_inverse_prime and series read packed rows off their
     # slots, and decode nothing
-    for width in (64, 128, 256):
+    for width in (32, 64, 128, 256):
         rows = {p: (t0, packed_row(slots, width)) for p, (t0, slots) in edge_rows(width).items()}
         for den in ([(1, 1), (0, 2)], [(2, 3)]):
             assert_packed_readers_match(
@@ -780,17 +815,27 @@ def test_packed_readers_match_the_decoded_rows(monkeypatch):
         zero = BiPoly._of_packed({0: (0, 0), 3: (2, 0)}, width, 1)
         assert zero.is_zero() and not zero and zero.terms() == ()
         assert zero.p_degree() == zero.t_degree() == -1 and zero._packed is not None
-    # every pool ideal's zeta function is reduced with no _decode call
-    pools = corpus() + drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3)
+    # every pool ideal's zeta function is reduced with no _decode call, in
+    # the slots its sum's declared bound calls for
+    pools = corpus() + drawn_pool(2, 8, 3, 6, 20) + drawn_pool(1, 3, 5, 4, 3) + SLOT_EDGE_IDEALS
     decodes, decode = [], BiPoly._decode
     monkeypatch.setattr(BiPoly, "_decode", lambda self: decodes.append(self) or decode(self))
+    planned, planned_sum = [], conegf.planned_sum
+    def planning(plan, keys, times=()):
+        planned.append(out := planned_sum(plan, keys, times))
+        return out
+    monkeypatch.setattr(conegf, "planned_sum", planning)
     widths = Counter()
     for ideal in pools:
+        planned.clear()
         rf = igusa_zeta(ideal).zeta
         assert decodes == [], ideal
-        widths[rf.numerator._packed[1]] += 1
+        assert len(planned) == 1
+        width, bound = planned[0].numerator._packed[1:]
+        assert rf.numerator._packed[1] == width == slot_width(bound)
+        widths[width] += 1
         assert_packed_readers_match(rf, (0, 2, 8))
-    assert widths == {64: len(pools)}
+    assert widths == {32: len(pools) - 1, 64: 1}
 
 
 def test_rf_reduce_cancels_exact_factors():
@@ -1195,19 +1240,35 @@ def interior_row_sum():
 
 
 def test_summed_cells_reduce_as_trial_division_does(monkeypatch):
-    # the sums igusa_zeta reduces on the `wide` and `deep` pools and 10
-    # corpus ideals, and a non-simplicial cone's interior, each summed by
-    # `packed_sum`: each reduces as trial division reduces it
+    # the sums igusa_zeta reduces on the `wide` and `deep` pools, 10 corpus
+    # ideals and the two ideals at the edge of the 32-bit slots, and a
+    # non-simplicial cone's interior, each summed by `packed_sum`: each
+    # reduces as trial division reduces it
     sums = unreduced_sums(monkeypatch, drawn_pool(2, 8, 3, 6, 20)
-                          + drawn_pool(1, 3, 5, 4, 3) + corpus()[:10])
-    assert len(sums) == 21
-    # every plan's bound, (1 - P)^n included, fits 64-bit slots: the screen
-    # point of each sum is 2^64 mod q
-    assert {rf.numerator._row_values()[0] for rf in sums} == {pow(2, 64, ring._SCREEN_PRIME)}
+                          + drawn_pool(1, 3, 5, 4, 3) + corpus()[:10] + SLOT_EDGE_IDEALS)
+    assert len(sums) == 23
+    # each plan's bound, (1 - P)^n included, fixes its slot width W: 32 bits
+    # for all but the last, 64 for it, and the screen point of each sum is
+    # 2^W mod q
+    widths = [slot_width(rf.numerator._packed[2]) for rf in sums]
+    assert widths == [32] * 22 + [64]
+    assert [rf.numerator._row_values()[0] for rf in sums] == [
+        pow(2, width, ring._SCREEN_PRIME) for width in widths]
     interior, square, grading = interior_row_sum()
     assert interior.series(16) == gf_series_brute(square, grading, 16, interior=True)
     for rf in sums + [interior]:
         assert rf.reduced() == reduced_by_trial(rf)
+
+
+# two n = 5 ideals whose sums' l1 bounds, (1 - P)^5 included, lie on either
+# side of 2^31: 0.93 * 2^31 (the CI step's ideal at the top of the 32-bit
+# slots) and 1.03 * 2^31, in 64-bit slots
+SLOT_EDGE_IDEALS = [
+    MonomialIdeal(5, [(3, 3, 4, 0, 2), (2, 0, 3, 4, 1), (3, 4, 5, 1, 5), (0, 0, 3, 1, 3),
+                      (1, 0, 2, 0, 4), (5, 0, 0, 2, 4)]),
+    MonomialIdeal(5, [(5, 1, 5, 1, 3), (0, 5, 2, 5, 4), (4, 1, 5, 2, 2), (1, 0, 4, 4, 3),
+                      (5, 1, 5, 0, 1), (5, 0, 0, 4, 0)]),
+]
 
 
 def drawn_pool(seed, size, n, gens, max_exp):
